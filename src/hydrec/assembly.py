@@ -51,21 +51,23 @@ class TaylorReconstruction:
         return self.values.y
 
     def trust_radius(self, threshold: float = 1e-6) -> float:
-        """Largest |y| where the last term stays below ``threshold * max|rho_N|``.
+        """Largest |y| where the last two terms stay below ``threshold * max|rho_N|``.
 
         A heuristic convergence indicator: beyond this radius the truncation
-        is no longer driving terms to zero.
+        is no longer driving terms to zero.  A real state's odd moments are
+        identically zero, so at odd N the last term alone says nothing.
         """
         if self.order_max == 0:
             return float(np.max(np.abs(self.y)))
         y = self.y
-        f_last = self.moments[-1].field.values
-        scale = float(np.max(np.abs(f_last)))
-        z = np.abs(2.0 * y / self.hbar) ** self.order_max
-        log_fact = float(np.sum(np.log(np.arange(1, self.order_max + 1))))
-        last_term = scale * z * np.exp(-log_fact)
+        tail = np.zeros(y.shape)
+        for n in (self.order_max - 1, self.order_max):
+            scale = float(np.max(np.abs(self.moments[n].field.values)))
+            z = np.abs(2.0 * y / self.hbar) ** n
+            log_fact = float(np.sum(np.log(np.arange(1, n + 1))))
+            tail = np.maximum(tail, scale * z * np.exp(-log_fact))
         limit = threshold * float(np.max(np.abs(self.values.values)))
-        ok = np.abs(y)[last_term < limit]
+        ok = np.abs(y)[tail < limit]
         return float(ok.max()) if ok.size else 0.0
 
 
@@ -147,19 +149,20 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
     values = np.zeros((n_x, n_y), dtype=complex)
     values += np.outer(ms[0].field.values, z)
     peaks = [float(np.max(np.abs(ms[0].field.values)))]
-    for n in range(1, len(ms)):
-        z = z * ratio / n
-        term = np.outer(ms[n].field.values, z)
-        peak = float(np.max(np.abs(term)))
-        if not np.isfinite(peak) or peak > TERM_MAGNITUDE_LIMIT:
-            warnings.warn(
-                f"order-{n} term reaches magnitude {peak:.3e}; the expansion has "
-                "left the floating-point range on this lattice",
-                UserWarning,
-                stacklevel=2,
-            )
-        peaks.append(peak)
-        values += term
+    with np.errstate(over="ignore", invalid="ignore"):  # reported per order below
+        for n in range(1, len(ms)):
+            z = z * ratio / n
+            term = np.outer(ms[n].field.values, z)
+            peak = float(np.max(np.abs(term)))
+            if not np.isfinite(peak) or peak > TERM_MAGNITUDE_LIMIT:
+                warnings.warn(
+                    f"order-{n} term reaches magnitude {peak:.3e}; the expansion has "
+                    "left the floating-point range on this lattice",
+                    UserWarning,
+                    stacklevel=2,
+                )
+            peaks.append(peak)
+            values += term
     return TaylorReconstruction(
         order_max=len(ms) - 1,
         moments=tuple(ms),

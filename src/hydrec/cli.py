@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -88,16 +86,6 @@ def fnv1a64(data: bytes) -> str:
         h ^= b
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return f"{h:016x}"
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("HYDREC_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -580,14 +568,12 @@ def cmd_demo_cat(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(order: int):
+    results = []
+    for order in orders:
         rec = assemble(moments[: order + 1], y, constants.hbar)
         err = np.abs(rec.values.values.real - exact.values.real)[np.ix_(mask_x, mask_y)]
         _emit_density_grid(out_dir, f"N{order}", rec)
-        return order, float(err.max()), rec.trust_radius()
-
-    with ThreadPoolExecutor(max_workers=min(_worker_cap(), len(orders))) as pool:
-        results = sorted(pool.map(one, orders))
+        results.append((order, float(err.max()), rec.trust_radius()))
 
     summary = {
         "state": {"kind": "cat", "sigma": params.sigma, "k0": params.k0},

@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.signal import savgol_filter
 
 __all__ = [
@@ -19,8 +18,10 @@ __all__ = [
     "TimeNodes",
     "GridField",
     "PhysicalConstants",
+    "running_integral",
     "cumulative_integral",
     "differentiation_matrix",
+    "local_poly_filter",
     "smooth_local_poly",
     "derivative_stencil",
 ]
@@ -142,6 +143,29 @@ class PhysicalConstants:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
 
+def running_integral(values, dx: float, edge_tolerance: float = EDGE_TOLERANCE) -> np.ndarray:
+    """Trapezoidal integral from the left edge along the last axis of ``values``.
+
+    Each row is one field and integrates bitwise as it would on its own.  Rows
+    that have not decayed at the grid edges (relative amplitude above
+    ``edge_tolerance``) get one :class:`DecayAssumptionWarning` per call.
+    """
+    rows = np.atleast_2d(values)
+    peak = np.max(np.abs(rows), axis=-1)
+    edge = np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
+    hot = np.flatnonzero((peak > 0.0) & (edge > edge_tolerance * peak))
+    if hot.size:
+        i = hot[0]
+        warnings.warn(
+            f"field has edge amplitude {edge[i]:.3e} (> {edge_tolerance:.0e} of max "
+            f"{peak[i]:.3e}); the half-line integral is not well approximated",
+            DecayAssumptionWarning,
+            stacklevel=2,
+        )
+    steps = np.cumsum(dx * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
+
+
 def cumulative_integral(f: GridField, edge_tolerance: float = EDGE_TOLERANCE) -> GridField:
     """Running trapezoidal integral of ``f`` from the left grid edge.
 
@@ -162,19 +186,7 @@ def cumulative_integral(f: GridField, edge_tolerance: float = EDGE_TOLERANCE) ->
         ``F`` with ``F(x_min) = 0`` and ``F(x_j)`` the trapezoidal integral
         of ``f`` over ``[x_min, x_j]``.
     """
-    values = f.values
-    peak = np.max(np.abs(values))
-    if peak > 0.0:
-        edge = max(abs(values[0]), abs(values[-1]))
-        if edge > edge_tolerance * peak:
-            warnings.warn(
-                f"field has edge amplitude {edge:.3e} (> {edge_tolerance:.0e} of max "
-                f"{peak:.3e}); the half-line integral is not well approximated",
-                DecayAssumptionWarning,
-                stacklevel=2,
-            )
-    out = cumulative_trapezoid(values, dx=f.grid.dx, initial=0.0)
-    return GridField(f.grid, out)
+    return GridField(f.grid, running_integral(f.values, f.grid.dx, edge_tolerance))
 
 
 def differentiation_matrix(nodes: TimeNodes) -> np.ndarray:
@@ -208,6 +220,22 @@ def differentiation_matrix(nodes: TimeNodes) -> np.ndarray:
     return d
 
 
+def local_poly_filter(values, window: int, degree: int) -> np.ndarray:
+    """Savitzky-Golay smoothing along the last axis of ``values``, in one call.
+
+    The array form of :func:`smooth_local_poly`, with the same argument rules.
+    """
+    if window % 2 == 0:
+        raise ValueError(f"window must be odd, got {window}")
+    if window > np.shape(values)[-1]:
+        raise ValueError(f"window {window} exceeds grid size {np.shape(values)[-1]}")
+    if degree >= window:
+        raise ValueError(f"degree {degree} must be below window {window}")
+    if window == 1:
+        return values
+    return savgol_filter(values, window_length=window, polyorder=degree, mode="interp", axis=-1)
+
+
 def smooth_local_poly(f: GridField, window: int, degree: int) -> GridField:
     """Local least-squares polynomial smoothing (Savitzky-Golay).
 
@@ -229,16 +257,7 @@ def smooth_local_poly(f: GridField, window: int, degree: int) -> GridField:
     GridField
         Smoothed field; polynomials of degree <= ``degree`` pass unchanged.
     """
-    if window % 2 == 0:
-        raise ValueError(f"window must be odd, got {window}")
-    if window > f.grid.n_points:
-        raise ValueError(f"window {window} exceeds grid size {f.grid.n_points}")
-    if degree >= window:
-        raise ValueError(f"degree {degree} must be below window {window}")
-    if window == 1:
-        return f
-    out = savgol_filter(f.values, window_length=window, polyorder=degree, mode="interp")
-    return GridField(f.grid, out)
+    return GridField(f.grid, local_poly_filter(f.values, window, degree))
 
 
 def derivative_stencil(offsets: np.ndarray, order: int) -> np.ndarray:

@@ -6,11 +6,13 @@ exact and terminates: derivatives beyond the polynomial degree are
 identically zero.
 """
 
-from __future__ import annotations
-
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import zip_longest
+from types import MappingProxyType
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 __all__ = [
     "PotentialModel",
@@ -19,100 +21,97 @@ __all__ = [
     "quartic_potential",
     "polynomial_potential",
     "paul_trap_potential",
+    "x_coefficients",
     "potential_value",
     "potential_derivative",
+    "check_mass",
     "model_to_dict",
     "model_from_dict",
 ]
 
-KINDS = ("free", "harmonic", "quartic", "polynomial", "paul_trap")
+# Per kind, the rows ``coeffs[k]`` of x^k (see PotentialModel) from the params.
+_ROWS = {
+    "free": lambda p: [[0]],
+    "harmonic": lambda p: [[0], [0], [0.5 * float(p.get("mass", 1.0)) * float(p["omega"]) ** 2]],
+    "quartic": lambda p: [[0], [0], [p.get("c2", 0.0)], [0], [p.get("c4", 0.0)]],
+    "polynomial": lambda p: p["coeffs"],
+    "paul_trap": lambda p: [[0], [0], [0.5 * float(p.get("mass", 1.0))]],
+}
+_NEEDS = {"harmonic": ("omega",), "polynomial": ("coeffs",), "paul_trap": ("a", "b", "big_omega")}
+KINDS = tuple(_ROWS)
+
+
+def _nested(value, kind):
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return kind(_nested(v, kind) for v in value)
+    return value
 
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """Tagged potential description.
+    """Tagged potential description; ``params`` is stored read-only.
 
-    ``coeffs[k]`` holds the time-polynomial coefficients of the x^k term:
-    ``V(x, t) = sum_k (sum_j coeffs[k][j] * t**j) * x**k``.  The tuple-of-
-    tuples form is derived once from the kind-specific parameters, keeping
-    evaluation and differentiation uniform across kinds.
+    ``V(x, t) = sum_k (sum_j coeffs[k][j] * basis_j(t)) * x**k`` with the time
+    basis ``t**j``, except the Paul trap's single ``a + b cos(big_omega t)``.
+    The zero-padded ``coeffs`` follow from ``params`` and stand in for it in the hash.
     """
 
     kind: str
-    params: dict = field(default_factory=dict)
-    coeffs: tuple = field(init=False, repr=False)
+    params: Mapping = field(default_factory=dict, hash=False)
+    coeffs: tuple = field(init=False, repr=False, compare=False, hash=True)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}; expected one of {KINDS}")
-        object.__setattr__(self, "coeffs", _build_coeffs(self.kind, self.params))
+        params = MappingProxyType({k: _nested(v, tuple) for k, v in dict(self.params).items()})
+        for key in _NEEDS.get(self.kind, ()):
+            if key not in params:
+                raise ValueError(f"{self.kind} potential needs parameter {key!r}")
+        rows = _ROWS[self.kind](params)
+        if not rows:
+            raise ValueError(f"{self.kind} potential needs at least one coefficient row")
+        padded = np.array(list(zip_longest(*rows, fillvalue=0.0)), dtype=float).T
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "coeffs", tuple(map(tuple, padded.tolist())))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return PotentialModel, (self.kind, dict(self.params))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
 
-def _build_coeffs(kind: str, params: dict) -> tuple:
-    if kind == "free":
-        return ((0.0,),)
-    if kind == "harmonic":
-        omega = float(params["omega"])
-        mass = float(params.get("mass", 1.0))
-        return ((0.0,), (0.0,), (0.5 * mass * omega**2,))
-    if kind == "quartic":
-        c2 = float(params.get("c2", 0.0))
-        c4 = float(params.get("c4", 0.0))
-        return ((0.0,), (0.0,), (c2,), (0.0,), (c4,))
-    if kind == "polynomial":
-        rows = params["coeffs"]
-        if not rows:
-            raise ValueError("polynomial potential needs at least one coefficient row")
-        return tuple(tuple(float(c) for c in row) for row in rows)
-    if kind == "paul_trap":
-        # V = mass/2 * (A + B cos(Omega t)) * x^2; the cosine is not a
-        # t-polynomial, so this kind keeps its parameters and is special-cased
-        # in the x^2 coefficient below.
-        for key in ("a", "b", "big_omega"):
-            if key not in params:
-                raise ValueError(f"paul_trap potential needs parameter {key!r}")
-        return ((0.0,), (0.0,), (None,))
-    raise AssertionError(kind)
-
-
-def _x_coefficients(model: PotentialModel, t: float) -> np.ndarray:
-    """Coefficients c_k(t) of x^k at a given time."""
-    out = np.empty(len(model.coeffs))
-    for k, row in enumerate(model.coeffs):
-        if row == (None,):  # paul_trap x^2 term
-            p = model.params
-            mass = float(p.get("mass", 1.0))
-            out[k] = 0.5 * mass * (float(p["a"]) + float(p["b"]) * np.cos(float(p["big_omega"]) * t))
-        else:
-            out[k] = sum(c * t**j for j, c in enumerate(row))
-    return out
+def x_coefficients(model: PotentialModel, t: float) -> np.ndarray:
+    """Coefficients c_k(t) of x^k at a given time, lowest power first."""
+    if model.kind == "paul_trap":
+        p = model.params
+        basis = [float(p["a"]) + float(p["b"]) * np.cos(float(p["big_omega"]) * t)]
+    else:
+        basis = [t**j for j in range(len(model.coeffs[0]))]
+    c = np.zeros(len(model.coeffs))
+    for column, b in zip(np.transpose(model.coeffs), basis):
+        c += column * b
+    return c
 
 
 def potential_value(model: PotentialModel, x, t: float):
     """Evaluate V(x, t); ``x`` may be a scalar or an array."""
-    c = _x_coefficients(model, t)
-    return np.polynomial.polynomial.polyval(x, c)
+    return polyval(x, x_coefficients(model, t))
 
 
 def potential_derivative(model: PotentialModel, order: int, x, t: float):
-    """Exact spatial derivative d^order V / dx^order at (x, t).
-
-    Orders above the polynomial degree return exactly zero.
-    """
+    """Exact d^order V / dx^order at (x, t); exactly zero above the polynomial degree."""
     if order < 1:
         raise ValueError(f"derivative order must be >= 1, got {order}")
-    c = _x_coefficients(model, t)
-    if order >= c.size:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    d = c[order:].copy()
-    k = np.arange(d.size)
-    for i in range(order):
-        d *= k + order - i
-    return np.polynomial.polynomial.polyval(x, d)
+    return polyval(x, polyder(x_coefficients(model, t), order))
+
+
+def check_mass(model: PotentialModel, mass: float) -> None:
+    """Reject a model whose own ``mass`` parameter differs from the particle mass."""
+    own = float(model.params.get("mass", mass))
+    if own != mass:
+        raise ValueError(f"{model.kind} potential has mass {own}, but the particle mass is {mass}")
 
 
 def free_potential() -> PotentialModel:
@@ -145,8 +144,8 @@ def paul_trap_potential(a: float, b: float, big_omega: float, mass: float = 1.0)
 
 def model_to_dict(model: PotentialModel) -> dict:
     """Serializable {kind, params} record."""
-    return {"kind": model.kind, "params": dict(model.params)}
+    return {"kind": model.kind, "params": {k: _nested(v, list) for k, v in model.params.items()}}
 
 
 def model_from_dict(record: dict) -> PotentialModel:
-    return PotentialModel(str(record["kind"]), dict(record.get("params", {})))
+    return PotentialModel(str(record["kind"]), record.get("params", {}))

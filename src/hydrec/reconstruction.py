@@ -31,11 +31,11 @@ from .numerics import (
     PhysicalConstants,
     SpatialGrid,
     TimeNodes,
-    cumulative_integral,
     differentiation_matrix,
-    smooth_local_poly,
+    local_poly_filter,
+    running_integral,
 )
-from .potentials import PotentialModel, potential_derivative
+from .potentials import PotentialModel, check_mass, free_potential, potential_derivative
 
 __all__ = [
     "InsufficientTimeSamplesError",
@@ -112,38 +112,31 @@ def _as_record_matrix(f0_records, grid: SpatialGrid, nodes: TimeNodes) -> np.nda
     for r in records:
         if r.shape != (grid.n_points,):
             raise ValueError("all density records must share the spatial grid")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("density records contain non-finite values")
     return np.stack(records)
 
 
-def _force_orders(n: int) -> list[int]:
-    """Odd potential-derivative orders entering the step from level n."""
-    return [2 * k + 1 for k in range((n - 1) // 2 + 1)] if n >= 1 else []
+def _force_table(model: PotentialModel, grid: SpatialGrid, nodes: TimeNodes, n_max: int) -> list:
+    """Entry k: d^(2k+1)V/dx^(2k+1) at every node, for 2k+1 <= min(n_max, degree).
+
+    Higher odd derivatives vanish identically, so their terms are skipped.
+    """
+    x = grid.points
+    return [
+        np.stack([potential_derivative(model, order, x, float(t)) for t in nodes.points])
+        for order in range(1, min(n_max, model.degree) + 1, 2)
+    ]
 
 
-def _next_level(
-    levels: list[np.ndarray],
-    grid: SpatialGrid,
-    nodes: TimeNodes,
-    diff: np.ndarray,
-    model: PotentialModel,
-    constants: PhysicalConstants,
-) -> np.ndarray:
-    """f_{n+1} at all nodes from levels 0..n."""
+def _next_level(levels, forces: list, diff: np.ndarray, dx: float, constants: PhysicalConstants):
+    """f_{n+1} at all nodes from levels 0..n, one cumulative integral per integrand."""
     n = len(levels) - 1
     mass, hbar = constants.mass, constants.hbar
-    cumulative = np.stack(
-        [cumulative_integral(GridField(grid, row)).values for row in levels[n]]
-    )
-    out = -mass * (diff @ cumulative)
-    x = grid.points
-    times = nodes.points
-    for k in range((n - 1) // 2 + 1) if n >= 1 else []:
+    out = -mass * (diff @ running_integral(levels[n], dx))
+    for k, dv in enumerate(forces[: (n + 1) // 2]):
         coef = mass * (-1.0) ** k * (hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
-        lower = levels[n - 2 * k - 1]
-        for j in range(nodes.m_plus_1):
-            dv = potential_derivative(model, 2 * k + 1, x, float(times[j]))
-            term = cumulative_integral(GridField(grid, dv * lower[j])).values
-            out[j] -= coef * term
+        out -= coef * running_integral(dv * levels[n - 2 * k - 1], dx)
     return out
 
 
@@ -186,12 +179,10 @@ def build_pyramid(
             f"order {order_max} needs at least {order_max + 1} time samples "
             f"(an order-n moment requires the density at n+1 times); got {m + 1}"
         )
+    check_mass(model, constants.mass)
     base = _as_record_matrix(f0_records, grid, nodes)
     if smoothing is not None:
-        window, degree = smoothing
-        base = np.stack(
-            [smooth_local_poly(GridField(grid, row), window, degree).values for row in base]
-        )
+        base = local_poly_filter(base, *smoothing)
     levels = [base]
     if order_max >= 1:
         if m > 12:
@@ -202,8 +193,9 @@ def build_pyramid(
                 stacklevel=2,
             )
         diff = differentiation_matrix(nodes)
+        forces = _force_table(model, grid, nodes, order_max - 1)
         for _ in range(order_max):
-            levels.append(_next_level(levels, grid, nodes, diff, model, constants))
+            levels.append(_next_level(levels, forces, diff, grid.dx, constants))
     return MomentPyramid(grid=grid, nodes=nodes, levels=tuple(levels))
 
 
@@ -224,16 +216,11 @@ def next_moment(
         raise InsufficientTimeSamplesError(
             f"order {n + 1} needs at least {n + 2} time samples; got {nodes.m_plus_1}"
         )
-    if node is None:
-        node = nodes.central_index
+    check_mass(model, constants.mass)
+    forces = _force_table(model, pyramid.grid, nodes, n)
     diff = differentiation_matrix(nodes)
-    level = _next_level(list(pyramid.levels), pyramid.grid, nodes, diff, model, constants)
-    return MomentField(
-        order=n + 1,
-        time_node=node,
-        time=float(nodes.t_0 + node * nodes.dt),
-        field=GridField(pyramid.grid, level[node]),
-    )
+    level = _next_level(pyramid.levels, forces, diff, pyramid.grid.dx, constants)
+    return MomentPyramid(pyramid.grid, nodes, pyramid.levels + (level,)).moment(n + 1, node)
 
 
 def reconstruct_current(
@@ -248,7 +235,6 @@ def reconstruct_current(
     The order-0 recursion step is potential-independent: f_1 is ``-mass``
     times the time derivative of the cumulative position probability.
     """
-    from .potentials import free_potential
-
-    pyramid = build_pyramid(f0_records, grid, nodes, free_potential(), constants, order_max=0)
-    return next_moment(pyramid, free_potential(), constants, node=node)
+    model = free_potential()
+    pyramid = build_pyramid(f0_records, grid, nodes, model, constants, order_max=0)
+    return next_moment(pyramid, model, constants, node=node)

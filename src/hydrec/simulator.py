@@ -334,12 +334,15 @@ def propagate(
 
     Raises
     ------
+    ValueError
+        If the model carries a ``mass`` that differs from ``constants.mass``.
     SimulationQualityError
         If the per-step norm drift exceeds ``1e-10`` relative, or the edge
         amplitude exceeds ``1e-8`` of the peak (periodic wrap-around).
     """
-    from .potentials import potential_value
+    from .potentials import check_mass, potential_value
 
+    check_mass(model, constants.mass)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:

@@ -164,6 +164,20 @@ def test_trust_radius_grows_with_order(grid, y_lattice):
     assert 0.0 < rec10.trust_radius() < rec36.trust_radius() <= 1.5
 
 
+@pytest.mark.parametrize("order", [9, 10, 11, 12, 20, 21, 35, 36])
+def test_trust_radius_bounds_the_error(order, y_lattice):
+    # real states have identically zero odd moments, so at odd N the last
+    # term alone says nothing; the radius must hold at odd and even N alike
+    grid = SpatialGrid(-6.0, 6.0, 481)
+    rec = assemble(cat_moment_fields(grid, order), y_lattice, HBAR)
+    exact = cat_state_density_matrix(CAT, grid, y_lattice).values
+    radius = rec.trust_radius()
+    inside = np.abs(y_lattice) <= radius
+    assert 0.0 < radius < 1.5
+    err = np.max(np.abs(rec.values.values - exact)[:, inside])
+    assert err <= 1e-4 * np.max(np.abs(exact))
+
+
 def test_compare_identical_is_zero(grid, y_lattice):
     rec = assemble(cat_moment_fields(grid, 10), y_lattice, HBAR)
     report = compare(rec.values, rec.values)

@@ -10,6 +10,9 @@ from hydrec.cli import (
     read_dataset,
     read_moment_set,
 )
+from hydrec.numerics import DecayAssumptionWarning
+from hydrec.potentials import x_coefficients
+from hydrec.simulator import GridCoverageWarning
 
 
 def run(*argv):
@@ -154,11 +157,13 @@ def test_compare_stored_psi_reference(tmp_path):
     mdir = tmp_path / "m"
     run("reconstruct", ds / "dataset.json", "--order", "2", "--out", mdir)
     out = tmp_path / "cmp"
-    assert run(
-        "compare", mdir / "moments.json", "--reference", "stored-psi",
-        "--dataset", ds / "dataset.json", "--y-max", "0.5", "--n-y", "41",
-        "--region-x", "3", "--region-y", "0.3", "--out", out,
-    ) == 0
+    # dy = 0.025 is not a multiple of dx, so the stored psi is interpolated
+    with pytest.warns(GridCoverageWarning, match="not commensurate"):
+        assert run(
+            "compare", mdir / "moments.json", "--reference", "stored-psi",
+            "--dataset", ds / "dataset.json", "--y-max", "0.5", "--n-y", "41",
+            "--region-x", "3", "--region-y", "0.3", "--out", out,
+        ) == 0
     report = json.loads((out / "report_N2.json").read_text())
     assert report["sup_error"] < 0.05
     assert report["diagonal_mismatch"] == 0.0
@@ -173,7 +178,9 @@ def test_compare_analytic_cat_reference(tmp_path):
     )
     assert status == 0  # central node sits exactly at t = 0
     mdir = tmp_path / "m"
-    assert run("reconstruct", ds / "dataset.json", "--order", "4", "--out", mdir) == 0
+    # f_1 and f_3 vanish at t = 0: their central rows are rounding residue, which does not decay
+    with pytest.warns(DecayAssumptionWarning):
+        assert run("reconstruct", ds / "dataset.json", "--order", "4", "--out", mdir) == 0
     out = tmp_path / "cmp"
     assert run(
         "compare", mdir / "moments.json", "--reference", "analytic-cat",
@@ -206,8 +213,7 @@ def test_demo_cat_order_zero(tmp_path):
     assert summary["orders"][0]["sup_error_real"] > 1.0
 
 
-def test_demo_cat_is_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYDREC_THREADS", "2")
+def test_demo_cat_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert run(
@@ -242,7 +248,8 @@ def test_potential_argument_parsing(tmp_path):
     assert status == 0
     data = read_dataset((tmp_path / "poly") / "dataset.json")
     assert data["model"].kind == "polynomial"
-    assert data["model"].coeffs == ((0.0,), (0.0,), (0.5, 0.1))
+    for t in (0.0, 2.0):  # V = (0.5 + 0.1 t) x^2
+        assert np.array_equal(x_coefficients(data["model"], t), [0.0, 0.0, 0.5 + 0.1 * t])
 
     status = run(*small_dataset_args(
         tmp_path / "trap", potential="paul_trap:a=1,b=0.2,big_omega=3", times="0,0.005,2"

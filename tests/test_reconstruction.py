@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 
 import hydrec.reconstruction as reconstruction_module
-from hydrec.numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes
-from hydrec.potentials import free_potential, harmonic_potential, quartic_potential
+from hydrec.numerics import (
+    DecayAssumptionWarning,
+    GridField,
+    PhysicalConstants,
+    SpatialGrid,
+    TimeNodes,
+)
+from hydrec.potentials import (
+    check_mass,
+    free_potential,
+    harmonic_potential,
+    paul_trap_potential,
+    quartic_potential,
+)
 from hydrec.reconstruction import (
     InsufficientTimeSamplesError,
     build_pyramid,
@@ -109,8 +121,13 @@ def test_free_model_equals_zero_frequency_harmonic_bitwise():
     psi0 = gaussian_packet(grid, 1.0, momentum=0.8)
     nodes = TimeNodes(0.0, 0.01, 5)
     records, _ = simulate_records(psi0, free_potential(), nodes)
-    a = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=4)
-    b = build_pyramid(records, grid, nodes, harmonic_potential(omega=0.0), CONSTANTS, order_max=4)
+    # the top levels carry an amplified rounding residue at the grid edges
+    with pytest.warns(DecayAssumptionWarning):
+        a = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=4)
+    with pytest.warns(DecayAssumptionWarning):
+        b = build_pyramid(
+            records, grid, nodes, harmonic_potential(omega=0.0), CONSTANTS, order_max=4
+        )
     for n in range(5):
         assert np.array_equal(a.levels[n], b.levels[n])
 
@@ -122,9 +139,10 @@ def test_pyramid_is_linear_in_the_state():
     rec_a, _ = simulate_records(gaussian_packet(grid, 1.0, center=0.6), model, nodes)
     rec_b, _ = simulate_records(gaussian_packet(grid, 0.7, center=-0.9), model, nodes)
     mixed = [GridField(grid, a.values + b.values) for a, b in zip(rec_a, rec_b)]
-    pa = build_pyramid(rec_a, grid, nodes, model, CONSTANTS, order_max=3)
-    pb = build_pyramid(rec_b, grid, nodes, model, CONSTANTS, order_max=3)
-    pm = build_pyramid(mixed, grid, nodes, model, CONSTANTS, order_max=3)
+    with pytest.warns(DecayAssumptionWarning):  # edge residue, see below
+        pa = build_pyramid(rec_a, grid, nodes, model, CONSTANTS, order_max=3)
+        pb = build_pyramid(rec_b, grid, nodes, model, CONSTANTS, order_max=3)
+        pm = build_pyramid(mixed, grid, nodes, model, CONSTANTS, order_max=3)
     support = np.abs(grid.points) <= 5.0
     for n in range(4):
         combined = pa.levels[n] + pb.levels[n]
@@ -137,6 +155,9 @@ def test_pyramid_is_linear_in_the_state():
         assert diff < 1e-6 * scale
 
 
+# the growing synthetic records do not conserve probability, so f_1 does not
+# decay at the right edge
+@pytest.mark.filterwarnings("ignore::hydrec.numerics.DecayAssumptionWarning")
 def test_potential_derivative_demand_is_bounded(monkeypatch):
     seen = []
     from hydrec.potentials import potential_derivative as real_derivative
@@ -154,18 +175,41 @@ def test_potential_derivative_demand_is_bounded(monkeypatch):
     assert max(seen) == 2 * ((5 - 2) // 2) + 1
 
 
+def test_model_mass_must_match_the_particle_mass():
+    grid = SpatialGrid(-8.0, 8.0, 64)
+    nodes = TimeNodes(0.0, 0.01, 3)
+    records = [np.exp(-grid.points**2)] * 3
+    heavy = PhysicalConstants(mass=2.0)
+    pyramid = build_pyramid(records, grid, nodes, free_potential(), heavy, order_max=1)
+    for model in (harmonic_potential(1.0), paul_trap_potential(1.0, 0.5, 3.0)):
+        with pytest.raises(ValueError, match="particle mass is 2.0"):
+            build_pyramid(records, grid, nodes, model, heavy, order_max=1)
+        with pytest.raises(ValueError, match="particle mass is 2.0"):
+            next_moment(pyramid, model, heavy)
+        with pytest.raises(ValueError, match="particle mass is 2.0"):
+            propagate(gaussian_packet(grid, 1.0), model, heavy, 0.01, 1)
+    # an agreeing mass, or a model without one, passes
+    build_pyramid(records, grid, nodes, harmonic_potential(1.0, mass=2.0), heavy, order_max=1)
+    check_mass(quartic_potential(c4=1.0), 2.0)
+
+
 def test_next_moment_extends_pyramid():
     grid = SpatialGrid(-12.0, 12.0, 512)
     psi0 = gaussian_packet(grid, 1.0, center=0.5)
     nodes = TimeNodes(0.0, 0.02, 4)
     model = harmonic_potential(omega=1.0)
     records, _ = simulate_records(psi0, model, nodes)
-    small = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=2)
-    big = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
-    extended = next_moment(small, model, CONSTANTS)
+    # the top levels carry an amplified rounding residue at the grid edges
+    with pytest.warns(DecayAssumptionWarning):
+        small = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=2)
+    with pytest.warns(DecayAssumptionWarning):
+        big = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
+    with pytest.warns(DecayAssumptionWarning):
+        extended = next_moment(small, model, CONSTANTS)
     assert extended.order == 3
     assert np.array_equal(extended.field.values, big.levels[3][nodes.central_index])
-    full = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
+    with pytest.warns(DecayAssumptionWarning):
+        full = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
     with pytest.raises(InsufficientTimeSamplesError):
         next_moment(full, model, CONSTANTS)
 
@@ -205,13 +249,14 @@ def test_many_nodes_warning():
     grid = SpatialGrid(-10.0, 10.0, 256)
     nodes = TimeNodes(0.0, 0.01, 14)
     records = [GridField(grid, np.exp(-grid.points**2) * (1 + 0.01 * j)) for j in range(14)]
-    with pytest.warns(UserWarning, match="nodes"):
+    # the growing synthetic records do not conserve probability, so f_1 does
+    # not decay at the right edge
+    with pytest.warns(UserWarning, match="nodes"), pytest.warns(DecayAssumptionWarning):
         build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=2)
 
 
 def test_time_dependent_trap_pipeline():
     # the drive enters the force terms through per-node potential derivatives
-    from hydrec.potentials import paul_trap_potential
     from hydrec.simulator import oracle_moment_set
 
     model = paul_trap_potential(a=1.0, b=0.4, big_omega=3.0)
@@ -232,7 +277,8 @@ def test_levels_stay_real():
     nodes = TimeNodes(0.0, 0.01, 4)
     model = harmonic_potential(omega=1.0)
     records, _ = simulate_records(gaussian_packet(grid, 1.0, center=0.5), model, nodes)
-    pyramid = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
+    with pytest.warns(DecayAssumptionWarning):  # edge residue of the top levels
+        pyramid = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
     for level in pyramid.levels:
         assert level.dtype.kind == "f"
         assert np.all(np.isfinite(level))
