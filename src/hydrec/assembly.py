@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .numerics import GridField
 from .reconstruction import MomentField
@@ -212,22 +211,35 @@ def hbar_rescaling_check(
     return num <= tolerance * den
 
 
+def _axis_weights(grid: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-corner index and fractional distance of each point on an ascending grid."""
+    i = np.clip(np.searchsorted(grid, points, side="right") - 1, 0, grid.size - 2)
+    return i, (points - grid[i]) / (grid[i + 1] - grid[i])
+
+
 def _resample_onto(b: DensityMatrixGrid, a: DensityMatrixGrid) -> np.ndarray:
-    """Bilinear resample of b's values onto a's lattice."""
+    """Bilinear resample of b's values onto a's lattice; points outside b get 0.
+
+    Corners and weights combine in the order of scipy's
+    ``RegularGridInterpolator(..., bounds_error=False, fill_value=0.0)``.
+    """
     bx = b.x_grid.points
     ax = a.x_grid.points
     if bx[-1] < ax[0] or ax[-1] < bx[0] or b.y[-1] < a.y[0] or a.y[-1] < b.y[0]:
         raise ValueError("lattices are disjoint; nothing to compare")
-    interp_re = RegularGridInterpolator(
-        (bx, b.y), b.values.real, bounds_error=False, fill_value=0.0
+    i, tx = _axis_weights(bx, ax)
+    j, ty = _axis_weights(b.y, a.y)
+    v = b.values
+    vals = (
+        v[np.ix_(i, j)] * np.outer(1 - tx, 1 - ty)
+        + v[np.ix_(i, j + 1)] * np.outer(1 - tx, ty)
+        + v[np.ix_(i + 1, j)] * np.outer(tx, 1 - ty)
+        + v[np.ix_(i + 1, j + 1)] * np.outer(tx, ty)
     )
-    interp_im = RegularGridInterpolator(
-        (bx, b.y), b.values.imag, bounds_error=False, fill_value=0.0
-    )
-    xx, yy = np.meshgrid(ax, a.y, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    vals = interp_re(pts) + 1j * interp_im(pts)
-    return vals.reshape(a.values.shape)
+    outside_x = (ax < bx[0]) | (ax > bx[-1])
+    outside_y = (a.y < b.y[0]) | (a.y > b.y[-1])
+    vals[np.logical_or.outer(outside_x, outside_y)] = 0.0
+    return vals
 
 
 def compare(

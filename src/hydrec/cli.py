@@ -5,8 +5,13 @@ Persistent formats
 Datasets and moment sets are a JSON manifest plus a raw binary payload:
 64-bit IEEE-754 little-endian values, row-major.  Dataset payloads are
 time-major (node j is row j); moment payloads are order-major.  Manifests
-carry an FNV-1a 64-bit checksum of the payload, verified on every read, so a
-write/read round trip is bit-exact or fails loudly.
+(format version 2) carry a BLAKE2b-64 checksum of the payload (RFC 7693,
+8-byte digest, 16 hex digits), verified on every read, so a write/read round
+trip is bit-exact or fails loudly.  A reader rejects a manifest with another
+format version, a missing required key, or a payload path that leaves the
+manifest's directory.  Density grids are also written as ``rho_<tag>.dat``,
+one ``x y re im`` line per lattice point (x-major) in shortest round-trip
+decimal, after a ``# x y re im`` header.
 
 Exit codes: 0 success, 2 simulation-quality failure, 3 insufficient time
 samples, 4 missing reference, 1 anything else.
@@ -15,6 +20,7 @@ samples, 4 missing reference, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -51,7 +57,7 @@ from .simulator import (
 __all__ = [
     "MissingReferenceError",
     "DataFormatError",
-    "fnv1a64",
+    "payload_checksum",
     "write_dataset",
     "read_dataset",
     "write_moment_set",
@@ -63,7 +69,7 @@ __all__ = [
     "main",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: Default internal propagation step; node intervals are subdivided to stay
 #: at or below this.
 MAX_INTERNAL_STEP = 1e-3
@@ -79,13 +85,9 @@ class DataFormatError(ValueError):
     """A manifest or payload is malformed or fails its checksum."""
 
 
-def fnv1a64(data: bytes) -> str:
-    """FNV-1a 64-bit hash of a byte string, as a fixed-width hex string."""
-    h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return f"{h:016x}"
+def payload_checksum(data: bytes) -> str:
+    """BLAKE2b digest of a payload with an 8-byte output, as 16 hex digits."""
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -99,10 +101,36 @@ def _load_json(path: Path) -> dict:
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _checked_manifest(path: Path, kind: str, layout: str, required: tuple[str, ...]) -> dict:
+    """Load a manifest and check its kind, format version, layout and keys."""
+    m = _load_json(path)
+    if not isinstance(m, dict) or m.get("kind") != kind:
+        raise DataFormatError(f"{path} is not a {kind} manifest")
+    version = m.get("format_version")
+    if version != FORMAT_VERSION:
+        found = "no format_version" if version is None else f"format_version {version!r}"
+        raise DataFormatError(f"{path} has {found}; this hydrec reads {FORMAT_VERSION}")
+    if m.get("layout") != layout:
+        raise DataFormatError(f"{path} has unsupported layout {m.get('layout')!r}")
+    missing = [key for key in required if key not in m]
+    if missing:
+        raise DataFormatError(f"{path} lacks required key(s) {', '.join(missing)}")
+    return m
+
+
+def _payload_path(manifest_path: Path, name) -> Path:
+    """A manifest's payload file, which must lie inside the manifest's directory."""
+    home = manifest_path.parent.resolve()
+    path = (home / name).resolve() if isinstance(name, str) else None
+    if path is None or not path.is_relative_to(home):
+        raise DataFormatError(f"{manifest_path}: payload path {name!r} leaves {home}")
+    return path
+
+
 def _write_payload(path: Path, array: np.ndarray) -> str:
     data = np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<")).tobytes()
     path.write_bytes(data)
-    return fnv1a64(data)
+    return payload_checksum(data)
 
 
 def _read_payload(path: Path, checksum: str, dtype, shape) -> np.ndarray:
@@ -112,7 +140,7 @@ def _read_payload(path: Path, checksum: str, dtype, shape) -> np.ndarray:
         raise DataFormatError(
             f"{path} holds {len(data)} bytes, expected {expected} for shape {shape}"
         )
-    actual = fnv1a64(data)
+    actual = payload_checksum(data)
     if actual != checksum:
         raise DataFormatError(f"{path} checksum {actual} does not match manifest {checksum}")
     return np.frombuffer(data, dtype=np.dtype(dtype).newbyteorder("<")).reshape(shape).copy()
@@ -165,17 +193,23 @@ def write_dataset(
 def read_dataset(manifest_path: Path) -> dict:
     """Load and verify a dataset; returns typed objects plus the raw manifest."""
     manifest_path = Path(manifest_path)
-    m = _load_json(manifest_path)
-    if m.get("kind") != "hydrec-dataset":
-        raise DataFormatError(f"{manifest_path} is not a dataset manifest")
-    if m.get("layout") != "time_major_rows":
-        raise DataFormatError(f"unsupported dataset layout {m.get('layout')!r}")
-    grid = SpatialGrid(**m["grid"])
-    nodes = TimeNodes(**m["times"])
-    constants = PhysicalConstants(**m["constants"])
-    model = model_from_dict(m["potential"])
+    m = _checked_manifest(
+        manifest_path,
+        "hydrec-dataset",
+        "time_major_rows",
+        ("constants", "grid", "times", "potential", "data_path", "checksum"),
+    )
+    if "psi_path" in m and "psi_checksum" not in m:
+        raise DataFormatError(f"{manifest_path} lacks required key(s) psi_checksum")
+    try:
+        grid = SpatialGrid(**m["grid"])
+        nodes = TimeNodes(**m["times"])
+        constants = PhysicalConstants(**m["constants"])
+        model = model_from_dict(m["potential"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{manifest_path} has a malformed entry: {exc}") from exc
     records = _read_payload(
-        manifest_path.parent / m["data_path"],
+        _payload_path(manifest_path, m["data_path"]),
         m["checksum"],
         "f8",
         (nodes.m_plus_1, grid.n_points),
@@ -190,7 +224,7 @@ def read_dataset(manifest_path: Path) -> dict:
     }
     if "psi_path" in m:
         out["psis"] = _read_payload(
-            manifest_path.parent / m["psi_path"],
+            _payload_path(manifest_path, m["psi_path"]),
             m["psi_checksum"],
             "c16",
             (nodes.m_plus_1, grid.n_points),
@@ -238,15 +272,21 @@ def write_moment_set(
 
 def read_moment_set(path: Path) -> dict:
     path = Path(path)
-    m = _load_json(path)
-    if m.get("kind") != "hydrec-moments":
-        raise DataFormatError(f"{path} is not a moment-set file")
-    grid = SpatialGrid(**m["grid"])
-    n_orders = m["order_max"] + 1
-    array = _read_payload(
-        path.parent / m["data_path"], m["checksum"], "f8", (n_orders, grid.n_points)
+    m = _checked_manifest(
+        path,
+        "hydrec-moments",
+        "order_major_rows",
+        ("constants", "grid", "order_max", "node", "central_time", "data_path", "checksum"),
     )
-    constants = PhysicalConstants(**m["constants"])
+    try:
+        grid = SpatialGrid(**m["grid"])
+        constants = PhysicalConstants(**m["constants"])
+        n_orders = m["order_max"] + 1
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path} has a malformed entry: {exc}") from exc
+    array = _read_payload(
+        _payload_path(path, m["data_path"]), m["checksum"], "f8", (n_orders, grid.n_points)
+    )
     moments = [
         MomentField(
             order=n,
@@ -459,13 +499,14 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
             "trust_radius": rec.trust_radius(),
         },
     )
-    x = grid.points
-    with open(out_dir / f"rho_{tag}.dat", "w") as fh:
-        fh.write("# x y re im\n")
-        for i in range(x.size):
-            for j in range(y.size):
-                v = rec.values.values[i, j]
-                fh.write(f"{x[i]!r} {y[j]!r} {v.real!r} {v.imag!r}\n")
+    # shortest round-trip decimal of every value, x-major like the payload
+    n_y = y.size
+    xs = [text for text in map(repr, grid.points.tolist()) for _ in range(n_y)]
+    ys = list(map(repr, y.tolist())) * grid.n_points
+    real = map(repr, vals.real.ravel().tolist())
+    imag = map(repr, vals.imag.ravel().tolist())
+    lines = map("{} {} {} {}\n".format, xs, ys, real, imag)
+    (out_dir / f"rho_{tag}.dat").write_text("# x y re im\n" + "".join(lines))
 
 
 def _resolve_reference(args, mset: dict):

@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 __all__ = [
     "DecayAssumptionWarning",
@@ -162,8 +161,13 @@ def running_integral(values, dx: float, edge_tolerance: float = EDGE_TOLERANCE) 
             DecayAssumptionWarning,
             stacklevel=2,
         )
-    steps = np.cumsum(dx * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1)
-    return np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
+    # dx * (a + b) / 2.0 accumulated in place, in scipy's arithmetic order
+    steps = values[..., 1:] + values[..., :-1]
+    steps *= dx
+    steps /= 2.0
+    result = np.zeros(np.shape(values))
+    np.cumsum(steps, axis=-1, out=result[..., 1:])
+    return result
 
 
 def cumulative_integral(f: GridField, edge_tolerance: float = EDGE_TOLERANCE) -> GridField:
@@ -233,6 +237,8 @@ def local_poly_filter(values, window: int, degree: int) -> np.ndarray:
         raise ValueError(f"degree {degree} must be below window {window}")
     if window == 1:
         return values
+    from scipy.signal import savgol_filter  # only smoothing needs scipy
+
     return savgol_filter(values, window_length=window, polyorder=degree, mode="interp", axis=-1)
 
 

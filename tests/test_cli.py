@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hydrec
 from hydrec.cli import (
     DataFormatError,
-    fnv1a64,
     main,
+    payload_checksum,
     read_dataset,
     read_moment_set,
 )
@@ -19,11 +24,21 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_fnv1a64_known_vectors():
-    # reference values of the 64-bit FNV-1a test suite
-    assert fnv1a64(b"") == "cbf29ce484222325"
-    assert fnv1a64(b"a") == "af63dc4c8601ec8c"
-    assert fnv1a64(b"foobar") == "85944171f73967e8"
+def test_payload_checksum_known_vectors():
+    # BLAKE2b (RFC 7693) with an 8-byte digest
+    assert payload_checksum(b"") == "e4a6a0577479b2b4"
+    assert payload_checksum(b"a") == "40f89e395b66422f"
+    assert payload_checksum(b"foobar") == "9d212f7f254a51f9"
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(hydrec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import hydrec.cli; import sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def small_dataset_args(out, **overrides):
@@ -131,6 +146,17 @@ def test_reconstruct_smoothing_option(tmp_path):
     }
 
 
+def test_reconstruct_smooth_7_3_runs_end_to_end(tmp_path):
+    ds = tmp_path / "ds"
+    run(*small_dataset_args(ds))
+    mdir = tmp_path / "sm"
+    assert run(
+        "reconstruct", ds / "dataset.json", "--order", "2", "--smooth", "7,3", "--out", mdir
+    ) == 0
+    assert run("assemble", mdir / "moments.json", "--n-y", "21", "--out", tmp_path / "rho") == 0
+    assert (tmp_path / "rho" / "rho_N2.bin").stat().st_size == 256 * 21 * 16
+
+
 def test_assemble_emits_grid_files(tmp_path):
     ds = tmp_path / "ds"
     run(*small_dataset_args(ds))
@@ -142,13 +168,28 @@ def test_assemble_emits_grid_files(tmp_path):
     ) == 0
     header = json.loads((out / "rho_N2.json").read_text())
     raw = (out / "rho_N2.bin").read_bytes()
-    assert header["checksum"] == fnv1a64(raw)
+    assert header["checksum"] == payload_checksum(raw)
     values = np.frombuffer(raw, dtype="<c16").reshape(256, 41)
     mset = read_moment_set(mdir / "moments.json")
     assert np.array_equal(values[:, 20].real, mset["moments"][0].field.values)
     lines = (out / "rho_N2.dat").read_text().splitlines()
-    assert lines[0].startswith("#")
+    assert lines[0] == "# x y re im"
     assert len(lines) == 1 + 256 * 41
+
+
+def test_dat_table_reproduces_the_payload_bitwise(tmp_path):
+    from hydrec.numerics import SpatialGrid
+    from hydrec.simulator import offdiagonal_lattice
+
+    out = tmp_path / "demo"
+    assert run("demo-cat", "--orders", "7", "--grid=-6,6,121", "--n-y", "41", "--out", out) == 0
+    table = np.loadtxt(out / "rho_N7.dat")
+    values = np.frombuffer((out / "rho_N7.bin").read_bytes(), dtype="<c16").reshape(121, 41)
+    assert table.shape == (121 * 41, 4)
+    assert np.array_equal(table[:, 0], np.repeat(SpatialGrid(-6, 6, 121).points, 41))
+    assert np.array_equal(table[:, 1], np.tile(offdiagonal_lattice(1.5, 41), 121))
+    assert np.array_equal(table[:, 2], values.real.ravel())
+    assert np.array_equal(table[:, 3], values.imag.ravel())
 
 
 def test_compare_stored_psi_reference(tmp_path):
@@ -287,3 +328,93 @@ def test_moment_file_round_trip_is_bit_exact(tmp_path):
     second = read_moment_set(mdir / "moments.json")
     for a, b in zip(first["moments"], second["moments"]):
         assert np.array_equal(a.field.values, b.field.values)
+
+
+# ---------------------------------------------------------------------------
+# malformed manifests: DataFormatError, exit 1 and one stderr line
+# ---------------------------------------------------------------------------
+
+
+def edited_manifest_run(tmp_path, capsys, which, edit):
+    """Write a dataset and a moment set, edit one manifest, and read it back.
+
+    Returns the CLI status of the verb that reads the edited manifest, its
+    stderr lines, and the library reader's call on that manifest.
+    """
+    ds = tmp_path / "ds"
+    assert run(*small_dataset_args(ds), "--store-psi") == 0
+    mdir = tmp_path / "m"
+    assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
+    if which == "dataset":
+        target, reader = ds / "dataset.json", read_dataset
+        argv = ("reconstruct", target, "--order", "1", "--out", tmp_path / "again")
+    else:
+        target, reader = mdir / "moments.json", read_moment_set
+        argv = ("assemble", target, "--n-y", "11", "--out", tmp_path / "rho")
+    manifest = json.loads(target.read_text())
+    edit(manifest)
+    target.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    status = run(*argv)
+    return status, capsys.readouterr().err.splitlines(), lambda: reader(target)
+
+
+@pytest.mark.parametrize("which", ["dataset", "moments"])
+def test_manifest_without_format_version_exits_1(tmp_path, capsys, which):
+    status, err, read = edited_manifest_run(
+        tmp_path, capsys, which, lambda m: m.pop("format_version")
+    )
+    assert status == 1
+    assert len(err) == 1 and "no format_version" in err[0]
+    with pytest.raises(DataFormatError, match="format_version"):
+        read()
+
+
+@pytest.mark.parametrize("which", ["dataset", "moments"])
+def test_manifest_format_version_1_exits_1(tmp_path, capsys, which):
+    status, err, read = edited_manifest_run(
+        tmp_path, capsys, which, lambda m: m.update(format_version=1)
+    )
+    assert status == 1
+    assert len(err) == 1 and "format_version 1" in err[0]
+    with pytest.raises(DataFormatError, match="format_version"):
+        read()
+
+
+@pytest.mark.parametrize("which", ["dataset", "moments"])
+def test_manifest_missing_required_key_exits_1(tmp_path, capsys, which):
+    status, err, read = edited_manifest_run(tmp_path, capsys, which, lambda m: m.pop("grid"))
+    assert status == 1
+    assert len(err) == 1 and "required key(s) grid" in err[0]
+    with pytest.raises(DataFormatError, match="grid"):
+        read()
+
+
+@pytest.mark.parametrize("which", ["dataset", "moments"])
+def test_manifest_malformed_entry_exits_1(tmp_path, capsys, which):
+    status, err, read = edited_manifest_run(
+        tmp_path, capsys, which, lambda m: m["grid"].pop("n_points")
+    )
+    assert status == 1
+    assert len(err) == 1 and "malformed entry" in err[0] and "n_points" in err[0]
+    with pytest.raises(DataFormatError, match="n_points"):
+        read()
+
+
+@pytest.mark.parametrize(
+    "which, key, name",
+    [
+        ("dataset", "data_path", "../m/moments.bin"),
+        ("dataset", "psi_path", "../m/moments.bin"),
+        ("moments", "data_path", "../ds/f0.bin"),
+    ],
+)
+def test_payload_path_outside_manifest_directory_exits_1(tmp_path, capsys, which, key, name):
+    # each name resolves to a file that exists, outside the manifest's directory
+    status, err, read = edited_manifest_run(
+        tmp_path, capsys, which, lambda m: m.update({key: name})
+    )
+    assert status == 1
+    assert len(err) == 1 and "leaves" in err[0]
+    with pytest.raises(DataFormatError, match="leaves"):
+        read()

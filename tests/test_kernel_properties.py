@@ -5,6 +5,8 @@ The reference below is the row-by-row form of the recursion step: one
 ``potential_derivative`` call per (order, node), for every odd order, zero or
 not.  The library integrates whole ``(m+1, n_x)`` arrays at once and skips
 derivatives above the potential's degree; the two must agree bitwise.
+The bilinear resample of ``compare`` is checked the same way against scipy's
+``RegularGridInterpolator``.
 """
 
 import json
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import RegularGridInterpolator
 
+from hydrec.assembly import _resample_onto
 from hydrec.numerics import (
     DecayAssumptionWarning,
     GridField,
@@ -40,6 +44,7 @@ from hydrec.potentials import (
     x_coefficients,
 )
 from hydrec.reconstruction import build_pyramid, next_moment
+from hydrec.simulator import DensityMatrixGrid, offdiagonal_lattice
 
 coefficient = st.floats(-2.0, 2.0, allow_nan=False)
 positive = st.floats(0.5, 2.0)
@@ -175,3 +180,34 @@ def test_models_differing_in_params_are_unequal():
     assert a == PotentialModel("paul_trap", {"a": 1.0, "b": 0.5, "big_omega": 6.0, "mass": 1.0})
     with pytest.raises(TypeError):
         a.params["a"] = 2.0
+
+
+@st.composite
+def lattices(draw):
+    """A random uniform (x, y) lattice; any two of them overlap around the origin."""
+    grid = SpatialGrid(draw(st.floats(-8.0, -0.5)), draw(st.floats(0.5, 8.0)), draw(st.integers(8, 40)))
+    y = offdiagonal_lattice(draw(st.floats(0.1, 3.0)), 2 * draw(st.integers(1, 15)) + 1)
+    return grid, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattices(), lattices(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_resample_matches_regular_grid_interpolator(source, target, shared_x, seed):
+    rng = np.random.default_rng(seed)
+    b_grid, b_y = source
+    a_grid, a_y = (b_grid, target[1]) if shared_x else target
+    shape = (b_grid.n_points, b_y.size)
+    b = DensityMatrixGrid(b_grid, b_y, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    a = DensityMatrixGrid(a_grid, a_y, np.zeros((a_grid.n_points, a_y.size)))
+
+    xx, yy = np.meshgrid(a_grid.points, a_y, indexing="ij")
+    points = np.stack([xx.ravel(), yy.ravel()], axis=-1)
+    reference = [
+        RegularGridInterpolator(
+            (b_grid.points, b_y), part, bounds_error=False, fill_value=0.0
+        )(points).reshape(xx.shape)
+        for part in (b.values.real, b.values.imag)
+    ]
+    ours = _resample_onto(b, a)
+    for mine, ref in zip((ours.real, ours.imag), reference):
+        assert np.all(np.abs(mine - ref) <= np.spacing(np.abs(ref)))
