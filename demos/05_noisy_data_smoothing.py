@@ -59,8 +59,8 @@ noisy = [
 print(f"additive Gaussian noise on f_0, sigma = {noise_level}\n")
 print("--- the density itself ---")
 rms_noisy = np.sqrt(np.mean((noisy[1].values - clean[1]) ** 2))
-smoothed = smooth_local_poly(noisy[1], window=21, degree=3)
-rms_smooth = np.sqrt(np.mean((smoothed.values - clean[1]) ** 2))
+smoothed = smooth_local_poly(noisy[1].values, window=21, degree=3)
+rms_smooth = np.sqrt(np.mean((smoothed - clean[1]) ** 2))
 print(f"rms error of f_0:  raw {rms_noisy:.2e}  ->  smoothed (21, 3) {rms_smooth:.2e}")
 
 truth = gaussian_packet_moment(1, grid.points, 1.0, momentum=k0)

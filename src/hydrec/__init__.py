@@ -61,7 +61,6 @@ from .simulator import (
     make_cat_state,
     offdiagonal_lattice,
     oracle_moment_set,
-    oracle_moments,
     probability_density,
     propagate,
     wigner_transform,
@@ -104,7 +103,6 @@ __all__ = [
     "exact_density_matrix",
     "offdiagonal_lattice",
     "wigner_transform",
-    "oracle_moments",
     "oracle_moment_set",
     "MomentField",
     "MomentPyramid",

@@ -32,6 +32,8 @@ __all__ = [
 
 #: A running term whose magnitude passes this bound is reported as overflowing.
 TERM_MAGNITUDE_LIMIT = 1e300
+#: Share of max|rho_N| that the last two terms stay below inside the trust radius.
+TRUST_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,15 +44,15 @@ class TaylorReconstruction:
     moments: tuple
     hbar: float
     values: DensityMatrixGrid
-    #: max |f_n (2iy/hbar)^n / n!| over the y lattice, per order
+    #: max |f_n (2iy/hbar)^n / n!| over the y lattice, per order (read-only)
     term_peaks: np.ndarray = field(repr=False)
 
     @property
     def y(self) -> np.ndarray:
         return self.values.y
 
-    def trust_radius(self, threshold: float = 1e-6) -> float:
-        """Largest |y| where the last two terms stay below ``threshold * max|rho_N|``.
+    def trust_radius(self) -> float:
+        """Largest |y| where the last two terms stay below ``TRUST_THRESHOLD * max|rho_N|``.
 
         A heuristic convergence indicator: beyond this radius the truncation
         is no longer driving terms to zero.  A real state's odd moments are
@@ -65,7 +67,7 @@ class TaylorReconstruction:
             z = np.abs(2.0 * y / self.hbar) ** n
             log_fact = float(np.sum(np.log(np.arange(1, n + 1))))
             tail = np.maximum(tail, scale * z * np.exp(-log_fact))
-        limit = threshold * float(np.max(np.abs(self.values.values)))
+        limit = TRUST_THRESHOLD * float(np.max(np.abs(self.values.values)))
         ok = np.abs(y)[tail < limit]
         return float(ok.max()) if ok.size else 0.0
 
@@ -162,12 +164,14 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
                 )
             peaks.append(peak)
             values += term
+    term_peaks = np.asarray(peaks)
+    term_peaks.setflags(write=False)
     return TaylorReconstruction(
         order_max=len(ms) - 1,
         moments=tuple(ms),
         hbar=float(hbar),
         values=DensityMatrixGrid(grid, y, values),
-        term_peaks=np.asarray(peaks),
+        term_peaks=term_peaks,
     )
 
 
@@ -256,17 +260,8 @@ def compare(
     mismatch is measured against ``f0`` when provided, else against ``b``'s
     diagonal.
     """
-    same = (
-        a.x_grid == b.x_grid
-        and a.y.size == b.y.size
-        and np.array_equal(a.y, b.y)
-    )
-    if same:
-        b_vals = b.values
-        resampled = False
-    else:
-        b_vals = _resample_onto(b, a)
-        resampled = True
+    resampled = not (a.x_grid == b.x_grid and np.array_equal(a.y, b.y))
+    b_vals = _resample_onto(b, a) if resampled else b.values
 
     if region is None:
         region = (float("inf"), float("inf"))
@@ -278,9 +273,7 @@ def compare(
         raise ValueError("comparison region contains no lattice points")
     diff = (a.values - b_vals)[np.ix_(mask_x, mask_y)]
     sup_error = float(np.max(np.abs(diff)))
-    l2_error = float(
-        np.sqrt(np.sum(np.abs(diff) ** 2) * a.x_grid.dx * a.dy)
-    )
+    l2_error = float(np.sqrt(np.sum(np.abs(diff) ** 2) * a.x_grid.dx * a.dy))
 
     j0 = int(np.argmin(np.abs(a.y)))
     diag_a = a.values[:, j0]

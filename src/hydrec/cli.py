@@ -23,21 +23,19 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .assembly import TaylorReconstruction, assemble, compare
-from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes
+from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes, _is_number
 from .potentials import (
+    PARAMETERS,
     PotentialModel,
-    free_potential,
-    harmonic_potential,
+    check_parameters,
     model_from_dict,
     model_to_dict,
-    paul_trap_potential,
-    polynomial_potential,
-    quartic_potential,
 )
 from .reconstruction import InsufficientTimeSamplesError, MomentField, build_pyramid
 from .simulator import (
@@ -107,7 +105,7 @@ def _checked_manifest(path: Path, kind: str, layout: str, required: tuple[str, .
     if not isinstance(m, dict) or m.get("kind") != kind:
         raise DataFormatError(f"{path} is not a {kind} manifest")
     version = m.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_number(version, integer=True) or version != FORMAT_VERSION:
         found = "no format_version" if version is None else f"format_version {version!r}"
         raise DataFormatError(f"{path} has {found}; this hydrec reads {FORMAT_VERSION}")
     if m.get("layout") != layout:
@@ -116,6 +114,14 @@ def _checked_manifest(path: Path, kind: str, layout: str, required: tuple[str, .
     if missing:
         raise DataFormatError(f"{path} lacks required key(s) {', '.join(missing)}")
     return m
+
+
+def _entry(cls, entry):
+    """``cls(**entry)`` for a manifest entry, which must give every field."""
+    missing = [f.name for f in fields(cls) if f.name not in entry]
+    if missing:
+        raise ValueError(f"{cls.__name__} needs {', '.join(missing)}")
+    return cls(**entry)
 
 
 def _payload_path(manifest_path: Path, name) -> Path:
@@ -133,7 +139,9 @@ def _write_payload(path: Path, array: np.ndarray) -> str:
     return payload_checksum(data)
 
 
-def _read_payload(path: Path, checksum: str, dtype, shape) -> np.ndarray:
+def _read_payload(manifest_path: Path, name, checksum, dtype, shape) -> np.ndarray:
+    """A manifest's payload, checked against the manifest's size and checksum."""
+    path = _payload_path(manifest_path, name)
     data = path.read_bytes()
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
     if len(data) != expected:
@@ -142,7 +150,9 @@ def _read_payload(path: Path, checksum: str, dtype, shape) -> np.ndarray:
         )
     actual = payload_checksum(data)
     if actual != checksum:
-        raise DataFormatError(f"{path} checksum {actual} does not match manifest {checksum}")
+        raise DataFormatError(
+            f"{manifest_path}: {path.name} checksum {actual} does not match {checksum!r}"
+        )
     return np.frombuffer(data, dtype=np.dtype(dtype).newbyteorder("<")).reshape(shape).copy()
 
 
@@ -202,18 +212,14 @@ def read_dataset(manifest_path: Path) -> dict:
     if "psi_path" in m and "psi_checksum" not in m:
         raise DataFormatError(f"{manifest_path} lacks required key(s) psi_checksum")
     try:
-        grid = SpatialGrid(**m["grid"])
-        nodes = TimeNodes(**m["times"])
-        constants = PhysicalConstants(**m["constants"])
+        grid = _entry(SpatialGrid, m["grid"])
+        nodes = _entry(TimeNodes, m["times"])
+        constants = _entry(PhysicalConstants, m["constants"])
         model = model_from_dict(m["potential"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{manifest_path} has a malformed entry: {exc}") from exc
-    records = _read_payload(
-        _payload_path(manifest_path, m["data_path"]),
-        m["checksum"],
-        "f8",
-        (nodes.m_plus_1, grid.n_points),
-    )
+    shape = (nodes.m_plus_1, grid.n_points)
+    records = _read_payload(manifest_path, m["data_path"], m["checksum"], "f8", shape)
     out = {
         "manifest": m,
         "grid": grid,
@@ -223,12 +229,7 @@ def read_dataset(manifest_path: Path) -> dict:
         "records": records,
     }
     if "psi_path" in m:
-        out["psis"] = _read_payload(
-            _payload_path(manifest_path, m["psi_path"]),
-            m["psi_checksum"],
-            "c16",
-            (nodes.m_plus_1, grid.n_points),
-        )
+        out["psis"] = _read_payload(manifest_path, m["psi_path"], m["psi_checksum"], "c16", shape)
     return out
 
 
@@ -278,23 +279,22 @@ def read_moment_set(path: Path) -> dict:
         "order_major_rows",
         ("constants", "grid", "order_max", "node", "central_time", "data_path", "checksum"),
     )
+    order_max, node, time = m["order_max"], m["node"], m["central_time"]
     try:
-        grid = SpatialGrid(**m["grid"])
-        constants = PhysicalConstants(**m["constants"])
-        n_orders = m["order_max"] + 1
+        grid = _entry(SpatialGrid, m["grid"])
+        constants = _entry(PhysicalConstants, m["constants"])
+        for key, count in (("order_max", order_max), ("node", node)):
+            if not _is_number(count, integer=True) or count < 0:
+                raise ValueError(f"{key} must be an integer >= 0, got {count!r}")
+        if not (_is_number(time) and np.isfinite(time)):
+            raise ValueError(f"central_time must be a finite number, got {time!r}")
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path} has a malformed entry: {exc}") from exc
-    array = _read_payload(
-        _payload_path(path, m["data_path"]), m["checksum"], "f8", (n_orders, grid.n_points)
-    )
+    shape = (order_max + 1, grid.n_points)
+    array = _read_payload(path, m["data_path"], m["checksum"], "f8", shape)
     moments = [
-        MomentField(
-            order=n,
-            time_node=m["node"],
-            time=m["central_time"],
-            field=GridField(grid, array[n]),
-        )
-        for n in range(n_orders)
+        MomentField(order=n, time_node=node, time=time, field=GridField(grid, row))
+        for n, row in enumerate(array)
     ]
     return {
         "manifest": m,
@@ -326,6 +326,7 @@ def _parse_times(text: str) -> TimeNodes:
 
 
 def _parse_potential(text: str, mass: float) -> PotentialModel:
+    """``kind:key=value,...``; a ``mass`` the kind takes defaults to ``--mass``."""
     kind, _, body = text.partition(":")
     params = {}
     if body:
@@ -334,24 +335,14 @@ def _parse_potential(text: str, mass: float) -> PotentialModel:
             if not value:
                 raise ValueError(f"potential parameter {item!r} is not key=value")
             params[key.strip()] = value.strip()
-    if kind == "free":
-        return free_potential()
-    if kind == "harmonic":
-        return harmonic_potential(float(params["omega"]), mass=mass)
-    if kind == "quartic":
-        return quartic_potential(
-            c2=float(params.get("c2", 0.0)), c4=float(params.get("c4", 0.0))
-        )
-    if kind == "paul_trap":
-        return paul_trap_potential(
-            float(params["a"]), float(params["b"]), float(params["big_omega"]), mass=mass
-        )
-    if kind == "polynomial":
-        rows = [
-            [float(c) for c in group.split("/")] for group in params["coeffs"].split(";")
-        ]
-        return polynomial_potential(rows)
-    raise ValueError(f"unknown potential kind {kind!r}")
+    check_parameters(kind, params)
+    values = {k: mass if k == "mass" else d for k, d in PARAMETERS[kind].items() if d is not None}
+    for key, value in params.items():
+        if key == "coeffs":  # rows of x^k, each a '/'-separated time polynomial
+            values[key] = [[float(c) for c in row.split("/")] for row in value.split(";")]
+        else:
+            values[key] = float(value)
+    return PotentialModel(kind, values)
 
 
 def _parse_smooth(text: str) -> tuple[int, int]:
@@ -376,34 +367,17 @@ def _substeps(dt: float, override: int | None) -> int:
 def _prepare_state(args, grid: SpatialGrid, constants: PhysicalConstants, model) -> tuple:
     if args.state == "cat":
         params = CatStateParams(sigma=args.sigma, k0=args.k0)
-        psi = make_cat_state(params, grid)
-        state = {"kind": "cat", "sigma": params.sigma, "k0": params.k0}
-    elif args.state == "gaussian":
-        psi = gaussian_packet(
-            grid, args.sigma, center=args.center, momentum=args.momentum, hbar=constants.hbar
-        )
-        state = {
-            "kind": "gaussian",
-            "sigma": args.sigma,
-            "center": args.center,
-            "momentum": args.momentum,
-        }
-    elif args.state == "coherent":
+        return make_cat_state(params, grid), {"kind": "cat", "sigma": params.sigma, "k0": params.k0}
+    sigma = args.sigma
+    if args.state == "coherent":
         if model.kind != "harmonic":
             raise ValueError("the coherent state needs a harmonic potential (its width is set by omega)")
         omega = float(model.params["omega"])
         sigma = float(np.sqrt(constants.hbar / (2.0 * constants.mass * omega)))
-        psi = gaussian_packet(
-            grid, sigma, center=args.center, momentum=args.momentum, hbar=constants.hbar
-        )
-        state = {
-            "kind": "coherent",
-            "sigma": sigma,
-            "center": args.center,
-            "momentum": args.momentum,
-        }
-    else:
-        raise ValueError(f"unknown state {args.state!r}")
+    psi = gaussian_packet(
+        grid, sigma, center=args.center, momentum=args.momentum, hbar=constants.hbar
+    )
+    state = {"kind": args.state, "sigma": sigma, "center": args.center, "momentum": args.momentum}
     return psi, state
 
 
@@ -439,16 +413,9 @@ def cmd_simulate(args) -> int:
         f"times={args.times} hbar={args.hbar} mass={args.mass} noise={args.noise} "
         f"seed={args.seed} substeps={sub}"
     )
+    psis = np.stack(psis) if args.store_psi else None
     path = write_dataset(
-        Path(args.out),
-        constants,
-        grid,
-        nodes,
-        model,
-        records,
-        state,
-        provenance,
-        psis=np.stack(psis) if args.store_psi else None,
+        Path(args.out), constants, grid, nodes, model, records, state, provenance, psis
     )
     print(path)
     return 0
@@ -462,7 +429,7 @@ def cmd_reconstruct(args) -> int:
         raise ValueError(f"node {node} outside 0..{nodes.m}")
     smoothing = _parse_smooth(args.smooth) if args.smooth else None
     pyramid = build_pyramid(
-        [GridField(data["grid"], row) for row in data["records"]],
+        data["records"],
         data["grid"],
         nodes,
         data["model"],

@@ -6,8 +6,9 @@ deterministic and safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,10 +18,8 @@ __all__ = [
     "TimeNodes",
     "GridField",
     "PhysicalConstants",
-    "running_integral",
     "cumulative_integral",
     "differentiation_matrix",
-    "local_poly_filter",
     "smooth_local_poly",
     "derivative_stencil",
 ]
@@ -33,6 +32,35 @@ EDGE_TOLERANCE = 1e-8
 
 class DecayAssumptionWarning(UserWarning):
     """A field treated as decaying at the grid boundary is not negligible there."""
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """True for a real number (an integer with ``integer``), numpy scalars included; not a bool."""
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_numbers(obj) -> None:
+    """Reject a dataclass field annotated ``float`` or ``int`` that holds another type."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("float", "int") and not _is_number(value, integer=f.type == "int"):
+            what = "an integer" if f.type == "int" else "a number"
+            raise TypeError(f"{f.name} must be {what}, got {value!r}")
+
+
+def _read_only_array(values, dtype, shape=None, finite=False) -> np.ndarray:
+    """A write-protected copy of ``values`` as ``dtype``, checked against ``shape``.
+
+    With ``finite``, NaN and infinite entries are rejected too.
+    """
+    array = np.array(values, dtype=dtype, order="C")
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"array of shape {array.shape} does not match the lattice {shape}")
+    if finite and not np.all(np.isfinite(array)):
+        raise ValueError("array contains non-finite values")
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -52,6 +80,7 @@ class SpatialGrid:
     n_points: int
 
     def __post_init__(self):
+        _check_numbers(self)
         if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
             raise ValueError("grid bounds must be finite")
         if self.x_min >= self.x_max:
@@ -84,6 +113,7 @@ class TimeNodes:
     m_plus_1: int
 
     def __post_init__(self):
+        _check_numbers(self)
         if not np.isfinite(self.t_0):
             raise ValueError("t_0 must be finite")
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -116,15 +146,7 @@ class GridField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"field length {values.shape} does not match grid ({self.grid.n_points},)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite values")
-        values = values.copy()
-        values.setflags(write=False)
+        values = _read_only_array(self.values, float, (self.grid.n_points,), finite=True)
         object.__setattr__(self, "values", values)
 
 
@@ -136,27 +158,36 @@ class PhysicalConstants:
     mass: float = 1.0
 
     def __post_init__(self):
+        _check_numbers(self)
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
         if not (np.isfinite(self.mass) and self.mass > 0):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
 
-def running_integral(values, dx: float, edge_tolerance: float = EDGE_TOLERANCE) -> np.ndarray:
-    """Trapezoidal integral from the left edge along the last axis of ``values``.
+def cumulative_integral(values, dx: float) -> np.ndarray:
+    """Running trapezoidal integral from the left grid edge, along the last axis.
 
-    Each row is one field and integrates bitwise as it would on its own.  Rows
-    that have not decayed at the grid edges (relative amplitude above
-    ``edge_tolerance``) get one :class:`DecayAssumptionWarning` per call.
+    Approximates the half-line integral up to ``x`` for fields that decay at
+    the left boundary; the decay assumption is diagnosed, not enforced.  Each
+    row of ``values`` is one field and integrates bitwise as it would on its
+    own.  Rows that have not decayed at the grid edges (relative amplitude
+    above ``EDGE_TOLERANCE``) get one :class:`DecayAssumptionWarning` per call.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``F`` shaped like ``values``, with ``F[..., 0] = 0`` and ``F[..., j]``
+        the trapezoidal integral over ``[x_0, x_j]``.
     """
     rows = np.atleast_2d(values)
     peak = np.max(np.abs(rows), axis=-1)
     edge = np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
-    hot = np.flatnonzero((peak > 0.0) & (edge > edge_tolerance * peak))
+    hot = np.flatnonzero((peak > 0.0) & (edge > EDGE_TOLERANCE * peak))
     if hot.size:
         i = hot[0]
         warnings.warn(
-            f"field has edge amplitude {edge[i]:.3e} (> {edge_tolerance:.0e} of max "
+            f"field has edge amplitude {edge[i]:.3e} (> {EDGE_TOLERANCE:.0e} of max "
             f"{peak[i]:.3e}); the half-line integral is not well approximated",
             DecayAssumptionWarning,
             stacklevel=2,
@@ -168,29 +199,6 @@ def running_integral(values, dx: float, edge_tolerance: float = EDGE_TOLERANCE) 
     result = np.zeros(np.shape(values))
     np.cumsum(steps, axis=-1, out=result[..., 1:])
     return result
-
-
-def cumulative_integral(f: GridField, edge_tolerance: float = EDGE_TOLERANCE) -> GridField:
-    """Running trapezoidal integral of ``f`` from the left grid edge.
-
-    Approximates the half-line integral up to ``x`` for fields that decay at
-    the left boundary; the decay assumption is diagnosed, not enforced.
-
-    Parameters
-    ----------
-    f : GridField
-        Integrand samples.
-    edge_tolerance : float
-        Relative edge amplitude above which a :class:`DecayAssumptionWarning`
-        is issued.
-
-    Returns
-    -------
-    GridField
-        ``F`` with ``F(x_min) = 0`` and ``F(x_j)`` the trapezoidal integral
-        of ``f`` over ``[x_min, x_j]``.
-    """
-    return GridField(f.grid, running_integral(f.values, f.grid.dx, edge_tolerance))
 
 
 def differentiation_matrix(nodes: TimeNodes) -> np.ndarray:
@@ -224,10 +232,27 @@ def differentiation_matrix(nodes: TimeNodes) -> np.ndarray:
     return d
 
 
-def local_poly_filter(values, window: int, degree: int) -> np.ndarray:
-    """Savitzky-Golay smoothing along the last axis of ``values``, in one call.
+def smooth_local_poly(values, window: int, degree: int) -> np.ndarray:
+    """Local least-squares polynomial smoothing (Savitzky-Golay) along the last axis.
 
-    The array form of :func:`smooth_local_poly`, with the same argument rules.
+    Each point is replaced by the value at that point of the least-squares
+    polynomial of the given degree fitted over a centered window; near the
+    edges the fit uses the one-sided end windows.  All rows go through one
+    filter call.
+
+    Parameters
+    ----------
+    values : array
+        Input samples, one field per row.
+    window : int
+        Odd window length, ``degree < window <= n_points``.
+    degree : int
+        Fit polynomial degree.
+
+    Returns
+    -------
+    numpy.ndarray
+        Smoothed samples; polynomials of degree <= ``degree`` pass unchanged.
     """
     if window % 2 == 0:
         raise ValueError(f"window must be odd, got {window}")
@@ -240,30 +265,6 @@ def local_poly_filter(values, window: int, degree: int) -> np.ndarray:
     from scipy.signal import savgol_filter  # only smoothing needs scipy
 
     return savgol_filter(values, window_length=window, polyorder=degree, mode="interp", axis=-1)
-
-
-def smooth_local_poly(f: GridField, window: int, degree: int) -> GridField:
-    """Local least-squares polynomial smoothing (Savitzky-Golay).
-
-    Each point is replaced by the value at that point of the least-squares
-    polynomial of the given degree fitted over a centered window; near the
-    edges the fit uses the one-sided end windows.
-
-    Parameters
-    ----------
-    f : GridField
-        Input samples.
-    window : int
-        Odd window length, ``degree < window <= n_points``.
-    degree : int
-        Fit polynomial degree.
-
-    Returns
-    -------
-    GridField
-        Smoothed field; polynomials of degree <= ``degree`` pass unchanged.
-    """
-    return GridField(f.grid, local_poly_filter(f.values, window, degree))
 
 
 def derivative_stencil(offsets: np.ndarray, order: int) -> np.ndarray:

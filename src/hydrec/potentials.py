@@ -21,6 +21,8 @@ __all__ = [
     "quartic_potential",
     "polynomial_potential",
     "paul_trap_potential",
+    "PARAMETERS",
+    "check_parameters",
     "x_coefficients",
     "potential_value",
     "potential_derivative",
@@ -29,16 +31,38 @@ __all__ = [
     "model_from_dict",
 ]
 
-# Per kind, the rows ``coeffs[k]`` of x^k (see PotentialModel) from the params.
+#: Per kind, the parameters it takes and their defaults; None marks a required one.
+PARAMETERS = {
+    "free": {},
+    "harmonic": {"omega": None, "mass": 1.0},
+    "quartic": {"c2": 0.0, "c4": 0.0},
+    "polynomial": {"coeffs": None},
+    "paul_trap": {"a": None, "b": None, "big_omega": None, "mass": 1.0},
+}
+KINDS = tuple(PARAMETERS)
+# Per kind, the rows ``coeffs[k]`` of x^k (see PotentialModel) from the
+# params, defaults filled in.
 _ROWS = {
     "free": lambda p: [[0]],
-    "harmonic": lambda p: [[0], [0], [0.5 * float(p.get("mass", 1.0)) * float(p["omega"]) ** 2]],
-    "quartic": lambda p: [[0], [0], [p.get("c2", 0.0)], [0], [p.get("c4", 0.0)]],
+    "harmonic": lambda p: [[0], [0], [0.5 * float(p["mass"]) * float(p["omega"]) ** 2]],
+    "quartic": lambda p: [[0], [0], [p["c2"]], [0], [p["c4"]]],
     "polynomial": lambda p: p["coeffs"],
-    "paul_trap": lambda p: [[0], [0], [0.5 * float(p.get("mass", 1.0))]],
+    "paul_trap": lambda p: [[0], [0], [0.5 * float(p["mass"])]],
 }
-_NEEDS = {"harmonic": ("omega",), "polynomial": ("coeffs",), "paul_trap": ("a", "b", "big_omega")}
-KINDS = tuple(_ROWS)
+
+
+def check_parameters(kind: str, keys) -> None:
+    """Reject an unknown kind, a parameter the kind does not take, or a missing one."""
+    if kind not in PARAMETERS:
+        raise ValueError(f"unknown potential kind {kind!r}; expected one of {KINDS}")
+    table = PARAMETERS[kind]
+    for key in keys:
+        if key not in table:
+            takes = ", ".join(table) or "none"
+            raise ValueError(f"{kind} potential takes no parameter {key!r} (it takes: {takes})")
+    for key, default in table.items():
+        if default is None and key not in keys:
+            raise ValueError(f"{kind} potential needs parameter {key!r}")
 
 
 def _nested(value, kind):
@@ -61,18 +85,16 @@ class PotentialModel:
     coeffs: tuple = field(init=False, repr=False, compare=False, hash=True)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}; expected one of {KINDS}")
         params = MappingProxyType({k: _nested(v, tuple) for k, v in dict(self.params).items()})
-        for key in _NEEDS.get(self.kind, ()):
-            if key not in params:
-                raise ValueError(f"{self.kind} potential needs parameter {key!r}")
-        rows = _ROWS[self.kind](params)
+        check_parameters(self.kind, params)
+        rows = _ROWS[self.kind]({**PARAMETERS[self.kind], **params})
         if not rows:
             raise ValueError(f"{self.kind} potential needs at least one coefficient row")
         padded = np.array(list(zip_longest(*rows, fillvalue=0.0)), dtype=float).T
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "coeffs", tuple(map(tuple, padded.tolist())))
+        if not np.all(np.isfinite(x_coefficients(self, 0.0))):
+            raise ValueError(f"{self.kind} potential parameters must be finite numbers")
 
     def __reduce__(self):  # a mappingproxy does not pickle
         return PotentialModel, (self.kind, dict(self.params))
@@ -148,4 +170,4 @@ def model_to_dict(model: PotentialModel) -> dict:
 
 
 def model_from_dict(record: dict) -> PotentialModel:
-    return PotentialModel(str(record["kind"]), record.get("params", {}))
+    return PotentialModel(str(record["kind"]), record["params"])

@@ -31,9 +31,10 @@ from .numerics import (
     PhysicalConstants,
     SpatialGrid,
     TimeNodes,
+    _read_only_array,
+    cumulative_integral,
     differentiation_matrix,
-    local_poly_filter,
-    running_integral,
+    smooth_local_poly,
 )
 from .potentials import PotentialModel, check_mass, free_potential, potential_derivative
 
@@ -69,9 +70,9 @@ class MomentField:
 class MomentPyramid:
     """All moments up to order N at all time nodes.
 
-    ``levels[n]`` is an ``(m+1, n_points)`` array of f_n at every node.  Order
-    0 is the (possibly smoothed) input density; each higher level derives only
-    from the levels below it.
+    ``levels[n]`` is a read-only ``(m+1, n_points)`` array of f_n at every
+    node.  Order 0 is the (possibly smoothed) input density; each higher level
+    derives only from the levels below it.
     """
 
     grid: SpatialGrid
@@ -104,17 +105,10 @@ class MomentPyramid:
 
 
 def _as_record_matrix(f0_records, grid: SpatialGrid, nodes: TimeNodes) -> np.ndarray:
-    records = [np.asarray(getattr(r, "values", r), dtype=float) for r in f0_records]
+    records = [getattr(r, "values", r) for r in f0_records]
     if len(records) != nodes.m_plus_1:
-        raise ValueError(
-            f"got {len(records)} density records for {nodes.m_plus_1} time nodes"
-        )
-    for r in records:
-        if r.shape != (grid.n_points,):
-            raise ValueError("all density records must share the spatial grid")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("density records contain non-finite values")
-    return np.stack(records)
+        raise ValueError(f"got {len(records)} density records for {nodes.m_plus_1} time nodes")
+    return _read_only_array(records, float, (nodes.m_plus_1, grid.n_points), finite=True)
 
 
 def _force_table(model: PotentialModel, grid: SpatialGrid, nodes: TimeNodes, n_max: int) -> list:
@@ -133,10 +127,10 @@ def _next_level(levels, forces: list, diff: np.ndarray, dx: float, constants: Ph
     """f_{n+1} at all nodes from levels 0..n, one cumulative integral per integrand."""
     n = len(levels) - 1
     mass, hbar = constants.mass, constants.hbar
-    out = -mass * (diff @ running_integral(levels[n], dx))
+    out = -mass * (diff @ cumulative_integral(levels[n], dx))
     for k, dv in enumerate(forces[: (n + 1) // 2]):
         coef = mass * (-1.0) ** k * (hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
-        out -= coef * running_integral(dv * levels[n - 2 * k - 1], dx)
+        out -= coef * cumulative_integral(dv * levels[n - 2 * k - 1], dx)
     return out
 
 
@@ -182,7 +176,7 @@ def build_pyramid(
     check_mass(model, constants.mass)
     base = _as_record_matrix(f0_records, grid, nodes)
     if smoothing is not None:
-        base = local_poly_filter(base, *smoothing)
+        base = smooth_local_poly(base, *smoothing)
     levels = [base]
     if order_max >= 1:
         if m > 12:
@@ -196,6 +190,8 @@ def build_pyramid(
         forces = _force_table(model, grid, nodes, order_max - 1)
         for _ in range(order_max):
             levels.append(_next_level(levels, forces, diff, grid.dx, constants))
+    for level in levels:
+        level.setflags(write=False)
     return MomentPyramid(grid=grid, nodes=nodes, levels=tuple(levels))
 
 
@@ -235,6 +231,5 @@ def reconstruct_current(
     The order-0 recursion step is potential-independent: f_1 is ``-mass``
     times the time derivative of the cumulative position probability.
     """
-    model = free_potential()
-    pyramid = build_pyramid(f0_records, grid, nodes, model, constants, order_max=0)
-    return next_moment(pyramid, model, constants, node=node)
+    pyramid = build_pyramid(f0_records, grid, nodes, free_potential(), constants, order_max=1)
+    return pyramid.moment(1, node)

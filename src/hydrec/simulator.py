@@ -15,7 +15,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .numerics import GridField, PhysicalConstants, SpatialGrid
+from .numerics import GridField, PhysicalConstants, SpatialGrid, _read_only_array
 
 __all__ = [
     "SimulationQualityError",
@@ -35,7 +35,6 @@ __all__ = [
     "exact_density_matrix",
     "offdiagonal_lattice",
     "wigner_transform",
-    "oracle_moments",
     "oracle_moment_set",
     "cat_momentum_resolution_ok",
 ]
@@ -64,13 +63,7 @@ class WaveFunction:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.grid.n_points,):
-            raise ValueError("amplitude length does not match grid")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitudes contain non-finite values")
-        amp = amp.copy()
-        amp.setflags(write=False)
+        amp = _read_only_array(self.amplitudes, complex, (self.grid.n_points,), finite=True)
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -107,8 +100,7 @@ class DensityMatrixGrid:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        y = _read_only_array(self.y, float)
         if y.ndim != 1 or y.size < 2:
             raise ValueError("y lattice must be one-dimensional with >= 2 points")
         dy = np.diff(y)
@@ -116,12 +108,8 @@ class DensityMatrixGrid:
             raise ValueError("y lattice must be uniform")
         if not np.allclose(y, -y[::-1], rtol=0.0, atol=1e-12 * max(abs(y[0]), 1.0)):
             raise ValueError("y lattice must be symmetric about 0")
-        if values.shape != (self.x_grid.n_points, y.size):
-            raise ValueError("values shape does not match (x, y) lattice")
-        y = y.copy()
-        y.setflags(write=False)
-        values = values.copy()
-        values.setflags(write=False)
+        # not checked for finiteness: a high-order assembly may overflow (assemble warns)
+        values = _read_only_array(self.values, complex, (self.x_grid.n_points, y.size))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "values", values)
 
@@ -143,14 +131,8 @@ class WignerGrid:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.x_grid.n_points, p.size):
-            raise ValueError("values shape does not match (x, p) lattice")
-        p = p.copy()
-        p.setflags(write=False)
-        values = values.copy()
-        values.setflags(write=False)
+        p = _read_only_array(self.p, float)
+        values = _read_only_array(self.values, float, (self.x_grid.n_points, p.size))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "values", values)
 
@@ -205,9 +187,8 @@ def gaussian_packet(
     center: float = 0.0,
     momentum: float = 0.0,
     hbar: float = 1.0,
-    normalized: bool = True,
 ) -> WaveFunction:
-    """Gaussian wave packet ``exp(-(x-c)^2 / 4 sigma^2 + i p x / hbar)``.
+    """Normalized Gaussian wave packet ``exp(-(x-c)^2 / 4 sigma^2 + i p x / hbar)``.
 
     ``sigma`` is the position standard deviation of |psi|^2.
     """
@@ -215,9 +196,7 @@ def gaussian_packet(
         raise ValueError("sigma must be positive")
     x = grid.points
     amp = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x / hbar)
-    if normalized:
-        amp = amp * (2.0 * np.pi * sigma**2) ** -0.25
-    return WaveFunction(grid, amp)
+    return WaveFunction(grid, amp * (2.0 * np.pi * sigma**2) ** -0.25)
 
 
 def cat_state_norm(params: CatStateParams) -> float:
@@ -240,14 +219,6 @@ def cat_state_density_matrix(
         np.cos(2.0 * k0 * xx) + np.cos(2.0 * k0 * yy)
     )
     return DensityMatrixGrid(grid, y, vals.astype(complex))
-
-
-def _even_gaussian_derivatives(a: float, n_max: int) -> np.ndarray:
-    """d^(2m)/dy^(2m) exp(-a y^2) at y = 0, for 2m <= n_max; signed values."""
-    out = np.zeros(n_max + 1)
-    for m in range(n_max // 2 + 1):
-        out[2 * m] = factorial(2 * m) / factorial(m) * (-a) ** m
-    return out
 
 
 def cat_state_moment(
@@ -290,18 +261,15 @@ def gaussian_packet_moment(
     center: float = 0.0,
     momentum: float = 0.0,
     hbar: float = 1.0,
-    normalized: bool = True,
 ) -> np.ndarray:
-    """Analytic momentum moment of a (possibly boosted) Gaussian packet.
+    """Analytic momentum moment of a (possibly boosted) normalized Gaussian packet.
 
     ``f_n = f_0 * sum_l C(n, 2l) (2l)!/l! (hbar^2 a / 4)^l p^(n-2l)`` with
     ``a = 1 / 2 sigma^2``; all terms are positive, so the sum is stable.
     """
     x = np.asarray(x, dtype=float)
     a = 1.0 / (2.0 * sigma**2)
-    f0 = np.exp(-((x - center) ** 2) * a)
-    if normalized:
-        f0 = f0 / (sigma * np.sqrt(2.0 * np.pi))
+    f0 = np.exp(-((x - center) ** 2) * a) / (sigma * np.sqrt(2.0 * np.pi))
     s = sum(
         comb(order, 2 * l)
         * factorial(2 * l)
@@ -541,11 +509,6 @@ def oracle_moment_set(state, orders, constants: PhysicalConstants) -> list[GridF
             )
         out.append(GridField(w.x_grid, np.trapezoid(integrand, dx=dp, axis=1)))
     return out
-
-
-def oracle_moments(state, order: int, constants: PhysicalConstants) -> GridField:
-    """Single momentum moment of the quasi-probability distribution."""
-    return oracle_moment_set(state, [order], constants)[0]
 
 
 def cat_momentum_resolution_ok(

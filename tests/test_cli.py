@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hydrec
 from hydrec.cli import (
@@ -301,6 +305,40 @@ def test_potential_argument_parsing(tmp_path):
     assert trap.params["mass"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "potential, key",
+    [
+        ("quartic:c2=0.5,c6=1", "'c6'"),  # unknown key
+        ("harmonic:omega=1,c4=1", "'c4'"),
+        ("free:omega=1", "'omega'"),
+        ("harmonic", "'omega'"),  # missing key
+        ("paul_trap:a=1,b=0.2", "'big_omega'"),
+        ("polynomial:c2=1", "'c2'"),
+    ],
+)
+def test_potential_with_an_unknown_or_missing_key_exits_1(tmp_path, capsys, potential, key):
+    capsys.readouterr()
+    assert run(*small_dataset_args(tmp_path / "ds", potential=potential)) == 1
+    err = capsys.readouterr().err.splitlines()
+    kind = potential.partition(":")[0]
+    assert len(err) == 1 and err[0].startswith("hydrec: error:")
+    assert f"{kind} potential" in err[0] and key in err[0]
+    assert not (tmp_path / "ds").exists()
+
+
+def test_potential_mass_key_is_used(tmp_path, capsys):
+    capsys.readouterr()
+    argv = small_dataset_args(tmp_path / "light", potential="harmonic:omega=1,mass=2")
+    assert run(*argv) == 1  # the particle mass (--mass) is 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "harmonic potential has mass 2.0" in err[0]
+    argv = small_dataset_args(tmp_path / "heavy", potential="harmonic:omega=1,mass=2", mass=2)
+    assert run(*argv) == 0
+    model = read_dataset(tmp_path / "heavy" / "dataset.json")["model"]
+    assert model.params["mass"] == 2.0
+    assert np.array_equal(x_coefficients(model, 0.0), [0.0, 0.0, 1.0])
+
+
 def test_demo_cat_order_zero_surface_is_the_density(tmp_path):
     from hydrec.numerics import SpatialGrid
     from hydrec.simulator import CatStateParams, cat_state_moment
@@ -418,3 +456,76 @@ def test_payload_path_outside_manifest_directory_exits_1(tmp_path, capsys, which
     assert len(err) == 1 and "leaves" in err[0]
     with pytest.raises(DataFormatError, match="leaves"):
         read()
+
+
+# Keys each reader needs, as paths into the manifest; the nested entries are
+# the arguments of the objects the reader builds.  A dataset may come without
+# wavefunctions, so only the dataset's psi_path may be dropped.
+READ_KEYS = {
+    "dataset": [
+        ("format_version",), ("kind",), ("layout",), ("data_path",), ("checksum",),
+        ("psi_path",), ("psi_checksum",), ("constants",), ("constants", "hbar"),
+        ("constants", "mass"), ("grid",), ("grid", "x_min"), ("grid", "x_max"),
+        ("grid", "n_points"), ("times",), ("times", "t_0"), ("times", "dt"),
+        ("times", "m_plus_1"), ("potential",), ("potential", "kind"), ("potential", "params"),
+    ],
+    "moments": [
+        ("format_version",), ("kind",), ("layout",), ("data_path",), ("checksum",),
+        ("constants",), ("constants", "hbar"), ("constants", "mass"), ("grid",),
+        ("grid", "x_min"), ("grid", "x_max"), ("grid", "n_points"), ("order_max",),
+        ("node",), ("central_time",),
+    ],
+}
+OPTIONAL_KEYS = {("psi_path",)}
+# one value of each JSON type; a key is retyped to each whose type differs
+RETYPES = ["x", None, [1.0], {}, True, 3.0]
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifests")
+    ds, mdir = root / "ds", root / "m"
+    argv = small_dataset_args(ds, potential="quartic:c2=0.5,c4=0.1")
+    assert run(*argv, "--store-psi") == 0
+    assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
+    return root, {"dataset": ds / "dataset.json", "moments": mdir / "moments.json"}
+
+
+@st.composite
+def manifest_edits(draw):
+    which = draw(st.sampled_from(sorted(READ_KEYS)))
+    path = draw(st.sampled_from(READ_KEYS[which]))
+    drop = path not in OPTIONAL_KEYS and draw(st.booleans())
+    value = None if drop else draw(st.sampled_from(RETYPES))
+    return which, path, drop, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit=manifest_edits())
+def test_dropped_or_retyped_manifest_key_exits_1_with_one_line(manifests, edit):
+    root, sources = manifests
+    which, path, drop, value = edit
+    manifest = json.loads(sources[which].read_text())
+    *parents, key = path
+    entry = manifest
+    for name in parents:
+        entry = entry[name]
+    assume(drop or type(value) is not type(entry[key]))
+    if drop:
+        del entry[key]
+    else:
+        entry[key] = value
+    # beside the original, so its payload paths still resolve
+    target = sources[which].with_name("edited.json")
+    target.write_text(json.dumps(manifest))
+    if which == "dataset":
+        argv = ("reconstruct", target, "--order", "1", "--out", root / "out")
+    else:
+        argv = ("assemble", target, "--n-y", "11", "--out", root / "out")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = run(*argv)
+    lines = err.getvalue().splitlines()
+    assert status == 1, (path, drop, value)
+    assert len(lines) == 1 and lines[0].startswith("hydrec: error:"), lines
+    assert str(target) in lines[0], lines

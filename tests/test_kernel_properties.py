@@ -24,7 +24,6 @@ from scipy.interpolate import RegularGridInterpolator
 from hydrec.assembly import _resample_onto
 from hydrec.numerics import (
     DecayAssumptionWarning,
-    GridField,
     PhysicalConstants,
     SpatialGrid,
     TimeNodes,
@@ -118,7 +117,7 @@ def test_pyramid_matches_per_row_recursion(case):
     else:
         # one filter call over the whole record matrix; its end-window
         # least-squares fits may round differently from row-by-row calls
-        rows = np.stack([smooth_local_poly(GridField(grid, r), *smoothing).values for r in records])
+        rows = np.stack([smooth_local_poly(r, *smoothing) for r in records])
         assert np.allclose(base, rows, rtol=0.0, atol=1e-13 * np.max(np.abs(rows)))
     expected = reference_levels(base, grid, nodes, model, constants, order_max)
     assert len(pyramid.levels) == order_max + 1

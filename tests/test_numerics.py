@@ -62,16 +62,16 @@ def test_constants_validation():
 
 def test_cumulative_integral_zero():
     g = SpatialGrid(-3.0, 4.0, 50)
-    out = cumulative_integral(GridField(g, np.zeros(50)))
-    assert np.array_equal(out.values, np.zeros(50))
+    out = cumulative_integral(np.zeros(50), g.dx)
+    assert np.array_equal(out, np.zeros(50))
 
 
 def test_cumulative_integral_constant_exact():
     g = SpatialGrid(0.0, 1.0, 101)
     with pytest.warns(DecayAssumptionWarning):
-        out = cumulative_integral(GridField(g, np.ones(101)))
-    assert np.max(np.abs(out.values - g.points)) < 5e-15
-    assert out.values[0] == 0.0
+        out = cumulative_integral(np.ones(101), g.dx)
+    assert np.max(np.abs(out - g.points)) < 5e-15
+    assert out[0] == 0.0
 
 
 def test_cumulative_integral_cat_density_norm():
@@ -79,34 +79,34 @@ def test_cumulative_integral_cat_density_norm():
     x = g.points
     k0 = 2.0 * np.sqrt(2.0)
     f = np.exp(-x**2 / (2.0 * 0.5)) * 2.0 * (np.cos(2.0 * k0 * x) + 1.0)
-    out = cumulative_integral(GridField(g, f))
-    assert abs(out.values[-1] - CAT_DENSITY_INTEGRAL) < 1e-8
+    out = cumulative_integral(f, g.dx)
+    assert abs(out[-1] - CAT_DENSITY_INTEGRAL) < 1e-8
 
 
 def test_cumulative_integral_linearity():
     rng = np.random.default_rng(42)
     g = SpatialGrid(-1.0, 1.0, 200)
     taper = np.exp(-25.0 * g.points**2)  # keep edges decayed
-    f = GridField(g, rng.normal(size=200) * taper)
-    h = GridField(g, rng.normal(size=200) * taper)
+    f = rng.normal(size=200) * taper
+    h = rng.normal(size=200) * taper
     a, b = 2.5, -1.25
-    combined = cumulative_integral(GridField(g, a * f.values + b * h.values))
-    separate = a * cumulative_integral(f).values + b * cumulative_integral(h).values
+    combined = cumulative_integral(a * f + b * h, g.dx)
+    separate = a * cumulative_integral(f, g.dx) + b * cumulative_integral(h, g.dx)
     scale = np.max(np.abs(separate))
-    assert np.max(np.abs(combined.values - separate)) < 1e-14 * scale
+    assert np.max(np.abs(combined - separate)) < 1e-14 * scale
 
 
 def test_cumulative_integral_edge_warning():
     g = SpatialGrid(-1.0, 1.0, 64)
-    hot = GridField(g, np.exp(-g.points**2))  # ~0.37 at the edges
+    hot = np.exp(-g.points**2)  # ~0.37 at the edges
     with pytest.warns(DecayAssumptionWarning):
-        cumulative_integral(hot)
-    cold = GridField(g, np.exp(-60.0 * g.points**2))
+        cumulative_integral(hot, g.dx)
+    cold = np.exp(-60.0 * g.points**2)
     import warnings as _w
 
     with _w.catch_warnings():
         _w.simplefilter("error")
-        cumulative_integral(cold)
+        cumulative_integral(cold, g.dx)
 
 
 def test_differentiation_matrix_two_point():
@@ -152,26 +152,26 @@ def test_differentiation_matrix_monomial_exactness(m):
 
 def test_smoothing_window_one_is_identity():
     g = SpatialGrid(0.0, 1.0, 32)
-    f = GridField(g, np.sin(7.0 * g.points))
+    f = np.sin(7.0 * g.points)
     out = smooth_local_poly(f, window=1, degree=0)
-    assert np.array_equal(out.values, f.values)
+    assert np.array_equal(out, f)
 
 
 def test_smoothing_preserves_fit_degree_polynomials():
     g = SpatialGrid(-1.0, 1.0, 41)
     x = g.points
-    f = GridField(g, 0.3 - 1.2 * x + 0.7 * x**2)
+    f = 0.3 - 1.2 * x + 0.7 * x**2
     out = smooth_local_poly(f, window=7, degree=2)
-    assert np.max(np.abs(out.values - f.values)) < 1e-12
+    assert np.max(np.abs(out - f)) < 1e-12
 
 
 def test_smoothing_is_idempotent_on_polynomials():
     g = SpatialGrid(-1.0, 1.0, 41)
     x = g.points
-    f = GridField(g, x**3 - x)
+    f = x**3 - x
     once = smooth_local_poly(f, window=9, degree=3)
     twice = smooth_local_poly(once, window=9, degree=3)
-    assert np.max(np.abs(once.values - twice.values)) < 1e-12
+    assert np.max(np.abs(once - twice)) < 1e-12
 
 
 def test_smoothing_reduces_noise():
@@ -179,15 +179,15 @@ def test_smoothing_reduces_noise():
     g = SpatialGrid(-4.0, 4.0, 257)
     clean = np.exp(-g.points**2)
     noisy = clean + rng.uniform(-1e-2, 1e-2, size=g.n_points)
-    smoothed = smooth_local_poly(GridField(g, noisy), window=11, degree=3)
+    smoothed = smooth_local_poly(noisy, window=11, degree=3)
     rms_noisy = np.sqrt(np.mean((noisy - clean) ** 2))
-    rms_smoothed = np.sqrt(np.mean((smoothed.values - clean) ** 2))
+    rms_smoothed = np.sqrt(np.mean((smoothed - clean) ** 2))
     assert rms_smoothed < rms_noisy
 
 
 def test_smoothing_rejects_bad_parameters():
     g = SpatialGrid(0.0, 1.0, 32)
-    f = GridField(g, np.zeros(32))
+    f = np.zeros(g.n_points)
     with pytest.raises(ValueError):
         smooth_local_poly(f, window=4, degree=1)
     with pytest.raises(ValueError):

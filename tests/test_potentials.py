@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hydrec.potentials import (
+    PotentialModel,
     free_potential,
     harmonic_potential,
     model_from_dict,
@@ -122,3 +123,17 @@ def test_serialization_round_trip():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         model_from_dict({"kind": "coulomb", "params": {}})
+
+
+def test_parameters_follow_the_kind_table():
+    with pytest.raises(ValueError, match="quartic potential takes no parameter 'c6'"):
+        PotentialModel("quartic", {"c2": 0.5, "c6": 1.0})
+    with pytest.raises(ValueError, match="harmonic potential needs parameter 'omega'"):
+        PotentialModel("harmonic", {"mass": 1.0})
+    for kind, params in [
+        ("quartic", {"c2": None}),  # JSON null
+        ("harmonic", {"omega": float("nan")}),
+        ("paul_trap", {"a": 1.0, "b": 0.5, "big_omega": float("nan")}),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            PotentialModel(kind, params)

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import hydrec.reconstruction as reconstruction_module
+from hydrec.assembly import assemble
 from hydrec.numerics import (
     DecayAssumptionWarning,
     GridField,
     PhysicalConstants,
     SpatialGrid,
     TimeNodes,
+    cumulative_integral,
 )
 from hydrec.potentials import (
     check_mass,
@@ -25,6 +29,7 @@ from hydrec.reconstruction import (
 from hydrec.simulator import (
     gaussian_packet,
     gaussian_packet_moment,
+    offdiagonal_lattice,
     oracle_moment_set,
     probability_density,
     propagate,
@@ -295,3 +300,43 @@ def test_moment_units_sanity_second_moment_positive_mass_density():
     analytic = gaussian_packet_moment(2, grid.points, 1.0, momentum=1.0)
     rel = np.linalg.norm(f2 - analytic) / np.linalg.norm(analytic)
     assert rel < 1e-3
+
+
+def test_pyramid_levels_and_term_peaks_are_read_only():
+    grid = SpatialGrid(-8.0, 8.0, 64)
+    nodes = TimeNodes(0.0, 0.01, 3)
+    records = [np.exp(-((grid.points - 0.1 * j) ** 2)) for j in range(3)]
+    pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=1)
+    for level in pyramid.levels:
+        with pytest.raises(ValueError, match="read-only"):
+            level[0, 0] = 1.0
+    rec = assemble(pyramid.central_slice(), offdiagonal_lattice(0.5, 11), CONSTANTS.hbar)
+    with pytest.raises(ValueError, match="read-only"):
+        rec.term_peaks[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "model, order_max, calls",
+    [
+        (free_potential(), 4, 4),
+        (free_potential(), 12, 12),
+        # level n integrates f_n, and from n = 1 on also V' f_(n-1)
+        (paul_trap_potential(1.0, 0.5, 6.28), 12, 23),
+    ],
+)
+def test_one_cumulative_integral_call_per_integrand(monkeypatch, model, order_max, calls):
+    # the benchmark's tracer times the recursion's integrals through this name
+    shapes = []
+
+    def counting(values, dx):
+        shapes.append(np.shape(values))
+        return cumulative_integral(values, dx)
+
+    monkeypatch.setattr(reconstruction_module, "cumulative_integral", counting)
+    grid = SpatialGrid(-8.0, 8.0, 64)
+    nodes = TimeNodes(0.0, 0.01, 13)
+    records = [np.exp(-((grid.points - 0.01 * j) ** 2)) for j in range(13)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DecayAssumptionWarning)
+        build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=order_max)
+    assert shapes == [(13, 64)] * calls  # one whole level per call

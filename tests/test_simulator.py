@@ -25,7 +25,6 @@ from hydrec.simulator import (
     make_cat_state,
     offdiagonal_lattice,
     oracle_moment_set,
-    oracle_moments,
     probability_density,
     propagate,
     wigner_transform,
@@ -219,19 +218,19 @@ def test_wigner_flags_non_hermitian_input():
 
 def test_oracle_moment_zero_is_density(cat_psi):
     f0 = probability_density(cat_psi).values
-    m0 = oracle_moments(cat_psi, 0, CONSTANTS).values
+    m0 = oracle_moment_set(cat_psi, [0], CONSTANTS)[0].values
     assert np.max(np.abs(m0 - f0)) < 1e-8 * np.max(f0)
 
 
 def test_oracle_first_moment_vanishes_for_cat(cat_psi):
-    f1 = oracle_moments(cat_psi, 1, CONSTANTS).values
+    f1 = oracle_moment_set(cat_psi, [1], CONSTANTS)[0].values
     f0 = probability_density(cat_psi).values
     momentum_scale = CONSTANTS.hbar * CAT.k0
     assert np.max(np.abs(f1)) < 1e-10 * np.max(f0) * momentum_scale
 
 
 def test_oracle_second_moment_matches_symbolic(cat_psi, cat_grid):
-    f2 = oracle_moments(cat_psi, 2, CONSTANTS).values
+    f2 = oracle_moment_set(cat_psi, [2], CONSTANTS)[0].values
     symbolic = cat_state_moment(CAT, 2, cat_grid.points, hbar=CONSTANTS.hbar)
     i0 = cat_grid.n_points // 2
     assert symbolic[i0] == pytest.approx(18.0, rel=1e-12)
@@ -297,7 +296,7 @@ def test_oracle_warns_when_weighted_integrand_not_decayed(cat_psi):
     # a short y lattice gives a momentum window too narrow for p^8 weighting
     rho = exact_density_matrix(cat_psi, y=cat_psi.grid.dx * np.arange(-40, 41))
     with pytest.warns(GridCoverageWarning):
-        oracle_moments(rho, 8, CONSTANTS)
+        oracle_moment_set(rho, [8], CONSTANTS)[0]
 
 
 def test_cat_momentum_resolution_rule():
