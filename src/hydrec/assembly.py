@@ -58,17 +58,15 @@ class TaylorReconstruction:
         is no longer driving terms to zero.  A real state's odd moments are
         identically zero, so at odd N the last term alone says nothing.
         """
-        if self.order_max == 0:
+        n = self.order_max
+        if n == 0:
             return float(np.max(np.abs(self.y)))
-        y = self.y
-        tail = np.zeros(y.shape)
-        for n in (self.order_max - 1, self.order_max):
-            scale = float(np.max(np.abs(self.moments[n].field.values)))
-            z = np.abs(2.0 * y / self.hbar) ** n
-            log_fact = float(np.sum(np.log(np.arange(1, n + 1))))
-            tail = np.maximum(tail, scale * z * np.exp(-log_fact))
+        scale = np.array([np.max(np.abs(m.field.values)) for m in self.moments[n - 1 :]])
+        z = np.abs(_taylor_terms(self.y, self.hbar, n)[n - 1 :])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed term is never trusted
+            tail = np.max(scale[:, None] * z, axis=0)
         limit = TRUST_THRESHOLD * float(np.max(np.abs(self.values.values)))
-        ok = np.abs(y)[tail < limit]
+        ok = np.abs(self.y)[tail < limit]
         return float(ok.max()) if ok.size else 0.0
 
 
@@ -120,6 +118,16 @@ def _validated_moments(moments) -> list[MomentField]:
     return ms
 
 
+def _taylor_terms(y: np.ndarray, hbar: float, order_max: int) -> np.ndarray:
+    """Rows ``z_n = (2 i y / hbar)^n / n!``, n = 0..order_max; overflow is left to the callers."""
+    ratio = 2j * y / hbar
+    z = np.ones((order_max + 1, y.size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, order_max + 1):
+            z[n] = z[n - 1] * ratio / n
+    return z
+
+
 def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
     """Build rho_N(x, y) from moments f_0 .. f_N.
 
@@ -142,35 +150,25 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     y = np.asarray(y, dtype=float)
-    grid = ms[0].field.grid
-    n_x, n_y = grid.n_points, y.size
-
-    ratio = 2j * y / hbar
-    z = np.ones(n_y, dtype=complex)
-    values = np.zeros((n_x, n_y), dtype=complex)
-    values += np.outer(ms[0].field.values, z)
-    peaks = [float(np.max(np.abs(ms[0].field.values)))]
+    f = np.stack([m.field.values for m in ms])
+    z = _taylor_terms(y, hbar, len(ms) - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported per order below
-        for n in range(1, len(ms)):
-            z = z * ratio / n
-            term = np.outer(ms[n].field.values, z)
-            peak = float(np.max(np.abs(term)))
-            if not np.isfinite(peak) or peak > TERM_MAGNITUDE_LIMIT:
-                warnings.warn(
-                    f"order-{n} term reaches magnitude {peak:.3e}; the expansion has "
-                    "left the floating-point range on this lattice",
-                    UserWarning,
-                    stacklevel=2,
-                )
-            peaks.append(peak)
-            values += term
-    term_peaks = np.asarray(peaks)
+        values = np.einsum("nx,ny->xy", f, z)
+        # each z_n is purely real or purely imaginary, so this is max |f_n z_n| exactly
+        term_peaks = np.max(np.abs(f), axis=1) * np.max(np.abs(z), axis=1)
+    for n in np.flatnonzero(~(term_peaks <= TERM_MAGNITUDE_LIMIT)):
+        warnings.warn(
+            f"order-{n} term reaches magnitude {term_peaks[n]:.3e}; the expansion has "
+            "left the floating-point range on this lattice",
+            UserWarning,
+            stacklevel=2,
+        )
     term_peaks.setflags(write=False)
     return TaylorReconstruction(
         order_max=len(ms) - 1,
         moments=tuple(ms),
         hbar=float(hbar),
-        values=DensityMatrixGrid(grid, y, values),
+        values=DensityMatrixGrid(ms[0].field.grid, y, values),
         term_peaks=term_peaks,
     )
 

@@ -476,11 +476,10 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
     (out_dir / f"rho_{tag}.dat").write_text("# x y re im\n" + "".join(lines))
 
 
-def _resolve_reference(args, mset: dict):
-    """Reference density matrix for comparison, on the reconstruction lattice."""
+def _resolve_reference(args, mset: dict, y: np.ndarray):
+    """Reference density matrix for comparison, on the reconstruction's x grid and ``y``."""
     manifest = mset["manifest"]
     grid: SpatialGrid = mset["grid"]
-    y = offdiagonal_lattice(args.y_max, args.n_y)
     if args.reference == "analytic-cat":
         state = manifest.get("state", {})
         if state.get("kind") == "cat":
@@ -499,7 +498,13 @@ def _resolve_reference(args, mset: dict):
             raise MissingReferenceError(
                 f"{dataset_path} stores no wavefunctions (simulate with --store-psi)"
             )
-        node = manifest["node"]
+        node, recorded = manifest["node"], manifest.get("dataset_checksum")
+        checksum, last = data["manifest"]["checksum"], data["nodes"].m
+        if recorded != checksum or node > last:
+            raise DataFormatError(
+                f"{args.moments} (node {node}, dataset checksum {recorded!r}) was not "
+                f"reconstructed from {dataset_path} (checksum {checksum}, nodes 0..{last})"
+            )
         psi = WaveFunction(data["grid"], data["psis"][node])
         return exact_density_matrix(psi, y=y)
     raise MissingReferenceError(f"unknown reference {args.reference!r}")
@@ -507,11 +512,8 @@ def _resolve_reference(args, mset: dict):
 
 def cmd_assemble_compare(args, with_reference: bool) -> int:
     mset = read_moment_set(Path(args.moments))
-    constants: PhysicalConstants = mset["constants"]
-    if args.n_y % 2 == 0:
-        raise ValueError("--n-y must be odd so the lattice contains y = 0")
     y = offdiagonal_lattice(args.y_max, args.n_y)
-    rec = assemble(mset["moments"], y, constants.hbar)
+    rec = assemble(mset["moments"], y, mset["constants"].hbar)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"N{rec.order_max}"
@@ -526,7 +528,7 @@ def cmd_assemble_compare(args, with_reference: bool) -> int:
         f"hermiticity      {rec.values.hermiticity_defect():.3e}",
     ]
     if with_reference:
-        reference = _resolve_reference(args, mset)
+        reference = _resolve_reference(args, mset, rec.y)
         region = (args.region_x, args.region_y)
         report = compare(rec.values, reference, region=region, f0=rec.moments[0].field)
         _dump_json(out_dir / f"report_{tag}.json", report.as_dict())
@@ -553,7 +555,7 @@ def cmd_demo_cat(args) -> int:
     orders = sorted(int(n) for n in args.orders.split(","))
     if any(n < 0 for n in orders):
         raise ValueError("orders must be >= 0")
-    constants = PhysicalConstants(hbar=args.hbar, mass=args.mass)
+    constants = PhysicalConstants(hbar=args.hbar)
     params = CAT_DEFAULTS
     grid = _parse_grid(args.grid)
     y = offdiagonal_lattice(args.y_max, args.n_y)
@@ -609,12 +611,14 @@ class _Parser(argparse.ArgumentParser):
     # for simulation-quality failures; route usage errors to status 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
-    p.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
+def _add_common(p: argparse.ArgumentParser, *constants: str) -> None:
+    """``--out``, and flags for the named constants (other verbs read them from a manifest)."""
+    meaning = {"hbar": "Planck constant", "mass": "particle mass"}
+    for name in constants:
+        p.add_argument(f"--{name}", type=float, default=1.0, help=f"{meaning[name]} (default 1)")
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -623,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic measured dataset")
-    _add_common(p)
+    _add_common(p, "hbar", "mass")
     p.add_argument("--state", choices=("cat", "gaussian", "coherent"), default="cat")
     p.add_argument("--grid", default="-10,10,1024", help="xmin,xmax,n")
     p.add_argument("--times", default="0,0.005,4", help="t0,dt,m (m+1 nodes)")
@@ -666,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=lambda a, w=with_ref: cmd_assemble_compare(a, w))
 
     p = sub.add_parser("demo-cat", help="multi-order reconstruction of the default cat state")
-    _add_common(p)
+    _add_common(p, "hbar")
     p.add_argument("--orders", default="10,20,36", help="comma-separated Taylor orders")
     p.add_argument("--grid", default="-6,6,481", help="xmin,xmax,n")
     p.add_argument("--y-max", type=float, default=1.5)

@@ -96,10 +96,6 @@ class SpatialGrid:
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.x_max - self.x_min)
-
 
 @dataclass(frozen=True)
 class TimeNodes:

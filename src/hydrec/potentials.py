@@ -14,6 +14,8 @@ from types import MappingProxyType
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
+from .numerics import _is_number
+
 __all__ = [
     "PotentialModel",
     "free_potential",
@@ -65,6 +67,13 @@ def check_parameters(kind: str, keys) -> None:
             raise ValueError(f"{kind} potential needs parameter {key!r}")
 
 
+def _real_rows(rows) -> bool:
+    """True for a tuple of tuples of real numbers; bools and numeric strings are not."""
+    return isinstance(rows, tuple) and all(
+        isinstance(row, tuple) and all(map(_is_number, row)) for row in rows
+    )
+
+
 def _nested(value, kind):
     if isinstance(value, (list, tuple, np.ndarray)):
         return kind(_nested(v, kind) for v in value)
@@ -87,6 +96,11 @@ class PotentialModel:
     def __post_init__(self):
         params = MappingProxyType({k: _nested(v, tuple) for k, v in dict(self.params).items()})
         check_parameters(self.kind, params)
+        for key, value in params.items():
+            if not _real_rows(value if key == "coeffs" else ((value,),)):
+                what = "rows of finite real numbers" if key == "coeffs" else "a finite real number"
+                got = self.params[key]
+                raise ValueError(f"{self.kind} potential {key!r} must be {what}, got {got!r}")
         rows = _ROWS[self.kind]({**PARAMETERS[self.kind], **params})
         if not rows:
             raise ValueError(f"{self.kind} potential needs at least one coefficient row")

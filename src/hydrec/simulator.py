@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import GridField, PhysicalConstants, SpatialGrid, _read_only_array
 
@@ -86,6 +87,19 @@ class CatStateParams:
             raise ValueError("k0 must be finite")
 
 
+def _offdiagonal_axis(y) -> np.ndarray:
+    """A read-only copy of a y lattice, checked to be uniform and symmetric about 0."""
+    y = _read_only_array(y, float)
+    if y.ndim != 1 or y.size < 2:
+        raise ValueError("y lattice must be one-dimensional with >= 2 points")
+    dy = np.diff(y)
+    if dy[0] == 0 or not np.allclose(dy, dy[0], rtol=1e-12, atol=0.0):
+        raise ValueError("y lattice must be uniform with a nonzero spacing")
+    if not np.allclose(y, -y[::-1], rtol=0.0, atol=1e-12 * max(abs(y[0]), 1.0)):
+        raise ValueError("y lattice must be symmetric about 0")
+    return y
+
+
 @dataclass(frozen=True)
 class DensityMatrixGrid:
     """rho(x+y, x-y) sampled on a rectangular (x, y) lattice.
@@ -100,14 +114,7 @@ class DensityMatrixGrid:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        y = _read_only_array(self.y, float)
-        if y.ndim != 1 or y.size < 2:
-            raise ValueError("y lattice must be one-dimensional with >= 2 points")
-        dy = np.diff(y)
-        if not np.allclose(dy, dy[0], rtol=1e-12, atol=0.0):
-            raise ValueError("y lattice must be uniform")
-        if not np.allclose(y, -y[::-1], rtol=0.0, atol=1e-12 * max(abs(y[0]), 1.0)):
-            raise ValueError("y lattice must be symmetric about 0")
+        y = _offdiagonal_axis(self.y)
         # not checked for finiteness: a high-order assembly may overflow (assemble warns)
         values = _read_only_array(self.values, complex, (self.x_grid.n_points, y.size))
         object.__setattr__(self, "y", y)
@@ -356,15 +363,10 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
     flagged.  Evaluations past the grid edge use zero (and are flagged when
     the wavefunction has not decayed there).
     """
-    grid = psi.grid
-    amp = psi.amplitudes
-    n = grid.n_points
-    dx = grid.dx
-    if y is None:
-        half = (n - 1) // 2
-        y = dx * np.arange(-half, half + 1)
-    else:
-        y = np.asarray(y, dtype=float)
+    grid, amp = psi.grid, psi.amplitudes
+    n, dx = grid.n_points, grid.dx
+    half = (n - 1) // 2
+    y = _offdiagonal_axis(dx * np.arange(-half, half + 1) if y is None else y)
 
     peak = float(np.max(np.abs(amp)))
     edge = max(abs(amp[0]), abs(amp[-1]))
@@ -376,48 +378,32 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
             stacklevel=2,
         )
 
-    shifts = y / dx
-    shift_ints = np.rint(shifts).astype(int)
-    commensurate = np.allclose(shifts, shift_ints, rtol=0.0, atol=1e-9)
-    if not commensurate:
+    shifts = np.rint(y / dx).astype(int)
+    if np.allclose(y / dx, shifts, rtol=0.0, atol=1e-9):
+        # windows[i, k] is padded[i + k], so column j below is amp shifted by shifts[j]
+        reach = int(np.max(np.abs(shifts)))
+        padded = np.zeros(n + 2 * reach, dtype=complex)
+        padded[reach : reach + n] = amp
+        lo, step = reach + shifts.min(), shifts[1] - shifts[0]
+        plus = sliding_window_view(padded, np.ptp(shifts) + 1)[lo : lo + n, ::step]
+        minus = plus[:, ::-1]  # the lattice is symmetric, so shifts[-1 - j] == -shifts[j]
+    else:
         warnings.warn(
             "y lattice is not commensurate with the grid spacing; amplitudes are "
             "interpolated linearly",
             GridCoverageWarning,
             stacklevel=2,
         )
-
-    values = np.empty((n, y.size), dtype=complex)
-    x = grid.points
-    for j in range(y.size):
-        if commensurate:
-            s = shift_ints[j]
-            plus = _shifted(amp, s)
-            minus = _shifted(amp, -s)
-        else:
-            plus = _interp_complex(x + y[j], x, amp)
-            minus = _interp_complex(x - y[j], x, amp)
-        values[:, j] = plus * np.conj(minus)
+        x = grid.points
+        plus, minus = (
+            np.interp(t, x, amp.real, left=0.0, right=0.0)
+            + 1j * np.interp(t, x, amp.imag, left=0.0, right=0.0)
+            for t in (x[:, None] + y, x[:, None] - y)
+        )
+    values = np.conj(minus)
+    # plus first: numpy's fused complex multiply rounds differently with the operands swapped
+    np.multiply(plus, values, out=values)
     return DensityMatrixGrid(grid, y, values)
-
-
-def _shifted(amp: np.ndarray, s: int) -> np.ndarray:
-    """amp evaluated at index + s, zero-filled outside the grid."""
-    n = amp.size
-    out = np.zeros(n, dtype=complex)
-    if s >= n or s <= -n:
-        return out
-    if s >= 0:
-        out[: n - s] = amp[s:]
-    else:
-        out[-s:] = amp[: n + s]
-    return out
-
-
-def _interp_complex(targets, x, amp):
-    re = np.interp(targets, x, amp.real, left=0.0, right=0.0)
-    im = np.interp(targets, x, amp.imag, left=0.0, right=0.0)
-    return re + 1j * im
 
 
 def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> WignerGrid:

@@ -232,3 +232,33 @@ def test_assemble_validates_moment_sequence(grid, y_lattice):
         assemble([fields[0], fields[2]], y_lattice, HBAR)
     with pytest.raises(ValueError, match="at least"):
         assemble([], y_lattice, HBAR)
+
+
+def sequential_assembly(fields, y, hbar):
+    """The order-by-order sum of np.outer terms, and max|term| per order."""
+    ratio = 2j * y / hbar
+    z = np.ones(y.size, dtype=complex)
+    values = np.zeros((fields[0].field.grid.n_points, y.size), dtype=complex)
+    peaks = []
+    for n, moment in enumerate(fields):
+        if n > 0:
+            z = z * ratio / n
+        term = np.outer(moment.field.values, z)
+        values += term
+        peaks.append(float(np.max(np.abs(term))))
+    return values, np.array(peaks)
+
+
+@pytest.mark.parametrize("order", [0, 1, 12, 36])
+def test_assemble_and_term_peaks_equal_the_sequential_outer_sum_bitwise(order):
+    grid = SpatialGrid(-3.0, 3.0, 97)
+    y = offdiagonal_lattice(1.5, 41)
+    rng = np.random.default_rng(order)
+    fields = [
+        MomentField(order=n, time_node=0, time=0.0, field=GridField(grid, rng.normal(size=97)))
+        for n in range(order + 1)
+    ]
+    rec = assemble(fields, y, 0.7)
+    values, peaks = sequential_assembly(fields, y, 0.7)
+    assert rec.values.values.tobytes() == values.tobytes()
+    assert rec.term_peaks.tobytes() == peaks.tobytes()

@@ -249,6 +249,73 @@ def test_compare_missing_psi_exits_4(tmp_path):
     assert status == 4
 
 
+def stored_psi_compare(tmp_path, capsys, moments, dataset):
+    capsys.readouterr()
+    status = run(
+        "compare", moments, "--reference", "stored-psi", "--dataset", dataset,
+        "--n-y", "11", "--out", tmp_path / "cmp",
+    )
+    return status, capsys.readouterr().err.splitlines()
+
+
+def test_compare_stored_psi_of_another_dataset_exits_1(tmp_path, capsys):
+    ds, other = tmp_path / "ds", tmp_path / "other"
+    assert run(*small_dataset_args(ds), "--store-psi") == 0
+    assert run(*small_dataset_args(other, center="0.5"), "--store-psi") == 0
+    mdir = tmp_path / "m"
+    assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
+    moments = mdir / "moments.json"
+    status, err = stored_psi_compare(tmp_path, capsys, moments, other / "dataset.json")
+    assert status == 1
+    assert len(err) == 1 and err[0].startswith("hydrec: error:")
+    assert str(moments) in err[0] and str(other / "dataset.json") in err[0]
+    assert not (tmp_path / "cmp" / "report_N1.json").exists()
+
+
+def test_compare_stored_psi_at_a_node_past_the_dataset_exits_1(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert run(*small_dataset_args(ds), "--store-psi") == 0  # nodes 0..2
+    mdir = tmp_path / "m"
+    assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
+    manifest = json.loads((mdir / "moments.json").read_text())
+    manifest["node"] = 7
+    (mdir / "moments.json").write_text(json.dumps(manifest))
+    status, err = stored_psi_compare(tmp_path, capsys, mdir / "moments.json", ds / "dataset.json")
+    assert status == 1
+    assert len(err) == 1 and err[0].startswith("hydrec: error:")
+    assert str(mdir / "moments.json") in err[0] and str(ds / "dataset.json") in err[0]
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [
+        ("reconstruct", "--hbar"),
+        ("reconstruct", "--mass"),
+        ("assemble", "--hbar"),
+        ("compare", "--mass"),
+        ("demo-cat", "--mass"),
+    ],
+)
+def test_constant_flags_a_verb_does_not_read_exit_1(tmp_path, capsys, verb, flag):
+    # reconstruct, assemble and compare take hbar and mass from the manifest;
+    # demo-cat needs no mass
+    ds = tmp_path / "ds"
+    assert run(*small_dataset_args(ds)) == 0
+    mdir = tmp_path / "m"
+    assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
+    operands = {
+        "reconstruct": [ds / "dataset.json", "--order", "1"],
+        "assemble": [mdir / "moments.json", "--n-y", "11"],
+        "compare": [mdir / "moments.json", "--reference", "analytic-cat", "--n-y", "11"],
+        "demo-cat": ["--orders", "0", "--grid=-6,6,121", "--n-y", "11"],
+    }[verb]
+    assert run(verb, *operands, "--out", tmp_path / "out") == 0
+    capsys.readouterr()
+    assert run(verb, *operands, flag, "2", "--out", tmp_path / "flagged") == 1
+    assert f"error: unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert not (tmp_path / "flagged").exists()
+
+
 def test_demo_cat_order_zero(tmp_path):
     out = tmp_path / "demo"
     assert run("demo-cat", "--orders", "0", "--grid=-6,6,121", "--n-y", "41", "--out", out) == 0
@@ -460,7 +527,8 @@ def test_payload_path_outside_manifest_directory_exits_1(tmp_path, capsys, which
 
 # Keys each reader needs, as paths into the manifest; the nested entries are
 # the arguments of the objects the reader builds.  A dataset may come without
-# wavefunctions, so only the dataset's psi_path may be dropped.
+# wavefunctions, and a quartic coefficient defaults to 0, so those keys are
+# only retyped, never dropped.
 READ_KEYS = {
     "dataset": [
         ("format_version",), ("kind",), ("layout",), ("data_path",), ("checksum",),
@@ -468,6 +536,7 @@ READ_KEYS = {
         ("constants", "mass"), ("grid",), ("grid", "x_min"), ("grid", "x_max"),
         ("grid", "n_points"), ("times",), ("times", "t_0"), ("times", "dt"),
         ("times", "m_plus_1"), ("potential",), ("potential", "kind"), ("potential", "params"),
+        ("potential", "params", "c2"), ("potential", "params", "c4"),
     ],
     "moments": [
         ("format_version",), ("kind",), ("layout",), ("data_path",), ("checksum",),
@@ -476,9 +545,10 @@ READ_KEYS = {
         ("node",), ("central_time",),
     ],
 }
-OPTIONAL_KEYS = {("psi_path",)}
-# one value of each JSON type; a key is retyped to each whose type differs
-RETYPES = ["x", None, [1.0], {}, True, 3.0]
+OPTIONAL_KEYS = {("psi_path",), ("potential", "params", "c2"), ("potential", "params", "c4")}
+# one value of each JSON type, and a numeric string; a key is retyped to each
+# whose type differs
+RETYPES = ["x", "0.5", None, [1.0], {}, True, 3.0]
 
 
 @pytest.fixture(scope="module")
@@ -529,3 +599,17 @@ def test_dropped_or_retyped_manifest_key_exits_1_with_one_line(manifests, edit):
     assert status == 1, (path, drop, value)
     assert len(lines) == 1 and lines[0].startswith("hydrec: error:"), lines
     assert str(target) in lines[0], lines
+
+
+@pytest.mark.parametrize("key, value", [("c2", True), ("c4", "0.5"), ("c2", [0.5]), ("c4", None)])
+def test_retyped_potential_coefficient_exits_1_with_one_line(manifests, capsys, key, value):
+    root, sources = manifests
+    manifest = json.loads(sources["dataset"].read_text())
+    manifest["potential"]["params"][key] = value
+    target = sources["dataset"].with_name("retyped.json")
+    target.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("reconstruct", target, "--order", "1", "--out", root / "retyped") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hydrec: error:"), lines
+    assert str(target) in lines[0] and repr(key) in lines[0], lines

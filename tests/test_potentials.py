@@ -137,3 +137,28 @@ def test_parameters_follow_the_kind_table():
     ]:
         with pytest.raises(ValueError, match="finite"):
             PotentialModel(kind, params)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("quartic", {"c2": True, "c4": 0.5}),
+        ("quartic", {"c2": 1.0, "c4": "0.5"}),
+        ("harmonic", {"omega": "1"}),
+        ("harmonic", {"omega": 1.0, "mass": False}),
+        ("paul_trap", {"a": 1.0, "b": [0.5], "big_omega": 6.0}),
+        ("polynomial", {"coeffs": [[0.0], [0.0], [True]]}),
+        ("polynomial", {"coeffs": [[0.0], ["1"]]}),
+        ("polynomial", {"coeffs": [0.0, 1.0]}),
+        ("polynomial", {"coeffs": "01"}),
+    ],
+)
+def test_parameters_must_be_real_numbers(kind, params):
+    with pytest.raises(ValueError, match=f"{kind} potential '.*' must be"):
+        PotentialModel(kind, params)
+
+
+def test_numpy_numbers_are_real_numbers():
+    model = PotentialModel("polynomial", {"coeffs": np.array([[0.0], [0.0], [2.0]])})
+    assert model == polynomial_potential([[0], [0], [2]])
+    assert harmonic_potential(np.float64(2.0), mass=np.int64(1)).coeffs == ((0.0,), (0.0,), (2.0,))

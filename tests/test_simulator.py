@@ -15,6 +15,7 @@ from hydrec.simulator import (
     DensityMatrixGrid,
     GridCoverageWarning,
     SimulationQualityError,
+    WaveFunction,
     cat_momentum_resolution_ok,
     cat_state_density_matrix,
     cat_state_moment,
@@ -306,3 +307,65 @@ def test_cat_momentum_resolution_rule():
         assert cat_momentum_resolution_ok(CAT, CONSTANTS, fine)
     with pytest.warns(GridCoverageWarning):
         assert not cat_momentum_resolution_ok(CAT, CONSTANTS, 10.0 * fine)
+
+
+def per_column_density_matrix(psi, y):
+    """psi(x+y) conj(psi(x-y)), one y column at a time: a gather on a commensurate
+    lattice, linear interpolation of both parts otherwise, zero past the grid."""
+    amp, x, dx = psi.amplitudes, psi.grid.points, psi.grid.dx
+    n = amp.size
+    commensurate = np.allclose(y / dx, np.rint(y / dx), rtol=0.0, atol=1e-9)
+
+    def at(targets, shift):
+        if commensurate:
+            idx = np.arange(n) + shift
+            return np.where((idx >= 0) & (idx < n), amp[np.clip(idx, 0, n - 1)], 0.0)
+        re = np.interp(targets, x, amp.real, left=0.0, right=0.0)
+        return re + 1j * np.interp(targets, x, amp.imag, left=0.0, right=0.0)
+
+    out = np.empty((n, y.size), dtype=complex)
+    for j, yj in enumerate(y):
+        s = int(np.rint(yj / dx))
+        out[:, j] = np.multiply(at(x + yj, s), np.conj(at(x - yj, -s)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_points, y_steps",
+    [
+        (15, None),  # default lattice, odd point count
+        (16, None),  # default lattice, even point count
+        (16, 2 * np.arange(-5, 6)),  # two cells per step
+        (16, 3 * np.arange(-7, 8)),  # three cells per step, shifts past the grid edge
+        (16, -2 * np.arange(-5, 6)),  # a descending lattice
+        (17, np.arange(-20, 21)),  # one cell per step, past the edge on both sides
+        (16, 0.37 * np.arange(-6, 7)),  # not commensurate: interpolated
+    ],
+)
+def test_exact_density_matrix_equals_the_per_column_product_bitwise(n_points, y_steps):
+    grid = SpatialGrid(-2.0, 2.0, n_points)
+    rng = np.random.default_rng(n_points)
+    psi = WaveFunction(grid, rng.normal(size=n_points) + 1j * rng.normal(size=n_points))
+    y = None if y_steps is None else grid.dx * y_steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridCoverageWarning)  # undecayed random amplitudes
+        rho = exact_density_matrix(psi, y)
+    reference = per_column_density_matrix(psi, rho.y)
+    assert rho.values.tobytes() == reference.tobytes()
+    if y_steps is None:
+        half = (n_points - 1) // 2
+        assert np.array_equal(rho.y, grid.dx * np.arange(-half, half + 1))
+
+
+@pytest.mark.parametrize(
+    "y",
+    [[0.1], [], [[-0.1, 0.0, 0.1]], [-0.3, -0.1, 0.0, 0.1, 0.3], [-0.1, 0.0, 0.1, 0.2], [0.0, 0.0]],
+)
+def test_exact_density_matrix_rejects_a_lattice_as_density_matrix_grid_does(cat_psi, y):
+    y = np.asarray(y, dtype=float)
+    with pytest.raises(ValueError) as rejected:
+        DensityMatrixGrid(cat_psi.grid, y, np.zeros((cat_psi.grid.n_points, y.size)))
+    with pytest.raises(ValueError) as raised:
+        exact_density_matrix(cat_psi, y)
+    assert str(raised.value) == str(rejected.value)
+    assert "y lattice" in str(raised.value)
