@@ -46,7 +46,7 @@ for order in (10, 20, 36):
     rec = assemble(moments[: order + 1], y, hbar)
     recs[order] = rec
     err = np.max(np.abs(rec.values.values.real - exact.values.real)[region])
-    print(f"{order:>6} {err:>26.3e} {rec.trust_radius():>14.3f}")
+    print(f"{order:>6} {err:>26.3e} {rec.trust_radius:>14.3f}")
 
 print(
     "\nThe order-36 polynomial needs the position density at 37 times; within"

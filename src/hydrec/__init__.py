@@ -42,7 +42,6 @@ from .reconstruction import (
     MomentField,
     MomentPyramid,
     build_pyramid,
-    next_moment,
     reconstruct_current,
 )
 from .simulator import (
@@ -108,7 +107,6 @@ __all__ = [
     "MomentPyramid",
     "InsufficientTimeSamplesError",
     "build_pyramid",
-    "next_moment",
     "reconstruct_current",
     "TaylorReconstruction",
     "ComparisonReport",

@@ -32,13 +32,20 @@ __all__ = [
 
 #: A running term whose magnitude passes this bound is reported as overflowing.
 TERM_MAGNITUDE_LIMIT = 1e300
-#: Share of max|rho_N| that the last two terms stay below inside the trust radius.
+#: Share of max|f_0| that the last two terms stay below inside the trust radius.
 TRUST_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
 class TaylorReconstruction:
-    """Truncated off-diagonal Taylor polynomial of the density matrix."""
+    """Truncated off-diagonal Taylor polynomial of the density matrix.
+
+    ``trust_radius`` is the largest |y| where the last two terms stay below
+    ``TRUST_THRESHOLD * max|f_0|``, a heuristic convergence indicator.  The
+    scale is absolute, since |rho(x, x')| <= max f_0 for any density matrix.
+    Two terms, because a real state's odd moments are identically zero; at
+    N = 0 the last term is f_0 itself, so the radius is 0.
+    """
 
     order_max: int
     moments: tuple
@@ -46,28 +53,11 @@ class TaylorReconstruction:
     values: DensityMatrixGrid
     #: max |f_n (2iy/hbar)^n / n!| over the y lattice, per order (read-only)
     term_peaks: np.ndarray = field(repr=False)
+    trust_radius: float
 
     @property
     def y(self) -> np.ndarray:
         return self.values.y
-
-    def trust_radius(self) -> float:
-        """Largest |y| where the last two terms stay below ``TRUST_THRESHOLD * max|rho_N|``.
-
-        A heuristic convergence indicator: beyond this radius the truncation
-        is no longer driving terms to zero.  A real state's odd moments are
-        identically zero, so at odd N the last term alone says nothing.
-        """
-        n = self.order_max
-        if n == 0:
-            return float(np.max(np.abs(self.y)))
-        scale = np.array([np.max(np.abs(m.field.values)) for m in self.moments[n - 1 :]])
-        z = np.abs(_taylor_terms(self.y, self.hbar, n)[n - 1 :])
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed term is never trusted
-            tail = np.max(scale[:, None] * z, axis=0)
-        limit = TRUST_THRESHOLD * float(np.max(np.abs(self.values.values)))
-        ok = np.abs(self.y)[tail < limit]
-        return float(ok.max()) if ok.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -152,10 +142,15 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
     y = np.asarray(y, dtype=float)
     f = np.stack([m.field.values for m in ms])
     z = _taylor_terms(y, hbar, len(ms) - 1)
+    abs_z = np.abs(z)
+    f_peaks = np.max(np.abs(f), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported per order below
         values = np.einsum("nx,ny->xy", f, z)
         # each z_n is purely real or purely imaginary, so this is max |f_n z_n| exactly
-        term_peaks = np.max(np.abs(f), axis=1) * np.max(np.abs(z), axis=1)
+        term_peaks = f_peaks * np.max(abs_z, axis=1)
+        # an overflowed term is never trusted
+        tail = np.max(f_peaks[-2:, None] * abs_z[-2:], axis=0)
+    trusted = np.abs(y)[tail < TRUST_THRESHOLD * f_peaks[0]]
     for n in np.flatnonzero(~(term_peaks <= TERM_MAGNITUDE_LIMIT)):
         warnings.warn(
             f"order-{n} term reaches magnitude {term_peaks[n]:.3e}; the expansion has "
@@ -170,6 +165,7 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
         hbar=float(hbar),
         values=DensityMatrixGrid(ms[0].field.grid, y, values),
         term_peaks=term_peaks,
+        trust_radius=float(trusted.max()) if trusted.size else 0.0,
     )
 
 

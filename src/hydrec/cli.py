@@ -140,7 +140,7 @@ def _write_payload(path: Path, array: np.ndarray) -> str:
 
 
 def _read_payload(manifest_path: Path, name, checksum, dtype, shape) -> np.ndarray:
-    """A manifest's payload, checked against the manifest's size and checksum."""
+    """A manifest's payload, checked against the manifest's size and checksum, and finite."""
     path = _payload_path(manifest_path, name)
     data = path.read_bytes()
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
@@ -153,7 +153,10 @@ def _read_payload(manifest_path: Path, name, checksum, dtype, shape) -> np.ndarr
         raise DataFormatError(
             f"{manifest_path}: {path.name} checksum {actual} does not match {checksum!r}"
         )
-    return np.frombuffer(data, dtype=np.dtype(dtype).newbyteorder("<")).reshape(shape).copy()
+    array = np.frombuffer(data, dtype=np.dtype(dtype).newbyteorder("<")).reshape(shape).copy()
+    if not np.all(np.isfinite(array)):
+        raise DataFormatError(f"{manifest_path}: {path.name} holds non-finite values")
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +466,7 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
             "data_path": f"rho_{tag}.bin",
             "layout": "x_major_rows_complex128",
             "checksum": checksum,
-            "trust_radius": rec.trust_radius(),
+            "trust_radius": rec.trust_radius,
         },
     )
     # shortest round-trip decimal of every value, x-major like the payload
@@ -482,10 +485,12 @@ def _resolve_reference(args, mset: dict, y: np.ndarray):
     grid: SpatialGrid = mset["grid"]
     if args.reference == "analytic-cat":
         state = manifest.get("state", {})
-        if state.get("kind") == "cat":
-            params = CatStateParams(sigma=state["sigma"], k0=state["k0"])
-        else:
-            params = CatStateParams(sigma=args.ref_sigma, k0=args.ref_k0)
+        if state.get("kind") != "cat":
+            raise MissingReferenceError(
+                f"{args.moments} was not reconstructed from a cat state; "
+                "'analytic-cat' needs one"
+            )
+        params = CatStateParams(sigma=state["sigma"], k0=state["k0"])
         return cat_state_density_matrix(params, grid, y)
     if args.reference == "stored-psi":
         dataset_path = Path(args.dataset) if args.dataset else None
@@ -524,7 +529,7 @@ def cmd_assemble_compare(args, with_reference: bool) -> int:
         f"x grid           [{rec.values.x_grid.x_min}, {rec.values.x_grid.x_max}] "
         f"x {rec.values.x_grid.n_points}",
         f"y lattice        [-{args.y_max}, {args.y_max}] x {args.n_y}",
-        f"trust radius     {rec.trust_radius():.6g}",
+        f"trust radius     {rec.trust_radius:.6g}",
         f"hermiticity      {rec.values.hermiticity_defect():.3e}",
     ]
     if with_reference:
@@ -583,7 +588,7 @@ def cmd_demo_cat(args) -> int:
         rec = assemble(moments[: order + 1], y, constants.hbar)
         err = np.abs(rec.values.values.real - exact.values.real)[np.ix_(mask_x, mask_y)]
         _emit_density_grid(out_dir, f"N{order}", rec)
-        results.append((order, float(err.max()), rec.trust_radius()))
+        results.append((order, float(err.max()), rec.trust_radius))
 
     summary = {
         "state": {"kind": "cat", "sigma": params.sigma, "k0": params.k0},
@@ -663,8 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_ref:
             p.add_argument("--reference", choices=("analytic-cat", "stored-psi"), required=True)
             p.add_argument("--dataset", default="", help="dataset manifest for stored-psi")
-            p.add_argument("--ref-sigma", type=float, default=CAT_DEFAULTS.sigma)
-            p.add_argument("--ref-k0", type=float, default=CAT_DEFAULTS.k0)
             p.add_argument("--region-x", type=float, default=3.0)
             p.add_argument("--region-y", type=float, default=1.5)
         p.set_defaults(func=lambda a, w=with_ref: cmd_assemble_compare(a, w))

@@ -21,7 +21,6 @@ __all__ = [
     "cumulative_integral",
     "differentiation_matrix",
     "smooth_local_poly",
-    "derivative_stencil",
 ]
 
 #: Relative amplitude above which a field is considered not to have decayed
@@ -176,7 +175,7 @@ def cumulative_integral(values, dx: float) -> np.ndarray:
         ``F`` shaped like ``values``, with ``F[..., 0] = 0`` and ``F[..., j]``
         the trapezoidal integral over ``[x_0, x_j]``.
     """
-    rows = np.atleast_2d(values)
+    rows = np.reshape(values, (-1, np.shape(values)[-1]))  # one field per row
     peak = np.max(np.abs(rows), axis=-1)
     edge = np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
     hot = np.flatnonzero((peak > 0.0) & (edge > EDGE_TOLERANCE * peak))
@@ -261,20 +260,3 @@ def smooth_local_poly(values, window: int, degree: int) -> np.ndarray:
     from scipy.signal import savgol_filter  # only smoothing needs scipy
 
     return savgol_filter(values, window_length=window, polyorder=degree, mode="interp", axis=-1)
-
-
-def derivative_stencil(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights for a derivative on arbitrary point offsets.
-
-    Solves the moment conditions ``sum_i w_i * s_i**k / k! = delta(k, order)``
-    for ``k = 0 .. len(offsets)-1``; the excess stencil length sets the
-    approximation order.
-    """
-    s = np.asarray(offsets, dtype=float)
-    if order >= s.size:
-        raise ValueError("stencil too short for requested derivative order")
-    rhs = np.zeros(s.size)
-    rhs[order] = 1.0
-    powers = s[None, :] ** np.arange(s.size)[:, None]
-    factorials = np.cumprod(np.concatenate(([1.0], np.arange(1.0, s.size))))
-    return np.linalg.solve(powers / factorials[:, None], rhs)

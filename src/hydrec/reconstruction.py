@@ -42,7 +42,6 @@ __all__ = [
     "InsufficientTimeSamplesError",
     "MomentField",
     "MomentPyramid",
-    "next_moment",
     "build_pyramid",
     "reconstruct_current",
 ]
@@ -193,30 +192,6 @@ def build_pyramid(
     for level in levels:
         level.setflags(write=False)
     return MomentPyramid(grid=grid, nodes=nodes, levels=tuple(levels))
-
-
-def next_moment(
-    pyramid: MomentPyramid,
-    model: PotentialModel,
-    constants: PhysicalConstants,
-    node: int | None = None,
-) -> MomentField:
-    """One more moment order from an existing pyramid, at one node.
-
-    Evaluates the recursion step from the pyramid's top level; the pyramid
-    itself is immutable and unchanged.
-    """
-    n = pyramid.order_max
-    nodes = pyramid.nodes
-    if n + 1 > nodes.m:
-        raise InsufficientTimeSamplesError(
-            f"order {n + 1} needs at least {n + 2} time samples; got {nodes.m_plus_1}"
-        )
-    check_mass(model, constants.mass)
-    forces = _force_table(model, pyramid.grid, nodes, n)
-    diff = differentiation_matrix(nodes)
-    level = _next_level(pyramid.levels, forces, diff, pyramid.grid.dx, constants)
-    return MomentPyramid(pyramid.grid, nodes, pyramid.levels + (level,)).moment(n + 1, node)
 
 
 def reconstruct_current(

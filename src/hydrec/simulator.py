@@ -37,7 +37,6 @@ __all__ = [
     "offdiagonal_lattice",
     "wigner_transform",
     "oracle_moment_set",
-    "cat_momentum_resolution_ok",
 ]
 
 #: Per-step relative norm drift that flags an inadequate grid or time step.
@@ -495,25 +494,3 @@ def oracle_moment_set(state, orders, constants: PhysicalConstants) -> list[GridF
             )
         out.append(GridField(w.x_grid, np.trapezoid(integrand, dx=dp, axis=1)))
     return out
-
-
-def cat_momentum_resolution_ok(
-    params: CatStateParams, constants: PhysicalConstants, dy: float
-) -> bool:
-    """Rule of thumb: the y spacing must resolve the cat's momentum content.
-
-    Requires ``hbar / (2 dy) >= 4 (k0 hbar + hbar / sigma)``; a failing
-    spacing draws a warning and returns False.
-    """
-    hbar = constants.hbar
-    need = 4.0 * (params.k0 * hbar + hbar / params.sigma)
-    have = hbar / (2.0 * dy)
-    if have < need:
-        warnings.warn(
-            f"y spacing {dy:.3e} resolves momenta only to {have:.3g} < {need:.3g}; "
-            "superposition-state oracles will alias",
-            GridCoverageWarning,
-            stacklevel=2,
-        )
-        return False
-    return True

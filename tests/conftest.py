@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hydrec.numerics import PhysicalConstants
-from hydrec.simulator import probability_density, propagate
+from hydrec.simulator import GridCoverageWarning, probability_density, propagate
 
 CONSTANTS = PhysicalConstants()
 
@@ -27,6 +29,43 @@ def propagate_through_nodes(psi0, model, nodes, substeps, constants=CONSTANTS):
         records.append(probability_density(psi))
         psis.append(psi)
     return records, psis
+
+
+def derivative_stencil(offsets: np.ndarray, order: int) -> np.ndarray:
+    """Finite-difference weights for a derivative on arbitrary point offsets.
+
+    Solves the moment conditions ``sum_i w_i * s_i**k / k! = delta(k, order)``
+    for ``k = 0 .. len(offsets)-1`` (Fornberg, Math. Comp. 51, 1988); the
+    excess stencil length sets the approximation order.
+    """
+    s = np.asarray(offsets, dtype=float)
+    if order >= s.size:
+        raise ValueError("stencil too short for requested derivative order")
+    rhs = np.zeros(s.size)
+    rhs[order] = 1.0
+    powers = s[None, :] ** np.arange(s.size)[:, None]
+    factorials = np.cumprod(np.concatenate(([1.0], np.arange(1.0, s.size))))
+    return np.linalg.solve(powers / factorials[:, None], rhs)
+
+
+def cat_momentum_resolution_ok(params, constants, dy: float) -> bool:
+    """Rule of thumb: the y spacing must resolve the cat's momentum content.
+
+    Requires ``hbar / (2 dy) >= 4 (k0 hbar + hbar / sigma)``; a failing
+    spacing draws a :class:`GridCoverageWarning` and returns False.
+    """
+    hbar = constants.hbar
+    need = 4.0 * (params.k0 * hbar + hbar / params.sigma)
+    have = hbar / (2.0 * dy)
+    if have < need:
+        warnings.warn(
+            f"y spacing {dy:.3e} resolves momenta only to {have:.3g} < {need:.3g}; "
+            "superposition-state oracles will alias",
+            GridCoverageWarning,
+            stacklevel=2,
+        )
+        return False
+    return True
 
 
 @pytest.fixture(scope="session")

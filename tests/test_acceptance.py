@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import propagate_through_nodes
+from conftest import cat_momentum_resolution_ok, derivative_stencil, propagate_through_nodes
 from hydrec.assembly import assemble, hbar_rescaling_check
 from hydrec.cli import main, read_dataset
 from hydrec.numerics import (
@@ -22,7 +22,6 @@ from hydrec.numerics import (
     PhysicalConstants,
     SpatialGrid,
     TimeNodes,
-    derivative_stencil,
     differentiation_matrix,
 )
 from hydrec.potentials import free_potential, harmonic_potential, quartic_potential
@@ -34,7 +33,6 @@ from hydrec.reconstruction import (
 )
 from hydrec.simulator import (
     CatStateParams,
-    cat_momentum_resolution_ok,
     cat_state_density_matrix,
     cat_state_moment,
     gaussian_packet,

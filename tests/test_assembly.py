@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from conftest import derivative_stencil
 from hydrec.assembly import assemble, compare, hbar_rescaling_check, real_imag_split
-from hydrec.numerics import GridField, SpatialGrid, derivative_stencil
-from hydrec.reconstruction import MomentField
+from hydrec.cli import main, read_dataset
+from hydrec.numerics import DecayAssumptionWarning, GridField, SpatialGrid
+from hydrec.reconstruction import MomentField, build_pyramid
 from hydrec.simulator import (
     CatStateParams,
     DensityMatrixGrid,
+    WaveFunction,
     cat_state_density_matrix,
     cat_state_moment,
+    exact_density_matrix,
     gaussian_packet_moment,
     offdiagonal_lattice,
 )
@@ -161,7 +165,7 @@ def test_term_overflow_is_flagged(grid):
 def test_trust_radius_grows_with_order(grid, y_lattice):
     rec10 = assemble(cat_moment_fields(grid, 10), y_lattice, HBAR)
     rec36 = assemble(cat_moment_fields(grid, 36), y_lattice, HBAR)
-    assert 0.0 < rec10.trust_radius() < rec36.trust_radius() <= 1.5
+    assert 0.0 < rec10.trust_radius < rec36.trust_radius <= 1.5
 
 
 @pytest.mark.parametrize("order", [9, 10, 11, 12, 20, 21, 35, 36])
@@ -171,11 +175,40 @@ def test_trust_radius_bounds_the_error(order, y_lattice):
     grid = SpatialGrid(-6.0, 6.0, 481)
     rec = assemble(cat_moment_fields(grid, order), y_lattice, HBAR)
     exact = cat_state_density_matrix(CAT, grid, y_lattice).values
-    radius = rec.trust_radius()
+    radius = rec.trust_radius
     inside = np.abs(y_lattice) <= radius
     assert 0.0 < radius < 1.5
     err = np.max(np.abs(rec.values.values - exact)[:, inside])
     assert err <= 1e-4 * np.max(np.abs(exact))
+
+
+@pytest.fixture(scope="module")
+def quartic_pipeline(tmp_path_factory):
+    """The README pipeline in a quartic trap: 13 records, stored psi, order-12 pyramid."""
+    out = tmp_path_factory.mktemp("quartic")
+    assert main([
+        "simulate", "--state", "cat", "--grid=-10,10,1024", "--times", "0.09,0.005,12",
+        "--potential", "quartic:c2=0.5,c4=0.1", "--store-psi", "--out", str(out),
+    ]) == 0
+    data = read_dataset(out / "dataset.json")
+    grid, nodes = data["grid"], data["nodes"]
+    with pytest.warns(DecayAssumptionWarning):
+        pyramid = build_pyramid(
+            data["records"], grid, nodes, data["model"], data["constants"], order_max=12
+        )
+    y = grid.dx * np.arange(-76, 77)  # whole grid steps: the stored psi is shifted exactly
+    psi = WaveFunction(grid, data["psis"][nodes.central_index])
+    return pyramid.central_slice(), y, exact_density_matrix(psi, y=y).values
+
+
+@pytest.mark.parametrize("order", range(0, 13, 2))
+def test_trust_radius_bounds_the_quartic_pipeline_error(order, quartic_pipeline):
+    moments, y, exact = quartic_pipeline
+    rec = assemble(moments[: order + 1], y, HBAR)
+    inside = np.abs(y) <= rec.trust_radius
+    central = np.abs(rec.values.x_grid.points) <= 3.0
+    err = np.max(np.abs(rec.values.values - exact)[np.ix_(central, inside)])
+    assert err <= 1e-2 * np.max(moments[0].field.values)
 
 
 def test_compare_identical_is_zero(grid, y_lattice):

@@ -237,6 +237,23 @@ def test_compare_analytic_cat_reference(tmp_path):
     assert report["hermiticity_defect"] < 1e-12
 
 
+def test_compare_analytic_cat_of_a_gaussian_moment_set_exits_4(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert run(*small_dataset_args(ds)) == 0  # a Gaussian packet
+    mdir = tmp_path / "m"
+    assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
+    capsys.readouterr()
+    status = run(
+        "compare", mdir / "moments.json", "--reference", "analytic-cat", "--n-y", "11",
+        "--out", tmp_path / "cmp",
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert status == 4
+    assert len(err) == 1 and err[0].startswith("hydrec: missing reference:")
+    assert str(mdir / "moments.json") in err[0]
+    assert not (tmp_path / "cmp" / "report_N1.json").exists()
+
+
 def test_compare_missing_psi_exits_4(tmp_path):
     ds = tmp_path / "ds"
     run(*small_dataset_args(ds))  # no --store-psi
@@ -300,7 +317,8 @@ def test_constant_flags_a_verb_does_not_read_exit_1(tmp_path, capsys, verb, flag
     # reconstruct, assemble and compare take hbar and mass from the manifest;
     # demo-cat needs no mass
     ds = tmp_path / "ds"
-    assert run(*small_dataset_args(ds)) == 0
+    # analytic-cat compares only a moment set that records a cat state
+    assert run(*small_dataset_args(ds, state="cat")) == 0
     mdir = tmp_path / "m"
     assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
     operands = {
@@ -522,6 +540,34 @@ def test_payload_path_outside_manifest_directory_exits_1(tmp_path, capsys, which
     assert status == 1
     assert len(err) == 1 and "leaves" in err[0]
     with pytest.raises(DataFormatError, match="leaves"):
+        read()
+
+
+@pytest.mark.parametrize(
+    "which, payload, value",
+    [
+        ("dataset", "f0.bin", np.nan),
+        ("dataset", "psi.bin", np.inf),
+        ("moments", "moments.bin", -np.inf),
+    ],
+)
+def test_non_finite_payload_exits_1_naming_the_file(tmp_path, capsys, which, payload, value):
+    # one value is rewritten under a matching checksum, so only the contents are wrong
+    home = tmp_path / ("ds" if which == "dataset" else "m")
+
+    def poison(manifest):
+        dtype, key = ("<c16", "psi_checksum") if payload == "psi.bin" else ("<f8", "checksum")
+        array = np.frombuffer((home / payload).read_bytes(), dtype=dtype).copy()
+        array[array.size // 2] = value
+        (home / payload).write_bytes(array.tobytes())
+        manifest[key] = payload_checksum(array.tobytes())
+
+    status, err, read = edited_manifest_run(tmp_path, capsys, which, poison)
+    manifest = home / ("dataset.json" if which == "dataset" else "moments.json")
+    assert status == 1
+    assert len(err) == 1 and "non-finite" in err[0]
+    assert str(manifest) in err[0] and payload in err[0]
+    with pytest.raises(DataFormatError, match=f"{payload} holds non-finite values"):
         read()
 
 

@@ -42,7 +42,7 @@ from hydrec.potentials import (
     quartic_potential,
     x_coefficients,
 )
-from hydrec.reconstruction import build_pyramid, next_moment
+from hydrec.reconstruction import build_pyramid
 from hydrec.simulator import DensityMatrixGrid, offdiagonal_lattice
 
 coefficient = st.floats(-2.0, 2.0, allow_nan=False)
@@ -123,12 +123,6 @@ def test_pyramid_matches_per_row_recursion(case):
     assert len(pyramid.levels) == order_max + 1
     for n, (got, want) in enumerate(zip(pyramid.levels, expected)):
         assert np.array_equal(got, want), f"level {n}"
-    if order_max < nodes.m:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DecayAssumptionWarning)
-            extra = next_moment(pyramid, model, constants, node=0)
-        top = reference_levels(base, grid, nodes, model, constants, order_max + 1)[-1]
-        assert np.array_equal(extra.field.values, top[0])
 
 
 models = st.one_of(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import derivative_stencil
 from hydrec.numerics import (
     DecayAssumptionWarning,
     GridField,
@@ -8,7 +9,6 @@ from hydrec.numerics import (
     SpatialGrid,
     TimeNodes,
     cumulative_integral,
-    derivative_stencil,
     differentiation_matrix,
     smooth_local_poly,
 )
@@ -107,6 +107,20 @@ def test_cumulative_integral_edge_warning():
     with _w.catch_warnings():
         _w.simplefilter("error")
         cumulative_integral(cold, g.dx)
+
+
+def test_cumulative_integral_integrates_3d_input_row_by_row():
+    g = SpatialGrid(-1.0, 1.0, 64)
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(2, 3, 64)) * np.exp(-60.0 * g.points**2)
+    out = cumulative_integral(stack, g.dx)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(out[i, j], cumulative_integral(stack[i, j], g.dx))
+    stack[1, 2] = np.exp(-g.points**2)  # one row that has not decayed
+    with pytest.warns(DecayAssumptionWarning) as record:
+        hot = cumulative_integral(stack, g.dx)
+    assert len(record) == 1
+    assert np.array_equal(hot[0], out[0])
 
 
 def test_differentiation_matrix_two_point():

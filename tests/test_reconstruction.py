@@ -23,7 +23,6 @@ from hydrec.potentials import (
 from hydrec.reconstruction import (
     InsufficientTimeSamplesError,
     build_pyramid,
-    next_moment,
     reconstruct_current,
 )
 from hydrec.simulator import (
@@ -185,38 +184,15 @@ def test_model_mass_must_match_the_particle_mass():
     nodes = TimeNodes(0.0, 0.01, 3)
     records = [np.exp(-grid.points**2)] * 3
     heavy = PhysicalConstants(mass=2.0)
-    pyramid = build_pyramid(records, grid, nodes, free_potential(), heavy, order_max=1)
+    build_pyramid(records, grid, nodes, free_potential(), heavy, order_max=1)
     for model in (harmonic_potential(1.0), paul_trap_potential(1.0, 0.5, 3.0)):
         with pytest.raises(ValueError, match="particle mass is 2.0"):
             build_pyramid(records, grid, nodes, model, heavy, order_max=1)
-        with pytest.raises(ValueError, match="particle mass is 2.0"):
-            next_moment(pyramid, model, heavy)
         with pytest.raises(ValueError, match="particle mass is 2.0"):
             propagate(gaussian_packet(grid, 1.0), model, heavy, 0.01, 1)
     # an agreeing mass, or a model without one, passes
     build_pyramid(records, grid, nodes, harmonic_potential(1.0, mass=2.0), heavy, order_max=1)
     check_mass(quartic_potential(c4=1.0), 2.0)
-
-
-def test_next_moment_extends_pyramid():
-    grid = SpatialGrid(-12.0, 12.0, 512)
-    psi0 = gaussian_packet(grid, 1.0, center=0.5)
-    nodes = TimeNodes(0.0, 0.02, 4)
-    model = harmonic_potential(omega=1.0)
-    records, _ = simulate_records(psi0, model, nodes)
-    # the top levels carry an amplified rounding residue at the grid edges
-    with pytest.warns(DecayAssumptionWarning):
-        small = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=2)
-    with pytest.warns(DecayAssumptionWarning):
-        big = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
-    with pytest.warns(DecayAssumptionWarning):
-        extended = next_moment(small, model, CONSTANTS)
-    assert extended.order == 3
-    assert np.array_equal(extended.field.values, big.levels[3][nodes.central_index])
-    with pytest.warns(DecayAssumptionWarning):
-        full = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
-    with pytest.raises(InsufficientTimeSamplesError):
-        next_moment(full, model, CONSTANTS)
 
 
 def test_harmonic_coherent_first_moment_against_oracle():

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hydrec.numerics import PhysicalConstants, SpatialGrid, derivative_stencil
+from conftest import cat_momentum_resolution_ok, derivative_stencil
+from hydrec.numerics import PhysicalConstants, SpatialGrid
 from hydrec.potentials import (
     free_potential,
     harmonic_potential,
@@ -16,7 +17,6 @@ from hydrec.simulator import (
     GridCoverageWarning,
     SimulationQualityError,
     WaveFunction,
-    cat_momentum_resolution_ok,
     cat_state_density_matrix,
     cat_state_moment,
     cat_state_norm,
