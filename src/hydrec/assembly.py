@@ -146,6 +146,7 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
     f_peaks = np.max(np.abs(f), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported per order below
         values = np.einsum("nx,ny->xy", f, z)
+        values.setflags(write=False)  # DensityMatrixGrid adopts it
         # each z_n is purely real or purely imaginary, so this is max |f_n z_n| exactly
         term_peaks = f_peaks * np.max(abs_z, axis=1)
         # an overflowed term is never trusted
@@ -265,9 +266,10 @@ def compare(
     mask_y = np.abs(a.y) <= y_max
     if not (mask_x.any() and mask_y.any()):
         raise ValueError("comparison region contains no lattice points")
-    diff = (a.values - b_vals)[np.ix_(mask_x, mask_y)]
-    sup_error = float(np.max(np.abs(diff)))
-    l2_error = float(np.sqrt(np.sum(np.abs(diff) ** 2) * a.x_grid.dx * a.dy))
+    ix = np.ix_(mask_x, mask_y)
+    err = np.abs(a.values[ix] - b_vals[ix])  # cropped first: only the region is subtracted
+    sup_error = float(np.max(err))
+    l2_error = float(np.sqrt(np.sum(err**2) * a.x_grid.dx * a.dy))
 
     j0 = int(np.argmin(np.abs(a.y)))
     diag_a = a.values[:, j0]

@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 2
+#: x rows of a density grid per write of its text table.
+TEXT_BLOCK_ROWS = 64
 #: Default internal propagation step; node intervals are subdivided to stay
 #: at or below this.
 MAX_INTERNAL_STEP = 1e-3
@@ -134,7 +136,7 @@ def _payload_path(manifest_path: Path, name) -> Path:
 
 
 def _write_payload(path: Path, array: np.ndarray) -> str:
-    data = np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<")).tobytes()
+    data = np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<"), copy=False).tobytes()
     path.write_bytes(data)
     return payload_checksum(data)
 
@@ -258,7 +260,6 @@ def write_moment_set(
         "constants": dataset_manifest["constants"],
         "grid": dataset_manifest["grid"],
         "potential": dataset_manifest["potential"],
-        "state": dataset_manifest.get("state", {}),
         "dataset_manifest": dataset_path,
         "dataset_checksum": dataset_manifest["checksum"],
         "central_time": moments[0].time,
@@ -269,6 +270,8 @@ def write_moment_set(
         "layout": "order_major_rows",
         "checksum": checksum,
     }
+    if "state" in dataset_manifest:
+        record["state"] = dataset_manifest["state"]
     path = out_dir / "moments.json"
     _dump_json(path, record)
     return path
@@ -283,6 +286,7 @@ def read_moment_set(path: Path) -> dict:
         ("constants", "grid", "order_max", "node", "central_time", "data_path", "checksum"),
     )
     order_max, node, time = m["order_max"], m["node"], m["central_time"]
+    cat_state = None
     try:
         grid = _entry(SpatialGrid, m["grid"])
         constants = _entry(PhysicalConstants, m["constants"])
@@ -291,6 +295,15 @@ def read_moment_set(path: Path) -> dict:
                 raise ValueError(f"{key} must be an integer >= 0, got {count!r}")
         if not (_is_number(time) and np.isfinite(time)):
             raise ValueError(f"central_time must be a finite number, got {time!r}")
+        if "state" in m:
+            state = m["state"]
+            if not (isinstance(state, dict) and isinstance(state.get("kind"), str)):
+                raise ValueError(f"state must be an object with a string kind, got {state!r}")
+            if state["kind"] == "cat":
+                for key in ("sigma", "k0"):
+                    if not _is_number(state.get(key)):
+                        raise ValueError(f"cat {key} must be a number, got {state.get(key)!r}")
+                cat_state = CatStateParams(sigma=state["sigma"], k0=state["k0"])
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path} has a malformed entry: {exc}") from exc
     shape = (order_max + 1, grid.n_points)
@@ -304,6 +317,7 @@ def read_moment_set(path: Path) -> dict:
         "grid": grid,
         "constants": constants,
         "moments": moments,
+        "cat_state": cat_state,
     }
 
 
@@ -452,7 +466,7 @@ def cmd_reconstruct(args) -> int:
 def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> None:
     grid = rec.values.x_grid
     y = rec.values.y
-    vals = rec.values.values.astype("<c16")
+    vals = rec.values.values.astype("<c16", copy=False)
     checksum = _write_payload(out_dir / f"rho_{tag}.bin", vals)
     _dump_json(
         out_dir / f"rho_{tag}.json",
@@ -469,14 +483,19 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
             "trust_radius": rec.trust_radius,
         },
     )
-    # shortest round-trip decimal of every value, x-major like the payload
-    n_y = y.size
-    xs = [text for text in map(repr, grid.points.tolist()) for _ in range(n_y)]
-    ys = list(map(repr, y.tolist())) * grid.n_points
-    real = map(repr, vals.real.ravel().tolist())
-    imag = map(repr, vals.imag.ravel().tolist())
-    lines = map("{} {} {} {}\n".format, xs, ys, real, imag)
-    (out_dir / f"rho_{tag}.dat").write_text("# x y re im\n" + "".join(lines))
+    # shortest round-trip decimal of every value, x-major like the payload,
+    # written TEXT_BLOCK_ROWS x rows at a time
+    ys = list(map(repr, y.tolist()))
+    points = grid.points
+    with (out_dir / f"rho_{tag}.dat").open("w") as table:
+        table.write("# x y re im\n")
+        for start in range(0, grid.n_points, TEXT_BLOCK_ROWS):
+            block = vals[start : start + TEXT_BLOCK_ROWS]
+            x_block = points[start : start + TEXT_BLOCK_ROWS].tolist()
+            xs = [text for text in map(repr, x_block) for _ in ys]
+            real = map(repr, block.real.ravel().tolist())
+            imag = map(repr, block.imag.ravel().tolist())
+            table.write("".join(map("{} {} {} {}\n".format, xs, ys * len(block), real, imag)))
 
 
 def _resolve_reference(args, mset: dict, y: np.ndarray):
@@ -484,14 +503,12 @@ def _resolve_reference(args, mset: dict, y: np.ndarray):
     manifest = mset["manifest"]
     grid: SpatialGrid = mset["grid"]
     if args.reference == "analytic-cat":
-        state = manifest.get("state", {})
-        if state.get("kind") != "cat":
+        if mset["cat_state"] is None:
             raise MissingReferenceError(
                 f"{args.moments} was not reconstructed from a cat state; "
                 "'analytic-cat' needs one"
             )
-        params = CatStateParams(sigma=state["sigma"], k0=state["k0"])
-        return cat_state_density_matrix(params, grid, y)
+        return cat_state_density_matrix(mset["cat_state"], grid, y)
     if args.reference == "stored-psi":
         dataset_path = Path(args.dataset) if args.dataset else None
         if dataset_path is None or not dataset_path.exists():
@@ -576,9 +593,8 @@ def cmd_demo_cat(args) -> int:
         )
         for n in range(n_max + 1)
     ]
-    exact = cat_state_density_matrix(params, grid, y)
-    mask_x = np.abs(x) <= 3.0
-    mask_y = np.abs(y) <= 1.5
+    region = np.ix_(np.abs(x) <= 3.0, np.abs(y) <= 1.5)
+    exact = cat_state_density_matrix(params, grid, y).values.real[region]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -586,7 +602,7 @@ def cmd_demo_cat(args) -> int:
     results = []
     for order in orders:
         rec = assemble(moments[: order + 1], y, constants.hbar)
-        err = np.abs(rec.values.values.real - exact.values.real)[np.ix_(mask_x, mask_y)]
+        err = np.abs(rec.values.values.real[region] - exact)  # cropped first
         _emit_density_grid(out_dir, f"N{order}", rec)
         results.append((order, float(err.max()), rec.trust_radius))
 

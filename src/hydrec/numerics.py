@@ -49,11 +49,20 @@ def _check_numbers(obj) -> None:
 
 
 def _read_only_array(values, dtype, shape=None, finite=False) -> np.ndarray:
-    """A write-protected copy of ``values`` as ``dtype``, checked against ``shape``.
+    """``values`` as a write-protected C-ordered ``dtype`` array, checked against ``shape``.
 
-    With ``finite``, NaN and infinite entries are rejected too.
+    A frozen array that owns its C-contiguous data in ``dtype`` is adopted as
+    it is; anything else is copied, so a caller's array is never frozen or
+    aliased.  With ``finite``, NaN and infinite entries are rejected too.
     """
-    array = np.array(values, dtype=dtype, order="C")
+    adopt = (
+        type(values) is np.ndarray
+        and not values.flags.writeable
+        and values.flags.owndata
+        and values.flags.c_contiguous
+        and values.dtype == dtype
+    )
+    array = values if adopt else np.array(values, dtype=dtype, order="C")
     if shape is not None and array.shape != shape:
         raise ValueError(f"array of shape {array.shape} does not match the lattice {shape}")
     if finite and not np.all(np.isfinite(array)):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,17 @@ def propagate_through_nodes(psi0, model, nodes, substeps, constants=CONSTANTS):
         records.append(probability_density(psi))
         psis.append(psi)
     return records, psis
+
+
+def traced_peak(call):
+    """``call()`` and the most bytes it held allocated at once (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def derivative_stencil(offsets: np.ndarray, order: int) -> np.ndarray:

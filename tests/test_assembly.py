@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import derivative_stencil
+from conftest import derivative_stencil, traced_peak
 from hydrec.assembly import assemble, compare, hbar_rescaling_check, real_imag_split
 from hydrec.cli import main, read_dataset
 from hydrec.numerics import DecayAssumptionWarning, GridField, SpatialGrid
@@ -295,3 +295,16 @@ def test_assemble_and_term_peaks_equal_the_sequential_outer_sum_bitwise(order):
     values, peaks = sequential_assembly(fields, y, 0.7)
     assert rec.values.values.tobytes() == values.tobytes()
     assert rec.term_peaks.tobytes() == peaks.tobytes()
+
+
+def test_assemble_holds_its_lattice_once():
+    grid = SpatialGrid(-20.0, 20.0, 16384)
+    rng = np.random.default_rng(12)
+    fields = [
+        MomentField(order=n, time_node=0, time=0.0, field=GridField(grid, rng.normal(size=16384)))
+        for n in range(13)
+    ]
+    y = grid.dx * np.arange(-50, 51)
+    rec, peak = traced_peak(lambda: assemble(fields, y, HBAR))
+    assert rec.values.values.shape == (16384, 101)
+    assert peak <= 1.15 * rec.values.values.nbytes

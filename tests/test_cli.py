@@ -196,6 +196,23 @@ def test_dat_table_reproduces_the_payload_bitwise(tmp_path):
     assert np.array_equal(table[:, 3], values.imag.ravel())
 
 
+def test_dat_table_is_the_one_shot_join_of_the_payload(tmp_path):
+    from hydrec.numerics import SpatialGrid
+    from hydrec.simulator import offdiagonal_lattice
+
+    n_x = 131  # prime, so the table's last block of rows is a partial one
+    out = tmp_path / "demo"
+    assert run("demo-cat", "--orders", "7", f"--grid=-6,6,{n_x}", "--n-y", "41", "--out", out) == 0
+    values = np.frombuffer((out / "rho_N7.bin").read_bytes(), dtype="<c16").reshape(n_x, 41)
+    # the whole table joined in memory at once
+    xs = [t for t in map(repr, SpatialGrid(-6, 6, n_x).points.tolist()) for _ in range(41)]
+    ys = list(map(repr, offdiagonal_lattice(1.5, 41).tolist())) * n_x
+    real = map(repr, values.real.ravel().tolist())
+    imag = map(repr, values.imag.ravel().tolist())
+    table = "# x y re im\n" + "".join(map("{} {} {} {}\n".format, xs, ys, real, imag))
+    assert (out / "rho_N7.dat").read_bytes() == table.encode()
+
+
 def test_compare_stored_psi_reference(tmp_path):
     ds = tmp_path / "ds"
     assert run(*small_dataset_args(ds), "--store-psi") == 0
@@ -252,6 +269,18 @@ def test_compare_analytic_cat_of_a_gaussian_moment_set_exits_4(tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("hydrec: missing reference:")
     assert str(mdir / "moments.json") in err[0]
     assert not (tmp_path / "cmp" / "report_N1.json").exists()
+
+
+def test_dataset_without_a_state_gives_a_moment_set_without_one(tmp_path):
+    ds = tmp_path / "ds"
+    assert run(*small_dataset_args(ds)) == 0
+    manifest = json.loads((ds / "dataset.json").read_text())
+    del manifest["state"]  # the dataset reader does not need it
+    (ds / "dataset.json").write_text(json.dumps(manifest))
+    mdir = tmp_path / "m"
+    assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
+    assert "state" not in json.loads((mdir / "moments.json").read_text())
+    assert run("assemble", mdir / "moments.json", "--n-y", "11", "--out", tmp_path / "rho") == 0
 
 
 def test_compare_missing_psi_exits_4(tmp_path):
@@ -573,8 +602,8 @@ def test_non_finite_payload_exits_1_naming_the_file(tmp_path, capsys, which, pay
 
 # Keys each reader needs, as paths into the manifest; the nested entries are
 # the arguments of the objects the reader builds.  A dataset may come without
-# wavefunctions, and a quartic coefficient defaults to 0, so those keys are
-# only retyped, never dropped.
+# wavefunctions, a quartic coefficient defaults to 0, and a moment set may
+# record no state, so those keys are only retyped, never dropped.
 READ_KEYS = {
     "dataset": [
         ("format_version",), ("kind",), ("layout",), ("data_path",), ("checksum",),
@@ -588,10 +617,12 @@ READ_KEYS = {
         ("format_version",), ("kind",), ("layout",), ("data_path",), ("checksum",),
         ("constants",), ("constants", "hbar"), ("constants", "mass"), ("grid",),
         ("grid", "x_min"), ("grid", "x_max"), ("grid", "n_points"), ("order_max",),
-        ("node",), ("central_time",),
+        ("node",), ("central_time",), ("state",), ("state", "kind"),
     ],
 }
-OPTIONAL_KEYS = {("psi_path",), ("potential", "params", "c2"), ("potential", "params", "c4")}
+OPTIONAL_KEYS = {
+    ("psi_path",), ("potential", "params", "c2"), ("potential", "params", "c4"), ("state",),
+}
 # one value of each JSON type, and a numeric string; a key is retyped to each
 # whose type differs
 RETYPES = ["x", "0.5", None, [1.0], {}, True, 3.0]
@@ -659,3 +690,33 @@ def test_retyped_potential_coefficient_exits_1_with_one_line(manifests, capsys, 
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hydrec: error:"), lines
     assert str(target) in lines[0] and repr(key) in lines[0], lines
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"kind": "cat", "k0": 2.8},
+        "cat",
+        {"kind": "cat", "sigma": "0.7", "k0": 2.8},
+        {"kind": "cat", "sigma": True, "k0": 2.8},
+        {"kind": "cat", "sigma": 0.7, "k0": None},
+        {"kind": "cat", "sigma": -0.7, "k0": 2.8},
+        {"sigma": 0.7, "k0": 2.8},
+    ],
+)
+def test_malformed_cat_state_exits_1_naming_the_moment_set(manifests, capsys, state):
+    root, sources = manifests
+    manifest = json.loads(sources["moments"].read_text())
+    manifest["state"] = state
+    target = sources["moments"].with_name("cat.json")
+    target.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    status = run(
+        "compare", target, "--reference", "analytic-cat", "--n-y", "11", "--out", root / "state"
+    )
+    lines = capsys.readouterr().err.splitlines()
+    assert status == 1
+    assert len(lines) == 1 and lines[0].startswith("hydrec: error:"), lines
+    assert str(target) in lines[0] and "malformed entry" in lines[0], lines
+    with pytest.raises(DataFormatError, match="malformed entry"):
+        read_moment_set(target)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import cat_momentum_resolution_ok, derivative_stencil
+from conftest import cat_momentum_resolution_ok, derivative_stencil, traced_peak
 from hydrec.numerics import PhysicalConstants, SpatialGrid
 from hydrec.potentials import (
     free_potential,
@@ -12,6 +12,7 @@ from hydrec.potentials import (
     quartic_potential,
 )
 from hydrec.simulator import (
+    HERMITICITY_BLOCK_ROWS,
     CatStateParams,
     DensityMatrixGrid,
     GridCoverageWarning,
@@ -369,3 +370,107 @@ def test_exact_density_matrix_rejects_a_lattice_as_density_matrix_grid_does(cat_
         exact_density_matrix(cat_psi, y)
     assert str(raised.value) == str(rejected.value)
     assert "y lattice" in str(raised.value)
+
+
+def frozen(array):
+    array.setflags(write=False)
+    return array
+
+
+def test_density_matrix_grid_adopts_a_frozen_owned_array():
+    grid, y = SpatialGrid(-1.0, 1.0, 9), offdiagonal_lattice(0.5, 5)
+    v = frozen(np.ones((9, 5), dtype=complex))
+    assert DensityMatrixGrid(grid, y, v).values is v
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.ones((9, 5), dtype=complex),  # writeable
+        lambda: frozen(np.ones(45, dtype=complex).reshape(9, 5)),  # a view
+        lambda: frozen(np.ones((9, 5), dtype=complex, order="F")),  # not C-ordered
+        lambda: frozen(np.ones((9, 5))),  # another dtype
+    ],
+)
+def test_density_matrix_grid_copies_any_other_array(make):
+    grid, y = SpatialGrid(-1.0, 1.0, 9), offdiagonal_lattice(0.5, 5)
+    v = make()
+    writeable = v.flags.writeable
+    values = DensityMatrixGrid(grid, y, v).values
+    assert not np.shares_memory(values, v)
+    assert not values.flags.writeable and values.flags.c_contiguous
+    assert v.flags.writeable == writeable  # the caller's array is left as it was
+    assert np.array_equal(values, v)
+
+
+def full_lattice_hermiticity_defect(values):
+    return float(np.max(np.abs(values - np.conj(values[:, ::-1]))))
+
+
+@pytest.mark.parametrize("n_y", [7, 8])
+@pytest.mark.parametrize("n_x", [9, 2 * HERMITICITY_BLOCK_ROWS + 37])
+def test_hermiticity_defect_equals_the_full_lattice_formula_bitwise(n_x, n_y):
+    grid = SpatialGrid(-1.0, 1.0, n_x)
+    y = 0.1 * (np.arange(n_y) - (n_y - 1) / 2)  # even counts have no y = 0 column
+    rng = np.random.default_rng(n_x + n_y)
+    values = rng.normal(size=(n_x, n_y)) + 1j * rng.normal(size=(n_x, n_y))
+    rho = DensityMatrixGrid(grid, y, values)
+    assert rho.hermiticity_defect() == full_lattice_hermiticity_defect(values)
+    # a Hermitian lattice plus one perturbed entry in the last column of the last block
+    hermitian = values + np.conj(values[:, ::-1])
+    hermitian[-1, -1] += 1e-3
+    defect = DensityMatrixGrid(grid, y, hermitian).hermiticity_defect()
+    assert defect == full_lattice_hermiticity_defect(hermitian) > 0.0
+
+
+@pytest.mark.parametrize(
+    "row, column, value",
+    [(-1, -1, np.nan), (3, 0, np.nan), (-1, 5, np.inf), (0, 3, complex(np.inf, 0.0))],
+)
+def test_hermiticity_defect_is_not_finite_on_a_non_finite_lattice(row, column, value):
+    grid = SpatialGrid(-1.0, 1.0, HERMITICITY_BLOCK_ROWS + 5)
+    values = np.ones((grid.n_points, 7), dtype=complex)
+    values[row, column] = value
+    rho = DensityMatrixGrid(grid, offdiagonal_lattice(0.3, 7), values)
+    with np.errstate(invalid="ignore"):  # inf - inf on the y = 0 column
+        defect = rho.hermiticity_defect()
+        reference = full_lattice_hermiticity_defect(values)
+    assert np.array_equal(defect, reference, equal_nan=True)
+    assert not np.isfinite(defect)
+    if np.isnan(value) or column == 3:
+        assert np.isnan(defect)
+
+
+LATTICE_SHAPE = (16384, 101)
+
+
+def test_exact_density_matrix_holds_its_lattice_once():
+    grid = SpatialGrid(-20.0, 20.0, LATTICE_SHAPE[0])
+    psi = make_cat_state(CAT, grid)
+    y = grid.dx * np.arange(-50, 51)
+    rho, peak = traced_peak(lambda: exact_density_matrix(psi, y))
+    assert rho.values.shape == LATTICE_SHAPE
+    assert peak <= 1.1 * rho.values.nbytes
+
+
+def test_hermiticity_defect_reads_the_lattice_in_blocks():
+    grid = SpatialGrid(-20.0, 20.0, LATTICE_SHAPE[0])
+    rho = exact_density_matrix(make_cat_state(CAT, grid), grid.dx * np.arange(-50, 51))
+    defect, peak = traced_peak(rho.hermiticity_defect)
+    assert defect == full_lattice_hermiticity_defect(rho.values)
+    assert peak <= 0.2 * rho.values.nbytes
+
+
+def test_wigner_transform_equals_the_out_of_place_transform_bitwise():
+    grid = SpatialGrid(-8.0, 8.0, 257)
+    rng = np.random.default_rng(5)
+    envelope = np.exp(-grid.points**2) * (1.0 + 0.3 * rng.normal(size=257))
+    psi = WaveFunction(grid, envelope * np.exp(2j * np.pi * rng.uniform(size=257)))
+    rho = exact_density_matrix(psi, offdiagonal_lattice(40 * grid.dx, 81))
+    m, c = rho.y.size, rho.y.size // 2
+    j = np.arange(m)
+    phase = np.exp(2j * np.pi * c * j / m)
+    pref = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c * c / m)
+    transformed = np.fft.fft(rho.values * phase[None, :], axis=1)
+    reference = (rho.dy / (np.pi * CONSTANTS.hbar)) * pref[None, :] * transformed
+    assert wigner_transform(rho, CONSTANTS).values.tobytes() == reference.real.tobytes()
