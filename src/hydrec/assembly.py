@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import GridField
+from .numerics import GridField, _row_blocks
 from .reconstruction import MomentField
 from .simulator import DensityMatrixGrid
 
@@ -144,8 +144,16 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
     z = _taylor_terms(y, hbar, len(ms) - 1)
     abs_z = np.abs(z)
     f_peaks = np.max(np.abs(f), axis=1)
+    values = np.zeros((f.shape[1], y.size), dtype=complex)
+    blocks = list(_row_blocks(f.shape[1], values.itemsize * y.size))
+    term = np.empty_like(values[blocks[0]])  # the first block is the largest
     with np.errstate(over="ignore", invalid="ignore"):  # reported per order below
-        values = np.einsum("nx,ny->xy", f, z)
+        # summed from +0.0, orders in sequence, so a -0.0 moment gives +0.0 (a start from
+        # the n = 0 term would keep -0.0); one block of rows at a time, one reused term buffer
+        for blk in blocks:
+            block = values[blk]
+            for f_n, z_n in zip(f, z):
+                block += np.multiply(f_n[blk, None], z_n, out=term[: block.shape[0]])
         values.setflags(write=False)  # DensityMatrixGrid adopts it
         # each z_n is purely real or purely imaginary, so this is max |f_n z_n| exactly
         term_peaks = f_peaks * np.max(abs_z, axis=1)
@@ -229,15 +237,17 @@ def _resample_onto(b: DensityMatrixGrid, a: DensityMatrixGrid) -> np.ndarray:
     i, tx = _axis_weights(bx, ax)
     j, ty = _axis_weights(b.y, a.y)
     v = b.values
-    vals = (
-        v[np.ix_(i, j)] * np.outer(1 - tx, 1 - ty)
-        + v[np.ix_(i, j + 1)] * np.outer(1 - tx, ty)
-        + v[np.ix_(i + 1, j)] * np.outer(tx, 1 - ty)
-        + v[np.ix_(i + 1, j + 1)] * np.outer(tx, ty)
-    )
-    outside_x = (ax < bx[0]) | (ax > bx[-1])
-    outside_y = (a.y < b.y[0]) | (a.y > b.y[-1])
-    vals[np.logical_or.outer(outside_x, outside_y)] = 0.0
+    vals = np.empty((ax.size, a.y.size), dtype=complex)
+    for blk in _row_blocks(ax.size, vals.itemsize * a.y.size):
+        ib, tb = i[blk], tx[blk]
+        vals[blk] = (
+            v[np.ix_(ib, j)] * np.outer(1 - tb, 1 - ty)
+            + v[np.ix_(ib, j + 1)] * np.outer(1 - tb, ty)
+            + v[np.ix_(ib + 1, j)] * np.outer(tb, 1 - ty)
+            + v[np.ix_(ib + 1, j + 1)] * np.outer(tb, ty)
+        )
+    vals[(ax < bx[0]) | (ax > bx[-1])] = 0.0
+    vals[:, (a.y < b.y[0]) | (a.y > b.y[-1])] = 0.0
     return vals
 
 

@@ -27,6 +27,9 @@ __all__ = [
 #: at the grid edges.  Gaussian-type packets on a grid padded to >= 6 sigma
 #: sit far below this, so a triggered warning indicates a mis-sized grid.
 EDGE_TOLERANCE = 1e-8
+#: Bytes of one block of lattice rows: a kernel that sweeps an (x, y) lattice
+#: holds its temporaries for one block at a time.
+LATTICE_BLOCK_BYTES = 1 << 18
 
 
 class DecayAssumptionWarning(UserWarning):
@@ -69,6 +72,12 @@ def _read_only_array(values, dtype, shape=None, finite=False) -> np.ndarray:
         raise ValueError("array contains non-finite values")
     array.setflags(write=False)
     return array
+
+
+def _row_blocks(n_rows: int, row_bytes: int):
+    """Slices of consecutive rows, each block within ``LATTICE_BLOCK_BYTES`` (at least one row)."""
+    step = max(1, LATTICE_BLOCK_BYTES // row_bytes)
+    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,7 @@ def cumulative_integral(values, dx: float) -> np.ndarray:
         the trapezoidal integral over ``[x_0, x_j]``.
     """
     rows = np.reshape(values, (-1, np.shape(values)[-1]))  # one field per row
-    peak = np.max(np.abs(rows), axis=-1)
+    peak = np.maximum(rows.max(axis=-1), -rows.min(axis=-1))  # max |row|, without an |rows| copy
     edge = np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
     hot = np.flatnonzero((peak > 0.0) & (edge > EDGE_TOLERANCE * peak))
     if hot.size:

@@ -16,7 +16,7 @@ from math import comb, factorial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import GridField, PhysicalConstants, SpatialGrid, _read_only_array
+from .numerics import GridField, PhysicalConstants, SpatialGrid, _read_only_array, _row_blocks
 
 __all__ = [
     "SimulationQualityError",
@@ -442,15 +442,23 @@ def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> Wi
     phase_j = np.exp(2j * np.pi * c_p * j / m)
     pref_k = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c_p * c / m)
     pref = (dy / (np.pi * hbar)) * pref_k[None, :]
-    # one buffer, transformed in place; pref first, as the multiply rounds by operand order
-    w = vals * phase_j[None, :]
-    np.fft.fft(w, axis=1, out=w)
-    np.multiply(pref, w, out=w)
+    out = np.empty(vals.shape)
+    peaks, imag_peaks = [], []
+    for blk in _row_blocks(vals.shape[0], vals.itemsize * m):
+        # one block buffer, transformed in place; pref first: the multiply rounds by operand order
+        w = vals[blk] * phase_j[None, :]
+        np.fft.fft(w, axis=1, out=w)
+        np.multiply(pref, w, out=w)
+        peaks.append(np.max(np.abs(w)))
+        imag_peaks.append(np.max(np.abs(w.imag)))
+        out[blk] = w.real
+    out.setflags(write=False)  # WignerGrid adopts it
     dp = np.pi * hbar / (m * dy)
     p = (np.arange(m) - c_p) * dp
 
-    scale = float(np.max(np.abs(w)))
-    residue = float(np.max(np.abs(w.imag))) / scale if scale > 0 else 0.0
+    # np.max, not max(): a NaN block peak must propagate as it does over the whole lattice
+    scale = float(np.max(peaks))
+    residue = float(np.max(imag_peaks)) / scale if scale > 0 else 0.0
     if residue > 1e-8:
         warnings.warn(
             f"quasi-probability has relative imaginary residue {residue:.3e}; "
@@ -458,11 +466,12 @@ def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> Wi
             GridCoverageWarning,
             stacklevel=2,
         )
-    return WignerGrid(rho.x_grid, p, w.real)
+    return WignerGrid(rho.x_grid, p, out)
 
 
 def _decayed_p_window(w: WignerGrid, threshold: float) -> slice:
-    colmax = np.max(np.abs(w.values), axis=0)
+    # max |W| per column without an |W| lattice; a NaN still propagates
+    colmax = np.maximum(np.max(w.values, axis=0), -np.min(w.values, axis=0))
     peak = colmax.max()
     if peak == 0.0:
         return slice(0, w.p.size)

@@ -43,6 +43,29 @@ def traced_peak(call):
     return result, peak
 
 
+def assert_bytes_equal(actual, expected):
+    """Assert two arrays hold the same bytes.
+
+    A mismatch names the first differing index and says whether every
+    difference is only the sign of a zero (``-0.0 == 0.0`` but their bytes differ).
+    """
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    words = [a.reshape(-1).view(np.uint8).reshape(a.size, a.itemsize) for a in (actual, expected)]
+    differs = np.any(words[0] != words[1], axis=1)
+    if not differs.any():
+        return
+    first = np.unravel_index(np.argmax(differs), actual.shape)
+    # equal values with different bytes can only be zeros of opposite sign
+    zero_signs = bool(np.all(actual.reshape(-1)[differs] == expected.reshape(-1)[differs]))
+    raise AssertionError(
+        f"{np.count_nonzero(differs)} of {actual.size} entries differ "
+        f"{'only in the sign of a zero' if zero_signs else 'in value'}; "
+        f"first at {tuple(int(k) for k in first)}: "
+        f"{actual[first].item()!r} != {expected[first].item()!r}"
+    )
+
+
 def derivative_stencil(offsets: np.ndarray, order: int) -> np.ndarray:
     """Finite-difference weights for a derivative on arbitrary point offsets.
 

@@ -1,12 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import derivative_stencil, traced_peak
-from hydrec.assembly import assemble, compare, hbar_rescaling_check, real_imag_split
+from conftest import assert_bytes_equal, derivative_stencil, traced_peak
+from hydrec.assembly import (
+    _axis_weights,
+    _resample_onto,
+    _taylor_terms,
+    assemble,
+    compare,
+    hbar_rescaling_check,
+    real_imag_split,
+)
 from hydrec.cli import main, read_dataset
-from hydrec.numerics import DecayAssumptionWarning, GridField, SpatialGrid
+from hydrec.numerics import LATTICE_BLOCK_BYTES, DecayAssumptionWarning, GridField, SpatialGrid
 from hydrec.reconstruction import MomentField, build_pyramid
 from hydrec.simulator import (
     CatStateParams,
@@ -308,3 +317,85 @@ def test_assemble_holds_its_lattice_once():
     rec, peak = traced_peak(lambda: assemble(fields, y, HBAR))
     assert rec.values.values.shape == (16384, 101)
     assert peak <= 1.15 * rec.values.values.nbytes
+
+
+def einsum_assembly(fields, y, hbar):
+    """The whole-lattice contraction ``sum_n f_n(x) z_n(y)`` over the running-term table."""
+    f = np.stack([m.field.values for m in fields])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("nx,ny->xy", f, _taylor_terms(y, hbar, len(fields) - 1))
+
+
+def signed_zero_moments(rng, n_x, order):
+    f = rng.normal(size=(order + 1, n_x))
+    f[:, ::5] = 0.0
+    f[:, 1::5] = -0.0  # a column of -0.0 moments, as the recursion's -mass * (...) can give
+    f[rng.random(size=f.shape) < 0.1] *= -0.0
+    return f
+
+
+def huge_moments(rng, n_x, order):
+    f = rng.normal(size=(order + 1, n_x))
+    f[order // 2, ::7] = np.finfo(float).max  # a finite moment whose terms overflow to inf
+    return f
+
+
+ASSEMBLY_CASES = {
+    # name: (moments, order, y_max, overflows)
+    "signed zeros": (signed_zero_moments, 12, 1.5, False),
+    "an inf term": (huge_moments, 12, 1.5, True),
+    "an overflowing y lattice": (signed_zero_moments, 36, 1e10, True),
+    "order 0": (signed_zero_moments, 0, 1.5, False),
+}
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_assemble_equals_the_einsum_contraction_bitwise(case):
+    make, order, y_max, overflows = ASSEMBLY_CASES[case]
+    n_y = 41
+    n_x = 2 * (LATTICE_BLOCK_BYTES // (16 * n_y)) + 37  # three row blocks, the last one short
+    grid = SpatialGrid(-3.0, 3.0, n_x)
+    y = offdiagonal_lattice(y_max, n_y)
+    f = make(np.random.default_rng(order), n_x, order)
+    fields = [
+        MomentField(order=n, time_node=0, time=0.0, field=GridField(grid, f_n))
+        for n, f_n in enumerate(f)
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = assemble(fields, y, 0.7)
+    assert bool(caught) == overflows
+    assert_bytes_equal(rec.values.values, einsum_assembly(fields, y, 0.7))
+
+
+def one_shot_resample(b, a):
+    """Bilinear resample of b onto a's lattice in one expression of whole-lattice terms."""
+    ax = a.x_grid.points
+    bx = b.x_grid.points
+    i, tx = _axis_weights(bx, ax)
+    j, ty = _axis_weights(b.y, a.y)
+    v = b.values
+    vals = (
+        v[np.ix_(i, j)] * np.outer(1 - tx, 1 - ty)
+        + v[np.ix_(i, j + 1)] * np.outer(1 - tx, ty)
+        + v[np.ix_(i + 1, j)] * np.outer(tx, 1 - ty)
+        + v[np.ix_(i + 1, j + 1)] * np.outer(tx, ty)
+    )
+    outside_x = (ax < bx[0]) | (ax > bx[-1])
+    outside_y = (a.y < b.y[0]) | (a.y > b.y[-1])
+    vals[np.logical_or.outer(outside_x, outside_y)] = 0.0
+    return vals
+
+
+def test_resample_equals_the_one_shot_expression_and_holds_one_block():
+    rng = np.random.default_rng(3)
+    b_grid = SpatialGrid(-5.0, 5.0, 1001)
+    b_y = b_grid.dx * np.arange(-80, 81)
+    b_values = rng.normal(size=(1001, 161)) + 1j * rng.normal(size=(1001, 161))
+    b = DensityMatrixGrid(b_grid, b_y, b_values)
+    # a's lattice reaches past b's in x and in y, so some points fall outside
+    a_grid = SpatialGrid(-6.0, 6.0, 8192)
+    a = DensityMatrixGrid(a_grid, offdiagonal_lattice(1.0, 101), np.zeros((8192, 101)))
+    resampled, peak = traced_peak(lambda: _resample_onto(b, a))
+    assert_bytes_equal(resampled, one_shot_resample(b, a))
+    assert peak <= 1.5 * resampled.nbytes

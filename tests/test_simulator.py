@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import cat_momentum_resolution_ok, derivative_stencil, traced_peak
-from hydrec.numerics import PhysicalConstants, SpatialGrid
+from conftest import assert_bytes_equal, cat_momentum_resolution_ok, derivative_stencil, traced_peak
+from hydrec.numerics import LATTICE_BLOCK_BYTES, PhysicalConstants, SpatialGrid
 from hydrec.potentials import (
     free_potential,
     harmonic_potential,
@@ -474,3 +474,61 @@ def test_wigner_transform_equals_the_out_of_place_transform_bitwise():
     transformed = np.fft.fft(rho.values * phase[None, :], axis=1)
     reference = (rho.dy / (np.pi * CONSTANTS.hbar)) * pref[None, :] * transformed
     assert wigner_transform(rho, CONSTANTS).values.tobytes() == reference.real.tobytes()
+
+
+def out_of_place_wigner(rho):
+    """The whole-lattice transform: its real part and the residue ``wigner_transform`` flags."""
+    m, c = rho.y.size, rho.y.size // 2
+    j = np.arange(m)
+    phase = np.exp(2j * np.pi * c * j / m)
+    pref = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c * c / m)
+    transformed = np.fft.fft(rho.values * phase[None, :], axis=1)
+    w = (rho.dy / (np.pi * CONSTANTS.hbar)) * pref[None, :] * transformed
+    scale = np.max(np.abs(w))
+    return w.real, np.max(np.abs(w.imag)) / scale if scale > 0 else 0.0
+
+
+@pytest.mark.parametrize("row", [None, 0, -1])  # no NaN, a NaN in the first or the last block
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_wigner_transform_of_a_nan_lattice_matches_the_whole_lattice_transform(row, hermitian):
+    n_y = 81
+    n_x = 2 * (LATTICE_BLOCK_BYTES // (16 * n_y)) + 37  # three row blocks, the last one short
+    grid = SpatialGrid(-8.0, 8.0, n_x)
+    y = offdiagonal_lattice(40 * grid.dx, n_y)
+    rng = np.random.default_rng(n_x)
+    values = rng.normal(size=(n_x, n_y)) + 1j * rng.normal(size=(n_x, n_y))
+    if hermitian:
+        values += np.conj(values[:, ::-1])
+    if row is not None:
+        values[row, 7] = np.nan
+    rho = DensityMatrixGrid(grid, y, values)
+    reference, residue = out_of_place_wigner(rho)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        w = wigner_transform(rho, CONSTANTS)
+    assert_bytes_equal(w.values, reference)  # NaN rows included
+    # a NaN anywhere makes the whole-lattice scale NaN, which flags nothing
+    assert len(caught) == (residue > 1e-8) == (row is None and not hermitian)
+    if caught:
+        assert caught[0].category is GridCoverageWarning
+        assert f"residue {residue:.3e}" in str(caught[0].message)
+
+
+@pytest.fixture(scope="module")
+def packet_wigner_input():
+    grid = SpatialGrid(-16.0, 16.0, 1024)
+    return exact_density_matrix(gaussian_packet(grid, 1.5, center=0.5, momentum=1.0))
+
+
+def test_wigner_transform_holds_its_result_and_one_block(packet_wigner_input):
+    rho = packet_wigner_input
+    w, peak = traced_peak(lambda: wigner_transform(rho, CONSTANTS))
+    assert w.values.shape == (1024, 1023)
+    assert peak <= 0.75 * rho.values.nbytes
+
+
+def test_oracle_moment_set_holds_no_lattice_of_the_distribution(packet_wigner_input):
+    w = wigner_transform(packet_wigner_input, CONSTANTS)
+    moments, peak = traced_peak(lambda: oracle_moment_set(w, range(5), CONSTANTS))
+    assert len(moments) == 5
+    assert peak <= 0.25 * w.values.nbytes
