@@ -126,7 +126,7 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
     moments : sequence of MomentField
         Contiguous orders 0..N on one grid at one time.
     y : array
-        Off-diagonal lattice (uniform, symmetric, containing 0).
+        Off-diagonal lattice: odd, ascending, uniform and symmetric about 0.
     hbar : float
         Sets the off-diagonal length scale.
 
@@ -232,7 +232,7 @@ def _resample_onto(b: DensityMatrixGrid, a: DensityMatrixGrid) -> np.ndarray:
     """
     bx = b.x_grid.points
     ax = a.x_grid.points
-    if bx[-1] < ax[0] or ax[-1] < bx[0] or b.y[-1] < a.y[0] or a.y[-1] < b.y[0]:
+    if bx[-1] < ax[0] or ax[-1] < bx[0]:  # both y lattices hold 0, so they always overlap
         raise ValueError("lattices are disjoint; nothing to compare")
     i, tx = _axis_weights(bx, ax)
     j, ty = _axis_weights(b.y, a.y)
@@ -263,8 +263,10 @@ def compare(
     differ (recorded in the report); disjoint lattices are rejected.  Traces
     come from trapezoidal quadrature along the diagonal; the diagonal
     mismatch is measured against ``f0`` when provided, else against ``b``'s
-    diagonal.
+    diagonal; ``f0`` must lie on ``a``'s x grid.
     """
+    if f0 is not None and f0.grid != a.x_grid:
+        raise ValueError(f"f0 lies on {f0.grid}, not on the compared lattice's {a.x_grid}")
     resampled = not (a.x_grid == b.x_grid and np.array_equal(a.y, b.y))
     b_vals = _resample_onto(b, a) if resampled else b.values
 
@@ -281,9 +283,8 @@ def compare(
     sup_error = float(np.max(err))
     l2_error = float(np.sqrt(np.sum(err**2) * a.x_grid.dx * a.dy))
 
-    j0 = int(np.argmin(np.abs(a.y)))
-    diag_a = a.values[:, j0]
-    diag_b = b_vals[:, j0]
+    diag_a = a.values[:, a.y.size // 2]
+    diag_b = b_vals[:, a.y.size // 2]
     trace_a = float(np.trapezoid(diag_a.real, dx=a.x_grid.dx))
     trace_b = float(np.trapezoid(diag_b.real, dx=a.x_grid.dx))
     if f0 is not None:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import TaylorReconstruction, assemble, compare
-from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes, _is_number
+from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes, _is_number, _row_blocks
 from .potentials import (
     PARAMETERS,
     PotentialModel,
@@ -68,8 +68,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 2
-#: x rows of a density grid per write of its text table.
-TEXT_BLOCK_ROWS = 64
 #: Default internal propagation step; node intervals are subdivided to stay
 #: at or below this.
 MAX_INTERNAL_STEP = 1e-3
@@ -300,10 +298,7 @@ def read_moment_set(path: Path) -> dict:
             if not (isinstance(state, dict) and isinstance(state.get("kind"), str)):
                 raise ValueError(f"state must be an object with a string kind, got {state!r}")
             if state["kind"] == "cat":
-                for key in ("sigma", "k0"):
-                    if not _is_number(state.get(key)):
-                        raise ValueError(f"cat {key} must be a number, got {state.get(key)!r}")
-                cat_state = CatStateParams(sigma=state["sigma"], k0=state["k0"])
+                cat_state = _entry(CatStateParams, {k: v for k, v in state.items() if k != "kind"})
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path} has a malformed entry: {exc}") from exc
     shape = (order_max + 1, grid.n_points)
@@ -484,15 +479,14 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
         },
     )
     # shortest round-trip decimal of every value, x-major like the payload,
-    # written TEXT_BLOCK_ROWS x rows at a time
+    # written one block of x rows at a time
     ys = list(map(repr, y.tolist()))
     points = grid.points
     with (out_dir / f"rho_{tag}.dat").open("w") as table:
         table.write("# x y re im\n")
-        for start in range(0, grid.n_points, TEXT_BLOCK_ROWS):
-            block = vals[start : start + TEXT_BLOCK_ROWS]
-            x_block = points[start : start + TEXT_BLOCK_ROWS].tolist()
-            xs = [text for text in map(repr, x_block) for _ in ys]
+        for blk in _row_blocks(grid.n_points, vals.itemsize * y.size):
+            block = vals[blk]
+            xs = [text for text in map(repr, points[blk].tolist()) for _ in ys]
             real = map(repr, block.real.ravel().tolist())
             imag = map(repr, block.imag.ravel().tolist())
             table.write("".join(map("{} {} {} {}\n".format, xs, ys * len(block), real, imag)))

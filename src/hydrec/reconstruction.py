@@ -104,7 +104,11 @@ class MomentPyramid:
 
 
 def _as_record_matrix(f0_records, grid: SpatialGrid, nodes: TimeNodes) -> np.ndarray:
-    records = [getattr(r, "values", r) for r in f0_records]
+    records = list(f0_records)
+    for r in records:
+        if isinstance(r, GridField) and r.grid != grid:
+            raise ValueError(f"a density record lies on {r.grid}, not on the pyramid's {grid}")
+    records = [getattr(r, "values", r) for r in records]
     if len(records) != nodes.m_plus_1:
         raise ValueError(f"got {len(records)} density records for {nodes.m_plus_1} time nodes")
     return _read_only_array(records, float, (nodes.m_plus_1, grid.n_points), finite=True)

@@ -16,7 +16,8 @@ from math import comb, factorial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import GridField, PhysicalConstants, SpatialGrid, _read_only_array, _row_blocks
+from .numerics import GridField, PhysicalConstants, SpatialGrid
+from .numerics import _check_numbers, _read_only_array, _row_blocks
 
 __all__ = [
     "SimulationQualityError",
@@ -45,8 +46,6 @@ NORM_DRIFT_TOLERANCE = 1e-10
 WRAP_TOLERANCE = 1e-8
 #: Relative level below which a quasi-probability column counts as decayed.
 P_DECAY_THRESHOLD = 1e-12
-#: Lattice rows per block of the Hermiticity defect, which holds one block at a time.
-HERMITICITY_BLOCK_ROWS = 2048
 
 
 class SimulationQualityError(RuntimeError):
@@ -82,6 +81,7 @@ class CatStateParams:
     k0: float = 2.0 * np.sqrt(2.0)
 
     def __post_init__(self):
+        _check_numbers(self)
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not np.isfinite(self.k0):
@@ -89,13 +89,14 @@ class CatStateParams:
 
 
 def _offdiagonal_axis(y) -> np.ndarray:
-    """A read-only copy of a y lattice, checked to be uniform and symmetric about 0."""
+    """A read-only y lattice: odd, ascending, uniform, symmetric; ``y[y.size // 2]`` is 0."""
     y = _read_only_array(y, float)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("y lattice must be one-dimensional with >= 2 points")
+    if y.ndim != 1 or y.size < 3 or y.size % 2 == 0:
+        raise ValueError("y lattice must be one-dimensional with an odd count >= 3")
     dy = np.diff(y)
-    if dy[0] == 0 or not np.allclose(dy, dy[0], rtol=1e-12, atol=0.0):
-        raise ValueError("y lattice must be uniform with a nonzero spacing")
+    # a spacing carries the rounding of the points it separates, up to eps * max|y|
+    if not (dy[0] > 0 and np.allclose(dy, dy[0], rtol=1e-12, atol=1e-12 * abs(y[0]))):
+        raise ValueError("y lattice must be ascending and uniform")
     if not np.allclose(y, -y[::-1], rtol=0.0, atol=1e-12 * max(abs(y[0]), 1.0)):
         raise ValueError("y lattice must be symmetric about 0")
     return y
@@ -105,9 +106,9 @@ def _offdiagonal_axis(y) -> np.ndarray:
 class DensityMatrixGrid:
     """rho(x+y, x-y) sampled on a rectangular (x, y) lattice.
 
-    ``y`` is the off-diagonal variable; it must be uniform and symmetric
-    about zero so that the y -> 0 column is the probability density and the
-    Hermiticity relation pairs lattice points exactly.
+    ``y`` is the off-diagonal variable; it must be odd, ascending, uniform and
+    symmetric about zero so that the centre column ``y.size // 2`` is the
+    probability density and the Hermiticity relation pairs lattice points exactly.
     """
 
     x_grid: SpatialGrid
@@ -133,8 +134,8 @@ class DensityMatrixGrid:
         """
         half = self.y.size // 2 + 1
         peaks = []
-        for start in range(0, self.x_grid.n_points, HERMITICITY_BLOCK_ROWS):
-            block = self.values[start : start + HERMITICITY_BLOCK_ROWS]
+        for blk in _row_blocks(self.x_grid.n_points, self.values.itemsize * self.y.size):
+            block = self.values[blk]
             peaks.append(np.max(np.abs(block[:, :half] - np.conj(block[:, ::-1][:, :half]))))
         return float(np.max(peaks))
 
@@ -166,10 +167,10 @@ def offdiagonal_lattice(y_max: float, n_points: int) -> np.ndarray:
     """
     if n_points % 2 == 0 or n_points < 3:
         raise ValueError(f"need an odd lattice with >= 3 points, got {n_points}")
-    if not (np.isfinite(y_max) and y_max > 0):
-        raise ValueError(f"y_max must be positive, got {y_max}")
     half = n_points // 2
     dy = y_max / half
+    if not 0 < dy * half < np.inf:  # dy * half is the largest |y|
+        raise ValueError(f"y_max = {y_max} gives no finite lattice with a nonzero spacing")
     return dy * np.arange(-half, half + 1)
 
 
@@ -393,11 +394,10 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
     shifts = np.rint(y / dx).astype(int)
     if np.allclose(y / dx, shifts, rtol=0.0, atol=1e-9):
         # windows[i, k] is padded[i + k], so column j below is amp shifted by shifts[j]
-        reach = int(np.max(np.abs(shifts)))
+        reach = int(shifts[-1])  # the shifts run from -reach to reach
         padded = np.zeros(n + 2 * reach, dtype=complex)
         padded[reach : reach + n] = amp
-        lo, step = reach + shifts.min(), shifts[1] - shifts[0]
-        plus = sliding_window_view(padded, np.ptp(shifts) + 1)[lo : lo + n, ::step]
+        plus = sliding_window_view(padded, 2 * reach + 1)[:n, :: shifts[1] - shifts[0]]
         minus = plus[:, ::-1]  # the lattice is symmetric, so shifts[-1 - j] == -shifts[j]
     else:
         warnings.warn(
@@ -433,14 +433,11 @@ def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> Wi
     vals = rho.values
     m = rho.y.size
     dy = rho.dy
-    c = int(np.argmin(np.abs(rho.y)))  # index of y = 0
-    if abs(rho.y[c]) > 1e-12 * max(abs(rho.y[-1]), 1.0):
-        raise ValueError("y lattice must contain 0 (use an odd point count)")
+    c = m // 2  # the index of y = 0 and of p = 0
     j = np.arange(m)
-    # 2 p_k y_j / hbar = 2 pi (k - c_p)(j - c) / M with p_k = (k - c_p) dp
-    c_p = m // 2
-    phase_j = np.exp(2j * np.pi * c_p * j / m)
-    pref_k = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c_p * c / m)
+    # 2 p_k y_j / hbar = 2 pi (k - c)(j - c) / M with p_k = (k - c) dp
+    phase_j = np.exp(2j * np.pi * c * j / m)
+    pref_k = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c * c / m)
     pref = (dy / (np.pi * hbar)) * pref_k[None, :]
     out = np.empty(vals.shape)
     peaks, imag_peaks = [], []
@@ -454,7 +451,7 @@ def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> Wi
         out[blk] = w.real
     out.setflags(write=False)  # WignerGrid adopts it
     dp = np.pi * hbar / (m * dy)
-    p = (np.arange(m) - c_p) * dp
+    p = (np.arange(m) - c) * dp
 
     # np.max, not max(): a NaN block peak must propagate as it does over the whole lattice
     scale = float(np.max(peaks))
@@ -473,6 +470,8 @@ def _decayed_p_window(w: WignerGrid, threshold: float) -> slice:
     # max |W| per column without an |W| lattice; a NaN still propagates
     colmax = np.maximum(np.max(w.values, axis=0), -np.min(w.values, axis=0))
     peak = colmax.max()
+    if not np.isfinite(peak):
+        raise ValueError("quasi-probability distribution holds non-finite values")
     if peak == 0.0:
         return slice(0, w.p.size)
     idx = np.nonzero(colmax > threshold * peak)[0]

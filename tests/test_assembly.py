@@ -268,6 +268,19 @@ def test_compare_rejects_disjoint_lattices(grid):
         compare(rec.values, other)
 
 
+def test_compare_rejects_an_f0_on_another_grid(grid, y_lattice):
+    rec = assemble(cat_moment_fields(grid, 2), y_lattice, HBAR)
+    other = SpatialGrid(-12.0, 12.0, 241)
+    with pytest.raises(ValueError) as raised:
+        compare(rec.values, rec.values, f0=GridField(other, rec.moments[0].field.values))
+    assert repr(other) in str(raised.value) and repr(grid) in str(raised.value)
+
+
+def test_assemble_rejects_an_even_lattice(grid):
+    with pytest.raises(ValueError, match="odd count"):
+        assemble(cat_moment_fields(grid, 2), 0.1 * (np.arange(8) - 3.5), HBAR)
+
+
 def test_assemble_validates_moment_sequence(grid, y_lattice):
     fields = cat_moment_fields(grid, 4)
     with pytest.raises(ValueError, match="contiguous"):

@@ -197,10 +197,10 @@ def test_dat_table_reproduces_the_payload_bitwise(tmp_path):
 
 
 def test_dat_table_is_the_one_shot_join_of_the_payload(tmp_path):
-    from hydrec.numerics import SpatialGrid
+    from hydrec.numerics import LATTICE_BLOCK_BYTES, SpatialGrid
     from hydrec.simulator import offdiagonal_lattice
 
-    n_x = 131  # prime, so the table's last block of rows is a partial one
+    n_x = LATTICE_BLOCK_BYTES // (16 * 41) + 37  # two blocks of rows, the last one partial
     out = tmp_path / "demo"
     assert run("demo-cat", "--orders", "7", f"--grid=-6,6,{n_x}", "--n-y", "41", "--out", out) == 0
     values = np.frombuffer((out / "rho_N7.bin").read_bytes(), dtype="<c16").reshape(n_x, 41)

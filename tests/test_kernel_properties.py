@@ -6,7 +6,8 @@ The reference below is the row-by-row form of the recursion step: one
 not.  The library integrates whole ``(m+1, n_x)`` arrays at once and skips
 derivatives above the potential's degree; the two must agree bitwise.
 The bilinear resample of ``compare`` is checked the same way against scipy's
-``RegularGridInterpolator``.
+``RegularGridInterpolator``, and every lattice ``offdiagonal_lattice`` builds
+against the y-lattice rule of ``DensityMatrixGrid``.
 """
 
 import json
@@ -173,6 +174,19 @@ def test_models_differing_in_params_are_unequal():
     assert a == PotentialModel("paul_trap", {"a": 1.0, "b": 0.5, "big_omega": 6.0, "mass": 1.0})
     with pytest.raises(TypeError):
         a.params["a"] = 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, exclude_min=True, allow_infinity=False), st.integers(1, 50_000))
+def test_every_offdiagonal_lattice_is_accepted_with_an_exact_zero_centre(y_max, half):
+    try:
+        y = offdiagonal_lattice(y_max, 2 * half + 1)
+    except ValueError as rejected:  # only a zero spacing or an overflowing lattice
+        assert not 0 < (y_max / half) * half < np.inf, rejected
+        return
+    rho = DensityMatrixGrid(SpatialGrid(-1.0, 1.0, 8), y, np.zeros((8, y.size)))
+    assert np.array_equal(rho.y, y)
+    assert rho.y[half] == 0.0
 
 
 @st.composite

@@ -61,6 +61,15 @@ def test_rejects_insufficient_time_samples():
         build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=3)
 
 
+def test_rejects_a_record_on_another_grid():
+    grid, other = SpatialGrid(-10.0, 10.0, 256), SpatialGrid(-20.0, 20.0, 256)
+    nodes = TimeNodes(0.0, 0.01, 3)
+    records = [GridField(other, np.exp(-other.points**2))] * 3
+    with pytest.raises(ValueError) as raised:
+        build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=2)
+    assert repr(grid) in str(raised.value) and repr(other) in str(raised.value)
+
+
 def test_order_zero_is_passthrough():
     grid = SpatialGrid(-8.0, 8.0, 64)
     nodes = TimeNodes(0.0, 0.01, 3)

@@ -12,12 +12,12 @@ from hydrec.potentials import (
     quartic_potential,
 )
 from hydrec.simulator import (
-    HERMITICITY_BLOCK_ROWS,
     CatStateParams,
     DensityMatrixGrid,
     GridCoverageWarning,
     SimulationQualityError,
     WaveFunction,
+    WignerGrid,
     cat_state_density_matrix,
     cat_state_moment,
     cat_state_norm,
@@ -72,6 +72,12 @@ def test_cat_grid_rejections():
         make_cat_state(CAT, SpatialGrid(-2.0, 2.0, 64))  # < 4 sigma
     with pytest.warns(GridCoverageWarning):
         make_cat_state(CAT, SpatialGrid(-3.5, 3.5, 64))  # between 4 and 6 sigma
+
+
+@pytest.mark.parametrize("sigma, k0", [(True, 2.8), ("0.7", 2.8), (0.7, None)])
+def test_cat_state_params_reject_a_non_number(sigma, k0):
+    with pytest.raises(TypeError, match="must be a number"):
+        CatStateParams(sigma=sigma, k0=k0)
 
 
 def test_density_matrix_from_cat(cat_psi, cat_grid):
@@ -338,7 +344,7 @@ def per_column_density_matrix(psi, y):
         (16, None),  # default lattice, even point count
         (16, 2 * np.arange(-5, 6)),  # two cells per step
         (16, 3 * np.arange(-7, 8)),  # three cells per step, shifts past the grid edge
-        (16, -2 * np.arange(-5, 6)),  # a descending lattice
+        (16, np.arange(-1, 2)),  # the smallest lattice, three points
         (17, np.arange(-20, 21)),  # one cell per step, past the edge on both sides
         (16, 0.37 * np.arange(-6, 7)),  # not commensurate: interpolated
     ],
@@ -360,7 +366,18 @@ def test_exact_density_matrix_equals_the_per_column_product_bitwise(n_points, y_
 
 @pytest.mark.parametrize(
     "y",
-    [[0.1], [], [[-0.1, 0.0, 0.1]], [-0.3, -0.1, 0.0, 0.1, 0.3], [-0.1, 0.0, 0.1, 0.2], [0.0, 0.0]],
+    [
+        [0.1],
+        [],
+        [[-0.1, 0.0, 0.1]],
+        [-0.3, -0.1, 0.0, 0.1, 0.3],
+        [-0.1, 0.0, 0.1, 0.2],
+        [0.0, 0.0],
+        [-0.1, 0.1],  # even: no y = 0 column
+        [-0.3, -0.1, 0.1, 0.3],
+        [0.1, 0.0, -0.1],  # descending
+        [0.0, 0.1, 0.2],  # odd and uniform, but not symmetric about 0
+    ],
 )
 def test_exact_density_matrix_rejects_a_lattice_as_density_matrix_grid_does(cat_psi, y):
     y = np.asarray(y, dtype=float)
@@ -407,11 +424,15 @@ def full_lattice_hermiticity_defect(values):
     return float(np.max(np.abs(values - np.conj(values[:, ::-1]))))
 
 
-@pytest.mark.parametrize("n_y", [7, 8])
-@pytest.mark.parametrize("n_x", [9, 2 * HERMITICITY_BLOCK_ROWS + 37])
+# three row blocks, the last one short, of a lattice with 7 or 9 columns
+BLOCKS_OF_7 = 2 * (LATTICE_BLOCK_BYTES // (16 * 7)) + 37
+
+
+@pytest.mark.parametrize("n_y", [7, 9])
+@pytest.mark.parametrize("n_x", [9, BLOCKS_OF_7])
 def test_hermiticity_defect_equals_the_full_lattice_formula_bitwise(n_x, n_y):
     grid = SpatialGrid(-1.0, 1.0, n_x)
-    y = 0.1 * (np.arange(n_y) - (n_y - 1) / 2)  # even counts have no y = 0 column
+    y = offdiagonal_lattice(0.1 * (n_y // 2), n_y)
     rng = np.random.default_rng(n_x + n_y)
     values = rng.normal(size=(n_x, n_y)) + 1j * rng.normal(size=(n_x, n_y))
     rho = DensityMatrixGrid(grid, y, values)
@@ -428,7 +449,7 @@ def test_hermiticity_defect_equals_the_full_lattice_formula_bitwise(n_x, n_y):
     [(-1, -1, np.nan), (3, 0, np.nan), (-1, 5, np.inf), (0, 3, complex(np.inf, 0.0))],
 )
 def test_hermiticity_defect_is_not_finite_on_a_non_finite_lattice(row, column, value):
-    grid = SpatialGrid(-1.0, 1.0, HERMITICITY_BLOCK_ROWS + 5)
+    grid = SpatialGrid(-1.0, 1.0, BLOCKS_OF_7)
     values = np.ones((grid.n_points, 7), dtype=complex)
     values[row, column] = value
     rho = DensityMatrixGrid(grid, offdiagonal_lattice(0.3, 7), values)
@@ -512,6 +533,24 @@ def test_wigner_transform_of_a_nan_lattice_matches_the_whole_lattice_transform(r
     if caught:
         assert caught[0].category is GridCoverageWarning
         assert f"residue {residue:.3e}" in str(caught[0].message)
+
+
+def nan_lattice():
+    values = np.ones((64, 21), dtype=complex)
+    values[17, 4] = np.nan
+    return DensityMatrixGrid(SpatialGrid(-1.0, 1.0, 64), offdiagonal_lattice(1.0, 21), values)
+
+
+def inf_distribution():
+    values = np.ones((64, 21))
+    values[5, 9] = np.inf
+    return WignerGrid(SpatialGrid(-1.0, 1.0, 64), np.linspace(-1.0, 1.0, 21), values)
+
+
+@pytest.mark.parametrize("make", [nan_lattice, inf_distribution])
+def test_oracle_moment_set_rejects_a_non_finite_distribution(make):
+    with pytest.raises(ValueError, match="quasi-probability distribution holds non-finite"):
+        oracle_moment_set(make(), range(3), CONSTANTS)
 
 
 @pytest.fixture(scope="module")
