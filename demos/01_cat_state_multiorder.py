@@ -6,7 +6,8 @@ off-diagonal structure is recovered further and further from the diagonal as
 more moment orders (equivalently, more observation times) are included.  This
 script assembles the order-10, 20 and 36 reconstructions from the analytic
 moment oracle and reports how the error against the closed-form density
-matrix shrinks, plus each reconstruction's trust radius.
+matrix shrinks, plus each reconstruction's trust radius.  The moments are one
+matrix, row n holding f_n; order N assembles its first N + 1 rows.
 
 Run:  python demos/01_cat_state_multiorder.py
 """
@@ -16,7 +17,6 @@ import numpy as np
 from hydrec import (
     CatStateParams,
     GridField,
-    MomentField,
     SpatialGrid,
     assemble,
     cat_state_density_matrix,
@@ -31,11 +31,7 @@ y = offdiagonal_lattice(1.5, 201)
 
 print(f"cat state: sigma = {params.sigma:.4f}, k0 = {params.k0:.4f}, hbar = {hbar}")
 print("building analytic moments f_0 .. f_36 ...")
-moments = [
-    MomentField(order=n, time_node=0, time=0.0,
-                field=GridField(grid, cat_state_moment(params, n, grid.points, hbar=hbar)))
-    for n in range(37)
-]
+moments = np.array([cat_state_moment(params, n, grid.points, hbar=hbar) for n in range(37)])
 
 exact = cat_state_density_matrix(params, grid, y)
 region = np.ix_(np.abs(grid.points) <= 3.0, np.abs(y) <= 1.5)
@@ -43,7 +39,7 @@ region = np.ix_(np.abs(grid.points) <= 3.0, np.abs(y) <= 1.5)
 print(f"\n{'order':>6} {'sup |Re rho_N - Re rho|':>26} {'trust radius':>14}")
 recs = {}
 for order in (10, 20, 36):
-    rec = assemble(moments[: order + 1], y, hbar)
+    rec = assemble(GridField(grid, moments[: order + 1]), y, hbar)
     recs[order] = rec
     err = np.max(np.abs(rec.values.values.real - exact.values.real)[region])
     print(f"{order:>6} {err:>26.3e} {rec.trust_radius:>14.3f}")

@@ -56,7 +56,7 @@ with warnings.catch_warnings():
     oracles = oracle_moment_set(psis[central], range(9), constants)
 
 support = np.abs(grid.points) <= np.hypot(center, momentum / omega) + 4 * sigma
-print(f"\ncentral time {pyramid.central_time:.3f}; comparison on the packet support")
+print(f"\ncentral time {pyramid.nodes.central_time:.3f}; comparison on the packet support")
 print(f"{'order':>6} {'rel L2 vs oracle':>18}")
 for n in range(1, 9):
     rel = np.linalg.norm((pyramid.levels[n][central] - oracles[n].values)[support])

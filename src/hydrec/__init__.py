@@ -9,14 +9,7 @@ off-diagonal variable, so truncated reconstructions converge outward from the
 diagonal as more observation times are added.
 """
 
-from .assembly import (
-    ComparisonReport,
-    TaylorReconstruction,
-    assemble,
-    compare,
-    hbar_rescaling_check,
-    real_imag_split,
-)
+from .assembly import ComparisonReport, MomentField, TaylorReconstruction, assemble, compare
 from .numerics import (
     DecayAssumptionWarning,
     GridField,
@@ -39,7 +32,6 @@ from .potentials import (
 )
 from .reconstruction import (
     InsufficientTimeSamplesError,
-    MomentField,
     MomentPyramid,
     build_pyramid,
     reconstruct_current,
@@ -111,7 +103,5 @@ __all__ = [
     "TaylorReconstruction",
     "ComparisonReport",
     "assemble",
-    "real_imag_split",
-    "hbar_rescaling_check",
     "compare",
 ]

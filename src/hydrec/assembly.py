@@ -5,9 +5,11 @@ The degree-N truncation in the off-diagonal variable is
     rho_N(x, y) = sum_{n=0}^{N} f_n(x) / n! * (2 i y / hbar)^n,
 
 accumulated by the running-term recurrence ``z_n = z_{n-1} * (2 i y / hbar) / n``
-so that no explicit large factorial is formed.  Real moments make the real
-part of the sum carry only even orders and the imaginary part only odd
-orders, which :func:`real_imag_split` exposes directly.
+so that no explicit large factorial is formed.  The moments f_0 .. f_N at one
+time arrive as one ``(N+1, n_points)`` :class:`~hydrec.numerics.GridField`,
+and the sum is one contraction of that matrix with the table of ``z_n``.
+Real moments make the real part of the sum carry only even orders and the
+imaginary part only odd orders.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import GridField, _row_blocks
-from .reconstruction import MomentField
 from .simulator import DensityMatrixGrid
 
 __all__ = [
+    "MomentField",
     "TaylorReconstruction",
     "ComparisonReport",
     "assemble",
-    "real_imag_split",
-    "hbar_rescaling_check",
     "compare",
 ]
 
@@ -34,6 +34,14 @@ __all__ = [
 TERM_MAGNITUDE_LIMIT = 1e300
 #: Share of max|f_0| that the last two terms stay below inside the trust radius.
 TRUST_THRESHOLD = 1e-6
+
+
+@dataclass(frozen=True)
+class MomentField:
+    """The moment f_n(x) of one order, as :class:`TaylorReconstruction` records it."""
+
+    order: int
+    field: GridField
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,10 @@ class TaylorReconstruction:
     scale is absolute, since |rho(x, x')| <= max f_0 for any density matrix.
     Two terms, because a real state's odd moments are identically zero; at
     N = 0 the last term is f_0 itself, so the radius is 0.
+
+    ``moments`` holds one :class:`MomentField` per row of the assembled matrix,
+    because the benchmark reads ``rec.moments[0].field`` (``perfbench/worker.py``
+    lines 126, 133 and 186).
     """
 
     order_max: int
@@ -94,20 +106,6 @@ class ComparisonReport:
         }
 
 
-def _validated_moments(moments) -> list[MomentField]:
-    ms = list(moments)
-    if not ms:
-        raise ValueError("need at least the order-0 moment")
-    for n, m in enumerate(ms):
-        if m.order != n:
-            raise ValueError(f"moment orders must be contiguous from 0; slot {n} holds {m.order}")
-        if m.field.grid != ms[0].field.grid:
-            raise ValueError("all moments must share one spatial grid")
-        if m.time != ms[0].time:
-            raise ValueError("all moments must share one time")
-    return ms
-
-
 def _taylor_terms(y: np.ndarray, hbar: float, order_max: int) -> np.ndarray:
     """Rows ``z_n = (2 i y / hbar)^n / n!``, n = 0..order_max; overflow is left to the callers."""
     ratio = 2j * y / hbar
@@ -118,13 +116,15 @@ def _taylor_terms(y: np.ndarray, hbar: float, order_max: int) -> np.ndarray:
     return z
 
 
-def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
+def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruction:
     """Build rho_N(x, y) from moments f_0 .. f_N.
 
     Parameters
     ----------
-    moments : sequence of MomentField
-        Contiguous orders 0..N on one grid at one time.
+    moments : GridField
+        The ``(N+1, n_points)`` matrix of f_0 .. f_N at one time, row n
+        holding f_n, as :meth:`~hydrec.reconstruction.MomentPyramid.central_slice`
+        returns it.
     y : array
         Off-diagonal lattice: odd, ascending, uniform and symmetric about 0.
     hbar : float
@@ -136,12 +136,13 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
         With ``values[x, y=0]`` equal to f_0 exactly (only the n = 0 term
         survives on the diagonal).
     """
-    ms = _validated_moments(moments)
+    f = moments.values
+    if f.ndim != 2 or not len(f):
+        raise ValueError(f"moments must be one (N+1, n_points) matrix holding f_0, got {f.shape}")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     y = np.asarray(y, dtype=float)
-    f = np.stack([m.field.values for m in ms])
-    z = _taylor_terms(y, hbar, len(ms) - 1)
+    z = _taylor_terms(y, hbar, len(f) - 1)
     abs_z = np.abs(z)
     f_peaks = np.max(np.abs(f), axis=1)
     values = np.zeros((f.shape[1], y.size), dtype=complex)
@@ -169,53 +170,13 @@ def assemble(moments, y: np.ndarray, hbar: float) -> TaylorReconstruction:
         )
     term_peaks.setflags(write=False)
     return TaylorReconstruction(
-        order_max=len(ms) - 1,
-        moments=tuple(ms),
+        order_max=len(f) - 1,
+        moments=tuple(MomentField(n, GridField(moments.grid, f_n)) for n, f_n in enumerate(f)),
         hbar=float(hbar),
-        values=DensityMatrixGrid(ms[0].field.grid, y, values),
+        values=DensityMatrixGrid(moments.grid, y, values),
         term_peaks=term_peaks,
         trust_radius=float(trusted.max()) if trusted.size else 0.0,
     )
-
-
-def real_imag_split(rec: TaylorReconstruction) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the even-order (real) and odd-order (imaginary) sums separately.
-
-    Returns the two real arrays whose combination ``real + 1j * imag``
-    reproduces the assembled values to machine precision.
-    """
-    y = rec.y
-    hbar = rec.hbar
-    grid_n = rec.values.x_grid.n_points
-    real_part = np.zeros((grid_n, y.size))
-    imag_part = np.zeros((grid_n, y.size))
-    u = 2.0 * y / hbar
-    z = np.ones(y.size)
-    for n, moment in enumerate(rec.moments):
-        if n > 0:
-            z = z * u / n
-        sign = (-1.0) ** (n // 2)
-        target = real_part if n % 2 == 0 else imag_part
-        target += sign * np.outer(moment.field.values, z)
-    return real_part, imag_part
-
-
-def hbar_rescaling_check(
-    moments, y: np.ndarray, hbar: float, scale: float, tolerance: float = 1e-12
-) -> bool:
-    """Verify that changing hbar only rescales the off-diagonal variable.
-
-    Assembling with ``(y, hbar)`` and with ``(scale * y, scale * hbar)`` must
-    agree pointwise (index to index, the lattice point ``scale * y`` standing
-    for ``y``): the expansion depends on y and hbar through ``y / hbar`` only.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    a = assemble(moments, y, hbar)
-    b = assemble(moments, scale * np.asarray(y, dtype=float), scale * hbar)
-    num = float(np.max(np.abs(a.values.values - b.values.values)))
-    den = float(np.max(np.abs(a.values.values)))
-    return num <= tolerance * den
 
 
 def _axis_weights(grid: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,10 +224,10 @@ def compare(
     differ (recorded in the report); disjoint lattices are rejected.  Traces
     come from trapezoidal quadrature along the diagonal; the diagonal
     mismatch is measured against ``f0`` when provided, else against ``b``'s
-    diagonal; ``f0`` must lie on ``a``'s x grid.
+    diagonal; ``f0`` must be one field on ``a``'s x grid.
     """
-    if f0 is not None and f0.grid != a.x_grid:
-        raise ValueError(f"f0 lies on {f0.grid}, not on the compared lattice's {a.x_grid}")
+    if f0 is not None and (f0.values.ndim != 1 or f0.grid != a.x_grid):
+        raise ValueError(f"f0 must be one field on {a.x_grid}, not {f0.values.shape} on {f0.grid}")
     resampled = not (a.x_grid == b.x_grid and np.array_equal(a.y, b.y))
     b_vals = _resample_onto(b, a) if resampled else b.values
 

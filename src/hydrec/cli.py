@@ -4,7 +4,8 @@ Persistent formats
 ------------------
 Datasets and moment sets are a JSON manifest plus a raw binary payload:
 64-bit IEEE-754 little-endian values, row-major.  Dataset payloads are
-time-major (node j is row j); moment payloads are order-major.  Manifests
+time-major (node j is row j); moment payloads are order-major (row n is f_n
+at the manifest's node); each reader returns a payload as one array.  Manifests
 (format version 2) carry a BLAKE2b-64 checksum of the payload (RFC 7693,
 8-byte digest, 16 hex digits), verified on every read, so a write/read round
 trip is bit-exact or fails loudly.  A reader rejects a manifest with another
@@ -37,7 +38,7 @@ from .potentials import (
     model_from_dict,
     model_to_dict,
 )
-from .reconstruction import InsufficientTimeSamplesError, MomentField, build_pyramid
+from .reconstruction import InsufficientTimeSamplesError, build_pyramid
 from .simulator import (
     CatStateParams,
     SimulationQualityError,
@@ -244,13 +245,15 @@ def read_dataset(manifest_path: Path) -> dict:
 def write_moment_set(
     out_dir: Path,
     dataset_manifest: dict,
-    moments: list[MomentField],
+    moments: np.ndarray,
+    central_time: float,
     node: int,
     smoothing: tuple[int, int] | None,
     dataset_path: str = "",
 ) -> Path:
+    """Write the ``(N+1, n_points)`` matrix of f_0 .. f_N at ``node`` plus its manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    array = np.stack([m.field.values for m in moments]).astype("<f8")
+    array = np.asarray(moments, dtype="<f8")
     checksum = _write_payload(out_dir / "moments.bin", array)
     record = {
         "format_version": FORMAT_VERSION,
@@ -260,9 +263,9 @@ def write_moment_set(
         "potential": dataset_manifest["potential"],
         "dataset_manifest": dataset_path,
         "dataset_checksum": dataset_manifest["checksum"],
-        "central_time": moments[0].time,
+        "central_time": central_time,
         "node": node,
-        "order_max": len(moments) - 1,
+        "order_max": len(array) - 1,
         "smoothing": None if smoothing is None else {"window": smoothing[0], "degree": smoothing[1]},
         "data_path": "moments.bin",
         "layout": "order_major_rows",
@@ -276,6 +279,7 @@ def write_moment_set(
 
 
 def read_moment_set(path: Path) -> dict:
+    """Load and verify a moment set; ``"moments"`` is the ``(N+1, n_points)`` matrix."""
     path = Path(path)
     m = _checked_manifest(
         path,
@@ -302,11 +306,7 @@ def read_moment_set(path: Path) -> dict:
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path} has a malformed entry: {exc}") from exc
     shape = (order_max + 1, grid.n_points)
-    array = _read_payload(path, m["data_path"], m["checksum"], "f8", shape)
-    moments = [
-        MomentField(order=n, time_node=node, time=time, field=GridField(grid, row))
-        for n, row in enumerate(array)
-    ]
+    moments = _read_payload(path, m["data_path"], m["checksum"], "f8", shape)
     return {
         "manifest": m,
         "grid": grid,
@@ -449,10 +449,9 @@ def cmd_reconstruct(args) -> int:
         order_max=args.order,
         smoothing=smoothing,
     )
-    moments = [pyramid.moment(n, node) for n in range(args.order + 1)]
     path = write_moment_set(
-        Path(args.out), data["manifest"], moments, node, smoothing,
-        dataset_path=str(args.dataset),
+        Path(args.out), data["manifest"], [level[node] for level in pyramid.levels],
+        float(nodes.t_0 + node * nodes.dt), node, smoothing, dataset_path=str(args.dataset),
     )
     print(path)
     return 0
@@ -529,25 +528,28 @@ def _resolve_reference(args, mset: dict, y: np.ndarray):
 def cmd_assemble_compare(args, with_reference: bool) -> int:
     mset = read_moment_set(Path(args.moments))
     y = offdiagonal_lattice(args.y_max, args.n_y)
-    rec = assemble(mset["moments"], y, mset["constants"].hbar)
+    rec = assemble(GridField(mset["grid"], mset["moments"]), y, mset["constants"].hbar)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"N{rec.order_max}"
     _emit_density_grid(out_dir, tag, rec)
 
+    report = None
+    if with_reference:
+        reference = _resolve_reference(args, mset, rec.y)
+        region = (args.region_x, args.region_y)
+        report = compare(rec.values, reference, region=region, f0=rec.moments[0].field)
+        _dump_json(out_dir / f"report_{tag}.json", report.as_dict())
+    hermiticity = rec.values.hermiticity_defect() if report is None else report.hermiticity_defect
     lines = [
         f"order_max        {rec.order_max}",
         f"x grid           [{rec.values.x_grid.x_min}, {rec.values.x_grid.x_max}] "
         f"x {rec.values.x_grid.n_points}",
         f"y lattice        [-{args.y_max}, {args.y_max}] x {args.n_y}",
         f"trust radius     {rec.trust_radius:.6g}",
-        f"hermiticity      {rec.values.hermiticity_defect():.3e}",
+        f"hermiticity      {hermiticity:.3e}",
     ]
-    if with_reference:
-        reference = _resolve_reference(args, mset, rec.y)
-        region = (args.region_x, args.region_y)
-        report = compare(rec.values, reference, region=region, f0=rec.moments[0].field)
-        _dump_json(out_dir / f"report_{tag}.json", report.as_dict())
+    if report is not None:
         lines += [
             f"reference        {args.reference}",
             f"region           |x| <= {args.region_x}, |y| <= {args.region_y}",
@@ -577,16 +579,10 @@ def cmd_demo_cat(args) -> int:
     y = offdiagonal_lattice(args.y_max, args.n_y)
 
     x = grid.points
-    n_max = max(orders)
-    moments = [
-        MomentField(
-            order=n,
-            time_node=0,
-            time=0.0,
-            field=GridField(grid, cat_state_moment(params, n, x, hbar=constants.hbar)),
-        )
-        for n in range(n_max + 1)
-    ]
+    # row n holds f_n; each order assembles the rows up to it
+    moments = np.array(
+        [cat_state_moment(params, n, x, hbar=constants.hbar) for n in range(orders[-1] + 1)]
+    )
     region = np.ix_(np.abs(x) <= 3.0, np.abs(y) <= 1.5)
     exact = cat_state_density_matrix(params, grid, y).values.real[region]
 
@@ -595,7 +591,7 @@ def cmd_demo_cat(args) -> int:
 
     results = []
     for order in orders:
-        rec = assemble(moments[: order + 1], y, constants.hbar)
+        rec = assemble(GridField(grid, moments[: order + 1]), y, constants.hbar)
         err = np.abs(rec.values.values.real[region] - exact)  # cropped first
         _emit_density_grid(out_dir, f"N{order}", rec)
         results.append((order, float(err.max()), rec.trust_radius))

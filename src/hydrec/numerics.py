@@ -153,13 +153,15 @@ class TimeNodes:
 
 @dataclass(frozen=True)
 class GridField:
-    """Real scalar field sampled on a :class:`SpatialGrid`."""
+    """Real fields on one :class:`SpatialGrid`: ``values`` is ``(..., n_points)``, one per row."""
 
     grid: SpatialGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = _read_only_array(self.values, float, (self.grid.n_points,), finite=True)
+        values = _read_only_array(self.values, float, finite=True)
+        if values.shape[-1:] != (self.grid.n_points,):
+            raise ValueError(f"array of shape {values.shape} does not lie on {self.grid}")
         object.__setattr__(self, "values", values)
 
 

@@ -13,9 +13,11 @@ therefore consumes ``N + 1`` time samples; requesting more is rejected.
 
 Every moment is computed at all nodes so that repeated application of the
 same differentiation matrix realizes the nested time derivatives; the central
-node, where differentiation is most accurate, is the reported slice.  All
-arithmetic is real: the even powers of (hbar / 2i) are the real numbers
-(-1)^k (hbar/2)^(2k).
+node, where differentiation is most accurate, is the reported slice:
+:meth:`MomentPyramid.central_slice` gives f_0 .. f_N there as one
+``(N+1, n_points)`` :class:`~hydrec.numerics.GridField`, the matrix that
+:func:`~hydrec.assembly.assemble` takes.  All arithmetic is real: the even
+powers of (hbar / 2i) are the real numbers (-1)^k (hbar/2)^(2k).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .potentials import PotentialModel, check_mass, free_potential, potential_de
 
 __all__ = [
     "InsufficientTimeSamplesError",
-    "MomentField",
     "MomentPyramid",
     "build_pyramid",
     "reconstruct_current",
@@ -49,20 +50,6 @@ __all__ = [
 
 class InsufficientTimeSamplesError(ValueError):
     """Raised when an order-N reconstruction has fewer than N+1 time samples."""
-
-
-@dataclass(frozen=True)
-class MomentField:
-    """A single moment f_n(x) at one time node."""
-
-    order: int
-    time_node: int
-    time: float
-    field: GridField
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("moment order must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -82,25 +69,10 @@ class MomentPyramid:
     def order_max(self) -> int:
         return len(self.levels) - 1
 
-    @property
-    def central_time(self) -> float:
-        return self.nodes.central_time
-
-    def moment(self, order: int, node: int | None = None) -> MomentField:
-        """f_n at one node (central by default)."""
-        if node is None:
-            node = self.nodes.central_index
-        values = self.levels[order][node]
-        return MomentField(
-            order=order,
-            time_node=node,
-            time=float(self.nodes.t_0 + node * self.nodes.dt),
-            field=GridField(self.grid, values),
-        )
-
-    def central_slice(self) -> list[MomentField]:
-        """All orders at the central node."""
-        return [self.moment(n) for n in range(self.order_max + 1)]
+    def central_slice(self) -> GridField:
+        """All orders at the central node, as one ``(N+1, n_points)`` field."""
+        c = self.nodes.central_index
+        return GridField(self.grid, [level[c] for level in self.levels])
 
 
 def _as_record_matrix(f0_records, grid: SpatialGrid, nodes: TimeNodes) -> np.ndarray:
@@ -204,11 +176,11 @@ def reconstruct_current(
     nodes: TimeNodes,
     constants: PhysicalConstants,
     node: int | None = None,
-) -> MomentField:
+) -> GridField:
     """Probability-current moment f_1 from densities alone.
 
     The order-0 recursion step is potential-independent: f_1 is ``-mass``
     times the time derivative of the cumulative position probability.
     """
     pyramid = build_pyramid(f0_records, grid, nodes, free_potential(), constants, order_max=1)
-    return pyramid.moment(1, node)
+    return GridField(grid, pyramid.levels[1][nodes.central_index if node is None else node])

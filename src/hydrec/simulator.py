@@ -392,7 +392,8 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
         )
 
     shifts = np.rint(y / dx).astype(int)
-    if np.allclose(y / dx, shifts, rtol=0.0, atol=1e-9):
+    # a lattice within rounding of y = 0 has no whole-step stride: it is interpolated
+    if shifts[1] != shifts[0] and np.allclose(y / dx, shifts, rtol=0.0, atol=1e-9):
         # windows[i, k] is padded[i + k], so column j below is amp shifted by shifts[j]
         reach = int(shifts[-1])  # the shifts run from -reach to reach
         padded = np.zeros(n + 2 * reach, dtype=complex)

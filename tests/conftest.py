@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hydrec.assembly import TaylorReconstruction, assemble
 from hydrec.numerics import PhysicalConstants
 from hydrec.simulator import GridCoverageWarning, probability_density, propagate
 
@@ -81,6 +82,46 @@ def derivative_stencil(offsets: np.ndarray, order: int) -> np.ndarray:
     powers = s[None, :] ** np.arange(s.size)[:, None]
     factorials = np.cumprod(np.concatenate(([1.0], np.arange(1.0, s.size))))
     return np.linalg.solve(powers / factorials[:, None], rhs)
+
+
+def real_imag_split(rec: TaylorReconstruction) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the even-order (real) and odd-order (imaginary) sums separately.
+
+    Returns the two real arrays whose combination ``real + 1j * imag``
+    reproduces the assembled values to machine precision.
+    """
+    y = rec.y
+    hbar = rec.hbar
+    grid_n = rec.values.x_grid.n_points
+    real_part = np.zeros((grid_n, y.size))
+    imag_part = np.zeros((grid_n, y.size))
+    u = 2.0 * y / hbar
+    z = np.ones(y.size)
+    for n, moment in enumerate(rec.moments):
+        if n > 0:
+            z = z * u / n
+        sign = (-1.0) ** (n // 2)
+        target = real_part if n % 2 == 0 else imag_part
+        target += sign * np.outer(moment.field.values, z)
+    return real_part, imag_part
+
+
+def hbar_rescaling_check(
+    moments, y: np.ndarray, hbar: float, scale: float, tolerance: float = 1e-12
+) -> bool:
+    """Verify that changing hbar only rescales the off-diagonal variable.
+
+    Assembling with ``(y, hbar)`` and with ``(scale * y, scale * hbar)`` must
+    agree pointwise (index to index, the lattice point ``scale * y`` standing
+    for ``y``): the expansion depends on y and hbar through ``y / hbar`` only.
+    """
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    a = assemble(moments, y, hbar)
+    b = assemble(moments, scale * np.asarray(y, dtype=float), scale * hbar)
+    num = float(np.max(np.abs(a.values.values - b.values.values)))
+    den = float(np.max(np.abs(a.values.values)))
+    return num <= tolerance * den
 
 
 def cat_momentum_resolution_ok(params, constants, dy: float) -> bool:

@@ -14,8 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cat_momentum_resolution_ok, derivative_stencil, propagate_through_nodes
-from hydrec.assembly import assemble, hbar_rescaling_check
+from conftest import (
+    cat_momentum_resolution_ok,
+    derivative_stencil,
+    hbar_rescaling_check,
+    propagate_through_nodes,
+)
+from hydrec.assembly import assemble
 from hydrec.cli import main, read_dataset
 from hydrec.numerics import (
     GridField,
@@ -27,7 +32,6 @@ from hydrec.numerics import (
 from hydrec.potentials import free_potential, harmonic_potential, quartic_potential
 from hydrec.reconstruction import (
     InsufficientTimeSamplesError,
-    MomentField,
     build_pyramid,
     reconstruct_current,
 )
@@ -267,7 +271,7 @@ def continuity_ratio(records, grid, nodes, node):
     stacked = np.stack([r.values for r in records])
     density_rate = (d @ stacked)[node]
     current = reconstruct_current(records, grid, nodes, C, node=node)
-    divergence = np.gradient(current.field.values, grid.dx)
+    divergence = np.gradient(current.values, grid.dx)
     residual = density_rate + divergence / C.mass
     return float(np.linalg.norm(residual) / np.linalg.norm(density_rate))
 
@@ -332,33 +336,28 @@ def test_criterion_5_structural_invariants():
     # (b) diagonal exactness and (c) Hermiticity of the assembled polynomial
     demo_grid = SpatialGrid(-6.0, 6.0, 481)
     y = offdiagonal_lattice(1.5, 201)
-    moments = [
-        MomentField(order=n, time_node=0, time=0.0,
-                    field=GridField(demo_grid, cat_state_moment(CAT, n, demo_grid.points)))
-        for n in range(37)
-    ]
+    moments = GridField(
+        demo_grid, [cat_state_moment(CAT, n, demo_grid.points) for n in range(37)]
+    )
     rec = assemble(moments, y, C.hbar)
     j0 = y.size // 2
-    diag_ok = np.array_equal(rec.values.values[:, j0].real, moments[0].field.values) and np.all(
+    diag_ok = np.array_equal(rec.values.values[:, j0].real, moments.values[0]) and np.all(
         rec.values.values[:, j0].imag == 0.0
     )
     herm = rec.values.hermiticity_defect()
     herm_ok = herm < 1e-12
 
     # (d) changing hbar only rescales the off-diagonal variable
+    low = GridField(demo_grid, moments.values[:11])
     resc_ok = all(
-        hbar_rescaling_check(moments[:11], y, C.hbar, c, tolerance=1e-12)
-        for c in (2.0, 0.5)
+        hbar_rescaling_check(low, y, C.hbar, c, tolerance=1e-12) for c in (2.0, 0.5)
     )
 
     # (e) moments return through off-diagonal derivatives of the polynomial
     fine = SpatialGrid(-6.0, 6.0, 241)
-    boosted = [
-        MomentField(order=n, time_node=0, time=0.0,
-                    field=GridField(fine, gaussian_packet_moment(
-                        n, fine.points, 0.8, momentum=1.2, hbar=C.hbar)))
-        for n in range(13)
-    ]
+    boosted = GridField(fine, [
+        gaussian_packet_moment(n, fine.points, 0.8, momentum=1.2, hbar=C.hbar) for n in range(13)
+    ])
     y_fine = offdiagonal_lattice(1.5, 301)
     dy = y_fine[1] - y_fine[0]
     rec_b = assemble(boosted, y_fine, C.hbar)
@@ -371,7 +370,7 @@ def test_criterion_5_structural_invariants():
         deriv = rec_b.values.values[:, j0_f - half : j0_f + half + 1] @ wts
         recovered = np.real((C.hbar / 2j) ** n * deriv)
         roundtrip_worst = max(
-            roundtrip_worst, rel_l2(recovered, boosted[n].field.values, central)
+            roundtrip_worst, rel_l2(recovered, boosted.values[n], central)
         )
     roundtrip_ok = roundtrip_worst < 1e-6
 

@@ -21,7 +21,8 @@ from hydrec.cli import (
 )
 from hydrec.numerics import DecayAssumptionWarning
 from hydrec.potentials import x_coefficients
-from hydrec.simulator import GridCoverageWarning
+from hydrec.reconstruction import build_pyramid
+from hydrec.simulator import DensityMatrixGrid, GridCoverageWarning
 
 
 def run(*argv):
@@ -119,6 +120,24 @@ def test_reconstruct_writes_moment_set(tmp_path):
     assert mset["manifest"]["node"] == 1
 
 
+def test_moment_set_holds_the_pyramid_rows_at_its_node(tmp_path):
+    # the benchmark checks len(read_moment_set(path)["moments"]) == N + 1
+    ds = tmp_path / "ds"
+    run(*small_dataset_args(ds))
+    out = tmp_path / "moments"
+    assert run("reconstruct", ds / "dataset.json", "--order", "2", "--node", "2", "--out", out) == 0
+    mset = read_moment_set(out / "moments.json")
+    data = read_dataset(ds / "dataset.json")
+    nodes = data["nodes"]
+    pyramid = build_pyramid(
+        data["records"], data["grid"], nodes, data["model"], data["constants"], order_max=2
+    )
+    assert len(mset["moments"]) == 3
+    assert mset["moments"].shape == (3, 256)
+    assert mset["moments"].tobytes() == np.stack([level[2] for level in pyramid.levels]).tobytes()
+    assert mset["manifest"]["central_time"] == nodes.t_0 + 2 * nodes.dt
+
+
 def test_reconstruct_order_zero_is_central_record(tmp_path):
     ds = tmp_path / "ds"
     run(*small_dataset_args(ds))
@@ -126,7 +145,7 @@ def test_reconstruct_order_zero_is_central_record(tmp_path):
     assert run("reconstruct", ds / "dataset.json", "--order", "0", "--out", out) == 0
     mset = read_moment_set(out / "moments.json")
     data = read_dataset(ds / "dataset.json")
-    assert np.array_equal(mset["moments"][0].field.values, data["records"][1])
+    assert np.array_equal(mset["moments"][0], data["records"][1])
 
 
 def test_reconstruct_insufficient_samples_exits_3(tmp_path, capsys):
@@ -175,7 +194,7 @@ def test_assemble_emits_grid_files(tmp_path):
     assert header["checksum"] == payload_checksum(raw)
     values = np.frombuffer(raw, dtype="<c16").reshape(256, 41)
     mset = read_moment_set(mdir / "moments.json")
-    assert np.array_equal(values[:, 20].real, mset["moments"][0].field.values)
+    assert np.array_equal(values[:, 20].real, mset["moments"][0])
     lines = (out / "rho_N2.dat").read_text().splitlines()
     assert lines[0] == "# x y re im"
     assert len(lines) == 1 + 256 * 41
@@ -230,6 +249,34 @@ def test_compare_stored_psi_reference(tmp_path):
     assert report["sup_error"] < 0.05
     assert report["diagonal_mismatch"] == 0.0
     assert report["hermiticity_defect"] < 1e-12
+
+
+def test_compare_sweeps_the_hermiticity_defect_once(tmp_path, monkeypatch):
+    ds = tmp_path / "ds"
+    assert run(*small_dataset_args(ds), "--store-psi") == 0
+    mdir = tmp_path / "m"
+    assert run("reconstruct", ds / "dataset.json", "--order", "2", "--out", mdir) == 0
+    calls = []
+    defect = DensityMatrixGrid.hermiticity_defect
+
+    def counting(grid):
+        calls.append(grid)
+        return defect(grid)
+
+    monkeypatch.setattr(DensityMatrixGrid, "hermiticity_defect", counting)
+    out = tmp_path / "cmp"
+    with pytest.warns(GridCoverageWarning, match="not commensurate"):
+        assert run(
+            "compare", mdir / "moments.json", "--reference", "stored-psi",
+            "--dataset", ds / "dataset.json", "--n-y", "21", "--out", out,
+        ) == 0
+    assert len(calls) == 1
+    report = json.loads((out / "report_N2.json").read_text())
+    summary = (out / "summary_N2.txt").read_text().splitlines()
+    assert f"hermiticity      {report['hermiticity_defect']:.3e}" in summary
+    calls.clear()
+    assert run("assemble", mdir / "moments.json", "--n-y", "21", "--out", tmp_path / "rho") == 0
+    assert len(calls) == 1
 
 
 def test_compare_analytic_cat_reference(tmp_path):
@@ -478,8 +525,7 @@ def test_moment_file_round_trip_is_bit_exact(tmp_path):
     run("reconstruct", ds / "dataset.json", "--order", "2", "--out", mdir)
     first = read_moment_set(mdir / "moments.json")
     second = read_moment_set(mdir / "moments.json")
-    for a, b in zip(first["moments"], second["moments"]):
-        assert np.array_equal(a.field.values, b.field.values)
+    assert np.array_equal(first["moments"], second["moments"])
 
 
 # ---------------------------------------------------------------------------

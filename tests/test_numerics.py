@@ -51,6 +51,23 @@ def test_grid_field_checks():
         f.values[0] = 2.0  # read-only
 
 
+def test_grid_field_takes_a_leading_axis():
+    # one field per row, as assemble takes the moments f_0 .. f_N
+    g = SpatialGrid(0.0, 1.0, 16)
+    rows = np.arange(48.0).reshape(3, 16)
+    f = GridField(g, rows)
+    assert f.values.shape == (3, 16) and np.array_equal(f.values, rows)
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[1, 0] = 2.0
+    for values in (np.ones((3, 17)), np.array(1.0)):
+        with pytest.raises(ValueError, match="does not lie on"):
+            GridField(g, values)
+    bad = rows.copy()
+    bad[2, 5] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        GridField(g, bad)
+
+
 def test_constants_validation():
     with pytest.raises(ValueError):
         PhysicalConstants(hbar=-1.0)

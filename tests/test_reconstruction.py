@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hydrec.reconstruction as reconstruction_module
+from conftest import propagate_through_nodes
 from hydrec.assembly import assemble
 from hydrec.numerics import (
     DecayAssumptionWarning,
@@ -30,27 +31,10 @@ from hydrec.simulator import (
     gaussian_packet_moment,
     offdiagonal_lattice,
     oracle_moment_set,
-    probability_density,
     propagate,
 )
 
 CONSTANTS = PhysicalConstants()
-
-
-def simulate_records(psi0, model, nodes, substeps=20):
-    """Propagate node to node (through t=0 first) and collect densities."""
-    psi = psi0
-    if nodes.t_0 != 0.0:
-        n0 = max(8, int(np.ceil(abs(nodes.t_0) / (abs(nodes.dt) / substeps))))
-        psi = propagate(psi, model, CONSTANTS, nodes.t_0 / n0, n0, t_start=0.0)
-    records, psis = [probability_density(psi)], [psi]
-    for j in range(nodes.m):
-        psi = propagate(
-            psi, model, CONSTANTS, nodes.dt / substeps, substeps, t_start=nodes.t_0 + j * nodes.dt
-        )
-        records.append(probability_density(psi))
-        psis.append(psi)
-    return records, psis
 
 
 def test_rejects_insufficient_time_samples():
@@ -77,9 +61,9 @@ def test_order_zero_is_passthrough():
     records = [GridField(grid, r) for r in rows]
     pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=0)
     assert pyramid.order_max == 0
-    central = pyramid.moment(0)
-    assert central.time_node == 1
-    assert np.array_equal(central.field.values, rows[1])
+    central = pyramid.central_slice()
+    assert central.values.shape == (1, 64)
+    assert np.array_equal(central.values[0], rows[1])
 
 
 def test_current_vanishes_at_free_gaussian_waist():
@@ -87,11 +71,11 @@ def test_current_vanishes_at_free_gaussian_waist():
     grid = SpatialGrid(-12.0, 12.0, 1024)
     nodes = TimeNodes(-0.01, 0.01, 3)  # central node exactly at t = 0
     psi0 = gaussian_packet(grid, 1.0)
-    records, _ = simulate_records(psi0, free_potential(), nodes)
+    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
     f1 = reconstruct_current(records, grid, nodes, CONSTANTS)
     f0_scale = np.max(records[1].values)
     momentum_scale = CONSTANTS.hbar / 1.0  # width-limited momentum spread
-    assert np.max(np.abs(f1.field.values)) < 1e-9 * f0_scale * momentum_scale
+    assert np.max(np.abs(f1.values)) < 1e-9 * f0_scale * momentum_scale
 
 
 def test_current_vanishes_for_stationary_state():
@@ -100,9 +84,9 @@ def test_current_vanishes_for_stationary_state():
     sigma = np.sqrt(CONSTANTS.hbar / (2.0 * CONSTANTS.mass * omega))
     psi0 = gaussian_packet(grid, sigma)  # harmonic ground state
     nodes = TimeNodes(0.0, 0.02, 3)
-    records, _ = simulate_records(psi0, harmonic_potential(omega), nodes)
+    records, _ = propagate_through_nodes(psi0, harmonic_potential(omega), nodes, substeps=20)
     f1 = reconstruct_current(records, grid, nodes, CONSTANTS)
-    assert np.max(np.abs(f1.field.values)) < 1e-8 * np.max(records[0].values)
+    assert np.max(np.abs(f1.values)) < 1e-8 * np.max(records[0].values)
 
 
 def test_current_of_boosted_packet():
@@ -111,10 +95,10 @@ def test_current_of_boosted_packet():
     k0 = 1.5
     psi0 = gaussian_packet(grid, 1.0, momentum=k0 * CONSTANTS.hbar)
     nodes = TimeNodes(-0.005, 0.005, 3)
-    records, _ = simulate_records(psi0, free_potential(), nodes)
+    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
     f1 = reconstruct_current(records, grid, nodes, CONSTANTS)
     expected = CONSTANTS.hbar * k0 * records[1].values
-    rel = np.linalg.norm(f1.field.values - expected) / np.linalg.norm(expected)
+    rel = np.linalg.norm(f1.values - expected) / np.linalg.norm(expected)
     assert rel < 1e-4
 
 
@@ -122,18 +106,18 @@ def test_time_reversed_records_flip_current_sign():
     grid = SpatialGrid(-14.0, 14.0, 1024)
     psi0 = gaussian_packet(grid, 1.0, momentum=1.0)
     nodes = TimeNodes(0.0, 0.01, 5)
-    records, _ = simulate_records(psi0, free_potential(), nodes)
+    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
     forward = reconstruct_current(records, grid, nodes, CONSTANTS)
     backward = reconstruct_current(records[::-1], grid, nodes, CONSTANTS)
-    scale = np.max(np.abs(forward.field.values))
-    assert np.max(np.abs(backward.field.values + forward.field.values)) < 1e-12 * scale
+    scale = np.max(np.abs(forward.values))
+    assert np.max(np.abs(backward.values + forward.values)) < 1e-12 * scale
 
 
 def test_free_model_equals_zero_frequency_harmonic_bitwise():
     grid = SpatialGrid(-12.0, 12.0, 512)
     psi0 = gaussian_packet(grid, 1.0, momentum=0.8)
     nodes = TimeNodes(0.0, 0.01, 5)
-    records, _ = simulate_records(psi0, free_potential(), nodes)
+    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
     # the top levels carry an amplified rounding residue at the grid edges
     with pytest.warns(DecayAssumptionWarning):
         a = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=4)
@@ -149,8 +133,12 @@ def test_pyramid_is_linear_in_the_state():
     grid = SpatialGrid(-14.0, 14.0, 1024)
     nodes = TimeNodes(0.0, 0.01, 4)
     model = harmonic_potential(omega=1.0)
-    rec_a, _ = simulate_records(gaussian_packet(grid, 1.0, center=0.6), model, nodes)
-    rec_b, _ = simulate_records(gaussian_packet(grid, 0.7, center=-0.9), model, nodes)
+    rec_a, _ = propagate_through_nodes(
+        gaussian_packet(grid, 1.0, center=0.6), model, nodes, substeps=20
+    )
+    rec_b, _ = propagate_through_nodes(
+        gaussian_packet(grid, 0.7, center=-0.9), model, nodes, substeps=20
+    )
     mixed = [GridField(grid, a.values + b.values) for a, b in zip(rec_a, rec_b)]
     with pytest.warns(DecayAssumptionWarning):  # edge residue, see below
         pa = build_pyramid(rec_a, grid, nodes, model, CONSTANTS, order_max=3)
@@ -213,9 +201,9 @@ def test_harmonic_coherent_first_moment_against_oracle():
     psi0 = gaussian_packet(grid, sigma, center=1.0)
     dt = 2.0 * np.pi / omega / 200.0
     nodes = TimeNodes(0.3 - 2 * dt, dt, 5)
-    records, psis = simulate_records(psi0, model, nodes)
+    records, psis = propagate_through_nodes(psi0, model, nodes, substeps=20)
     pyramid = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=1)
-    f1 = pyramid.moment(1).field.values
+    f1 = pyramid.levels[1][nodes.central_index]
     oracle = oracle_moment_set(psis[nodes.central_index], [1], CONSTANTS)[0].values
     rel = np.linalg.norm(f1 - oracle) / np.linalg.norm(oracle)
     assert rel < 1e-2
@@ -252,7 +240,9 @@ def test_time_dependent_trap_pipeline():
     model = paul_trap_potential(a=1.0, b=0.4, big_omega=3.0)
     grid = SpatialGrid(-14.0, 14.0, 1024)
     nodes = TimeNodes(0.05, 0.01, 3)
-    records, psis = simulate_records(gaussian_packet(grid, 0.8, center=0.7), model, nodes)
+    records, psis = propagate_through_nodes(
+        gaussian_packet(grid, 0.8, center=0.7), model, nodes, substeps=20
+    )
     pyramid = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=2)
     oracles = oracle_moment_set(psis[1], range(3), CONSTANTS)
     for n in (1, 2):
@@ -266,7 +256,9 @@ def test_levels_stay_real():
     grid = SpatialGrid(-12.0, 12.0, 512)
     nodes = TimeNodes(0.0, 0.01, 4)
     model = harmonic_potential(omega=1.0)
-    records, _ = simulate_records(gaussian_packet(grid, 1.0, center=0.5), model, nodes)
+    records, _ = propagate_through_nodes(
+        gaussian_packet(grid, 1.0, center=0.5), model, nodes, substeps=20
+    )
     with pytest.warns(DecayAssumptionWarning):  # edge residue of the top levels
         pyramid = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
     for level in pyramid.levels:
@@ -279,9 +271,9 @@ def test_moment_units_sanity_second_moment_positive_mass_density():
     grid = SpatialGrid(-14.0, 14.0, 1024)
     psi0 = gaussian_packet(grid, 1.0, momentum=1.0)
     nodes = TimeNodes(-0.01, 0.01, 3)
-    records, _ = simulate_records(psi0, free_potential(), nodes)
+    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
     pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=2)
-    f2 = pyramid.moment(2).field.values
+    f2 = pyramid.levels[2][nodes.central_index]
     analytic = gaussian_packet_moment(2, grid.points, 1.0, momentum=1.0)
     rel = np.linalg.norm(f2 - analytic) / np.linalg.norm(analytic)
     assert rel < 1e-3
@@ -298,6 +290,25 @@ def test_pyramid_levels_and_term_peaks_are_read_only():
     rec = assemble(pyramid.central_slice(), offdiagonal_lattice(0.5, 11), CONSTANTS.hbar)
     with pytest.raises(ValueError, match="read-only"):
         rec.term_peaks[0] = 1.0
+
+
+def test_central_slice_and_the_assembled_f0_are_the_central_pyramid_rows_bitwise():
+    # the benchmark assembles pyramid.central_slice() and reads rec.moments[0].field as f_0
+    grid = SpatialGrid(-8.0, 8.0, 64)
+    nodes = TimeNodes(0.0, 0.01, 5)
+    records = [np.exp(-((grid.points - 0.1 * j) ** 2)) for j in range(5)]
+    pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=2)
+    c = nodes.central_index
+    moments = pyramid.central_slice()
+    assert moments.grid == grid and moments.values.shape == (3, 64)
+    for n, level in enumerate(pyramid.levels):
+        assert moments.values[n].tobytes() == level[c].tobytes()
+    rec = assemble(moments, offdiagonal_lattice(0.5, 11), CONSTANTS.hbar)
+    assert [m.order for m in rec.moments] == [0, 1, 2]
+    assert rec.moments[0].field.values.tobytes() == pyramid.levels[0][c].tobytes()
+    current = reconstruct_current(records, grid, nodes, CONSTANTS)
+    assert current.grid == grid
+    assert current.values.tobytes() == pyramid.levels[1][c].tobytes()
 
 
 @pytest.mark.parametrize(

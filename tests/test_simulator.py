@@ -119,6 +119,17 @@ def test_density_matrix_incommensurate_lattice_interpolates(cat_psi):
     assert np.max(np.abs(rho.values - closed.values)) < 1e-4  # linear interp accuracy
 
 
+def test_a_lattice_within_rounding_of_zero_is_interpolated():
+    # every shift rounds to 0 grid steps, so there is no whole-step stride to gather with
+    grid = SpatialGrid(-5.0, 5.0, 101)
+    psi = gaussian_packet(grid, 0.5)
+    with pytest.warns(GridCoverageWarning, match="not commensurate"):
+        rho = exact_density_matrix(psi, y=np.array([-1e-12, 0.0, 1e-12]))
+    density = np.abs(psi.amplitudes[:, None]) ** 2
+    assert rho.values.shape == (101, 3)
+    assert np.max(np.abs(rho.values - density)) <= 1e-10 * np.max(density)
+
+
 def test_propagate_zero_steps_is_identity(cat_psi):
     out = propagate(cat_psi, free_potential(), CONSTANTS, dt=0.1, steps=0)
     assert out is cat_psi
