@@ -24,7 +24,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 2
+#: The manifest keys of each payload: its file name and its checksum.
+PAYLOAD_KEYS = {"data": ("data_path", "checksum"), "psi": ("psi_path", "psi_checksum")}
 #: Default internal propagation step; node intervals are subdivided to stay
 #: at or below this.
 MAX_INTERNAL_STEP = 1e-3
@@ -98,23 +100,6 @@ def _load_json(path: Path) -> dict:
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _checked_manifest(path: Path, kind: str, layout: str, required: tuple[str, ...]) -> dict:
-    """Load a manifest and check its kind, format version, layout and keys."""
-    m = _load_json(path)
-    if not isinstance(m, dict) or m.get("kind") != kind:
-        raise DataFormatError(f"{path} is not a {kind} manifest")
-    version = m.get("format_version")
-    if not _is_number(version, integer=True) or version != FORMAT_VERSION:
-        found = "no format_version" if version is None else f"format_version {version!r}"
-        raise DataFormatError(f"{path} has {found}; this hydrec reads {FORMAT_VERSION}")
-    if m.get("layout") != layout:
-        raise DataFormatError(f"{path} has unsupported layout {m.get('layout')!r}")
-    missing = [key for key in required if key not in m]
-    if missing:
-        raise DataFormatError(f"{path} lacks required key(s) {', '.join(missing)}")
-    return m
 
 
 def _entry(cls, entry):
@@ -160,6 +145,66 @@ def _read_payload(manifest_path: Path, name, checksum, dtype, shape) -> np.ndarr
     return array
 
 
+def _write_artifact(path: Path, kind: str, layout: str, payloads: dict, **entries) -> Path:
+    """Write each payload beside the manifest ``path``, then the manifest.
+
+    ``payloads`` maps ``"data"`` (and ``"psi"``) to a file name and an array
+    of the stored dtype; a dataclass entry (grid, times, constants) is written
+    as its fields.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    manifest = {"format_version": FORMAT_VERSION, "kind": kind, "layout": layout}
+    manifest.update({k: asdict(v) if is_dataclass(v) else v for k, v in entries.items()})
+    for payload, (name, array) in payloads.items():
+        path_key, checksum_key = PAYLOAD_KEYS[payload]
+        manifest[path_key] = name
+        manifest[checksum_key] = _write_payload(path.parent / name, array)
+    _dump_json(path, manifest)
+    return path
+
+
+def _read_artifact(path: Path, kind: str, layout: str, keys, parse, payloads: dict) -> dict:
+    """Load and verify a manifest, its typed entries and its payloads.
+
+    The manifest must have this ``kind``, format version and ``layout``, and
+    hold ``grid``, ``constants``, ``keys`` and the ``"data"`` payload's keys.
+    ``grid`` and ``constants`` are typed here; ``parse(m)`` types the rest and
+    gives the payloads' row count (a row spans the grid).  A KeyError,
+    TypeError or ValueError it raises reports a malformed entry.  ``payloads``
+    maps ``"data"`` (and ``"psi"``, read when the manifest names one) to the
+    result key and the dtype.
+    """
+    m = _load_json(path)
+    if not isinstance(m, dict) or m.get("kind") != kind:
+        raise DataFormatError(f"{path} is not a {kind} manifest")
+    version = m.get("format_version")
+    if not _is_number(version, integer=True) or version != FORMAT_VERSION:
+        found = "no format_version" if version is None else f"format_version {version!r}"
+        raise DataFormatError(f"{path} has {found}; this hydrec reads {FORMAT_VERSION}")
+    if m.get("layout") != layout:
+        raise DataFormatError(f"{path} has unsupported layout {m.get('layout')!r}")
+    missing = [k for k in ("constants", "grid", *keys, *PAYLOAD_KEYS["data"]) if k not in m]
+    if missing:
+        raise DataFormatError(f"{path} lacks required key(s) {', '.join(missing)}")
+    for payload in payloads:
+        path_key, checksum_key = PAYLOAD_KEYS[payload]
+        if path_key in m and checksum_key not in m:
+            raise DataFormatError(f"{path} lacks required key(s) {checksum_key}")
+    try:
+        grid = _entry(SpatialGrid, m["grid"])
+        constants = _entry(PhysicalConstants, m["constants"])
+        typed, rows = parse(m)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path} has a malformed entry: {exc}") from exc
+    out = {"manifest": m, "grid": grid, "constants": constants, **typed}
+    for payload, (key, dtype) in payloads.items():
+        path_key, checksum_key = PAYLOAD_KEYS[payload]
+        if path_key in m:
+            shape = (rows, grid.n_points)
+            out[key] = _read_payload(path, m[path_key], m[checksum_key], dtype, shape)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dataset manifests
 # ---------------------------------------------------------------------------
@@ -177,64 +222,34 @@ def write_dataset(
     psis: np.ndarray | None = None,
 ) -> Path:
     """Write f0 records (and optionally wavefunctions) plus their manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = np.asarray(records, dtype="<f8")
     if records.shape != (nodes.m_plus_1, grid.n_points):
         raise ValueError("records shape must be (m+1, n_points)")
-    checksum = _write_payload(out_dir / "f0.bin", records)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "hydrec-dataset",
-        "constants": {"hbar": constants.hbar, "mass": constants.mass},
-        "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points},
-        "times": {"t_0": nodes.t_0, "dt": nodes.dt, "m_plus_1": nodes.m_plus_1},
-        "potential": model_to_dict(model),
-        "state": state,
-        "data_path": "f0.bin",
-        "layout": "time_major_rows",
-        "checksum": checksum,
-        "provenance": provenance,
-    }
+    payloads = {"data": ("f0.bin", records)}
     if psis is not None:
-        psis = np.asarray(psis, dtype="<c16")
-        manifest["psi_path"] = "psi.bin"
-        manifest["psi_checksum"] = _write_payload(out_dir / "psi.bin", psis)
-    path = out_dir / "dataset.json"
-    _dump_json(path, manifest)
-    return path
+        payloads["psi"] = ("psi.bin", np.asarray(psis, dtype="<c16"))
+    return _write_artifact(
+        out_dir / "dataset.json", "hydrec-dataset", "time_major_rows", payloads,
+        constants=constants, grid=grid, times=nodes, potential=model_to_dict(model),
+        state=state, provenance=provenance,
+    )
 
 
 def read_dataset(manifest_path: Path) -> dict:
     """Load and verify a dataset; returns typed objects plus the raw manifest."""
-    manifest_path = Path(manifest_path)
-    m = _checked_manifest(
-        manifest_path,
+
+    def parse(m):
+        nodes = _entry(TimeNodes, m["times"])
+        return {"nodes": nodes, "model": model_from_dict(m["potential"])}, nodes.m_plus_1
+
+    return _read_artifact(
+        Path(manifest_path),
         "hydrec-dataset",
         "time_major_rows",
-        ("constants", "grid", "times", "potential", "data_path", "checksum"),
+        ("times", "potential"),
+        parse,
+        {"data": ("records", "f8"), "psi": ("psis", "c16")},
     )
-    if "psi_path" in m and "psi_checksum" not in m:
-        raise DataFormatError(f"{manifest_path} lacks required key(s) psi_checksum")
-    try:
-        grid = _entry(SpatialGrid, m["grid"])
-        nodes = _entry(TimeNodes, m["times"])
-        constants = _entry(PhysicalConstants, m["constants"])
-        model = model_from_dict(m["potential"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{manifest_path} has a malformed entry: {exc}") from exc
-    shape = (nodes.m_plus_1, grid.n_points)
-    records = _read_payload(manifest_path, m["data_path"], m["checksum"], "f8", shape)
-    out = {
-        "manifest": m,
-        "grid": grid,
-        "nodes": nodes,
-        "constants": constants,
-        "model": model,
-        "records": records,
-    }
-    if "psi_path" in m:
-        out["psis"] = _read_payload(manifest_path, m["psi_path"], m["psi_checksum"], "c16", shape)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,68 +267,51 @@ def write_moment_set(
     dataset_path: str = "",
 ) -> Path:
     """Write the ``(N+1, n_points)`` matrix of f_0 .. f_N at ``node`` plus its manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     array = np.asarray(moments, dtype="<f8")
-    checksum = _write_payload(out_dir / "moments.bin", array)
-    record = {
-        "format_version": FORMAT_VERSION,
-        "kind": "hydrec-moments",
-        "constants": dataset_manifest["constants"],
-        "grid": dataset_manifest["grid"],
-        "potential": dataset_manifest["potential"],
-        "dataset_manifest": dataset_path,
-        "dataset_checksum": dataset_manifest["checksum"],
-        "central_time": central_time,
-        "node": node,
-        "order_max": len(array) - 1,
-        "smoothing": None if smoothing is None else {"window": smoothing[0], "degree": smoothing[1]},
-        "data_path": "moments.bin",
-        "layout": "order_major_rows",
-        "checksum": checksum,
-    }
-    if "state" in dataset_manifest:
-        record["state"] = dataset_manifest["state"]
-    path = out_dir / "moments.json"
-    _dump_json(path, record)
-    return path
+    state = {"state": dataset_manifest["state"]} if "state" in dataset_manifest else {}
+    return _write_artifact(
+        out_dir / "moments.json", "hydrec-moments", "order_major_rows",
+        {"data": ("moments.bin", array)},
+        constants=dataset_manifest["constants"],
+        grid=dataset_manifest["grid"],
+        potential=dataset_manifest["potential"],
+        **state,
+        dataset_manifest=dataset_path,
+        dataset_checksum=dataset_manifest["checksum"],
+        central_time=central_time,
+        node=node,
+        order_max=len(array) - 1,
+        smoothing=None if smoothing is None else {"window": smoothing[0], "degree": smoothing[1]},
+    )
 
 
 def read_moment_set(path: Path) -> dict:
     """Load and verify a moment set; ``"moments"`` is the ``(N+1, n_points)`` matrix."""
-    path = Path(path)
-    m = _checked_manifest(
-        path,
-        "hydrec-moments",
-        "order_major_rows",
-        ("constants", "grid", "order_max", "node", "central_time", "data_path", "checksum"),
-    )
-    order_max, node, time = m["order_max"], m["node"], m["central_time"]
-    cat_state = None
-    try:
-        grid = _entry(SpatialGrid, m["grid"])
-        constants = _entry(PhysicalConstants, m["constants"])
+
+    def parse(m):
+        order_max, node, time = m["order_max"], m["node"], m["central_time"]
         for key, count in (("order_max", order_max), ("node", node)):
             if not _is_number(count, integer=True) or count < 0:
                 raise ValueError(f"{key} must be an integer >= 0, got {count!r}")
         if not (_is_number(time) and np.isfinite(time)):
             raise ValueError(f"central_time must be a finite number, got {time!r}")
+        cat_state = None
         if "state" in m:
             state = m["state"]
             if not (isinstance(state, dict) and isinstance(state.get("kind"), str)):
                 raise ValueError(f"state must be an object with a string kind, got {state!r}")
             if state["kind"] == "cat":
                 cat_state = _entry(CatStateParams, {k: v for k, v in state.items() if k != "kind"})
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path} has a malformed entry: {exc}") from exc
-    shape = (order_max + 1, grid.n_points)
-    moments = _read_payload(path, m["data_path"], m["checksum"], "f8", shape)
-    return {
-        "manifest": m,
-        "grid": grid,
-        "constants": constants,
-        "moments": moments,
-        "cat_state": cat_state,
-    }
+        return {"cat_state": cat_state}, order_max + 1
+
+    return _read_artifact(
+        Path(path),
+        "hydrec-moments",
+        "order_major_rows",
+        ("order_max", "node", "central_time"),
+        parse,
+        {"data": ("moments", "f8")},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +459,14 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
     grid = rec.values.x_grid
     y = rec.values.y
     vals = rec.values.values.astype("<c16", copy=False)
-    checksum = _write_payload(out_dir / f"rho_{tag}.bin", vals)
-    _dump_json(
-        out_dir / f"rho_{tag}.json",
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "hydrec-density-grid",
-            "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points},
-            "y": {"y_max": float(np.max(np.abs(y))), "n_points": int(y.size)},
-            "order_max": rec.order_max,
-            "hbar": rec.hbar,
-            "data_path": f"rho_{tag}.bin",
-            "layout": "x_major_rows_complex128",
-            "checksum": checksum,
-            "trust_radius": rec.trust_radius,
-        },
+    _write_artifact(
+        out_dir / f"rho_{tag}.json", "hydrec-density-grid", "x_major_rows_complex128",
+        {"data": (f"rho_{tag}.bin", vals)},
+        grid=grid,
+        y={"y_max": float(np.max(np.abs(y))), "n_points": int(y.size)},
+        order_max=rec.order_max,
+        hbar=rec.hbar,
+        trust_radius=rec.trust_radius,
     )
     # shortest round-trip decimal of every value, x-major like the payload,
     # written one block of x rows at a time

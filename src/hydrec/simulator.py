@@ -317,18 +317,25 @@ def propagate(
 
     Each step applies half a kinetic step in momentum space, a full potential
     step with V evaluated at the step midpoint time, and another half kinetic
-    step.  Negative ``dt`` propagates backward in time.
+    step.  Negative ``dt`` propagates backward in time.  The steps work in
+    place on one set of buffers; the potential factor ``exp(-i V dt / hbar)``
+    is recomputed only when V differs from the previous step's, so a static
+    potential costs one exponential per call.
 
     Raises
     ------
     ValueError
-        If the model carries a ``mass`` that differs from ``constants.mass``.
+        If ``dt`` or ``t_start`` is not finite, or the model carries a ``mass``
+        that differs from ``constants.mass``.
     SimulationQualityError
         If the per-step norm drift exceeds ``1e-10`` relative, or the edge
         amplitude exceeds ``1e-8`` of the peak (periodic wrap-around).
     """
     from .potentials import check_mass, potential_value
 
+    for name, value in (("dt", dt), ("t_start", t_start)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     check_mass(model, constants.mass)
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -341,30 +348,44 @@ def propagate(
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
     half_kinetic = np.exp(-1j * constants.hbar * k**2 * dt / (4.0 * constants.mass))
     amp = np.array(psi.amplitudes, dtype=complex)
+    kick = np.empty_like(amp)
+    v_kick = None  # the V that ``kick`` was computed from
+    magnitude = np.empty(grid.n_points)  # shared by the norm and wrap-around checks
     norm_ref = float(np.sum(np.abs(amp) ** 2))
     t = t_start
     for _ in range(steps):
-        amp = np.fft.ifft(half_kinetic * np.fft.fft(amp))
+        _half_kinetic_step(amp, half_kinetic)
         v = potential_value(model, x, t + 0.5 * dt)
-        amp *= np.exp(-1j * v * dt / constants.hbar)
-        amp = np.fft.ifft(half_kinetic * np.fft.fft(amp))
+        if v_kick is None or not np.array_equal(v, v_kick):
+            np.exp(-1j * v * dt / constants.hbar, out=kick)
+            v_kick = v
+        amp *= kick
+        _half_kinetic_step(amp, half_kinetic)
         t += dt
-        magnitude = np.abs(amp)  # shared by the norm and wrap-around checks
-        norm_now = float(np.sum(magnitude**2))
+        np.abs(amp, out=magnitude)
+        peak = float(np.max(magnitude))
+        edge = float(max(magnitude[0], magnitude[-1]))
+        norm_now = float(np.sum(np.square(magnitude, out=magnitude)))
         if abs(norm_now - norm_ref) > NORM_DRIFT_TOLERANCE * norm_ref:
             raise SimulationQualityError(
                 f"norm drifted by {abs(norm_now - norm_ref) / norm_ref:.3e} in one step "
                 "(relative); the grid or time step is inadequate"
             )
         norm_ref = norm_now
-        peak = float(np.max(magnitude))
-        edge = max(abs(amp[0]), abs(amp[-1]))
         if peak > 0 and edge > WRAP_TOLERANCE * peak:
             raise SimulationQualityError(
                 f"edge amplitude {edge:.3e} exceeds {WRAP_TOLERANCE:.0e} of peak "
                 f"{peak:.3e}; the packet is wrapping around the periodic grid"
             )
     return WaveFunction(grid, amp)
+
+
+def _half_kinetic_step(amp: np.ndarray, half_kinetic: np.ndarray) -> None:
+    """``amp`` through momentum space and back, in place, times ``half_kinetic`` there."""
+    np.fft.fft(amp, out=amp)
+    # half_kinetic first: the complex multiply rounds by operand order
+    np.multiply(half_kinetic, amp, out=amp)
+    np.fft.ifft(amp, out=amp)
 
 
 def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
@@ -427,40 +448,43 @@ def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> Wi
     ``W(x, p) = (1 / pi hbar) * integral dy exp(-2 i p y / hbar) rho(x+y, x-y)``
     evaluated as a discrete Fourier sum over the y lattice.  The momentum
     lattice is the conjugate (Nyquist) lattice of the y lattice: ``M`` points
-    spaced ``pi hbar / (M dy)``.  A relative imaginary residue above ``1e-8``
-    is flagged; the real part is returned.
+    spaced ``pi hbar / (M dy)``.  W is real because rho is Hermitian, so only
+    the Hermitian part ``(rho(x, y) + conj(rho(x, -y))) / 2`` on ``y >= 0`` is
+    transformed, as a half-spectrum FFT; for any input this is the real part
+    of the full transform.  A relative anti-Hermitian part
+    ``max |rho(x, y) - conj(rho(x, -y))| / max |rho|`` above ``1e-8`` is
+    flagged.  A NaN in a row of rho gives a NaN row of W, unless it lies only
+    in the imaginary part at y = 0, which the transform drops as it drops
+    every imaginary part there.
     """
-    hbar = constants.hbar
     vals = rho.values
     m = rho.y.size
-    dy = rho.dy
     c = m // 2  # the index of y = 0 and of p = 0
-    j = np.arange(m)
-    # 2 p_k y_j / hbar = 2 pi (k - c)(j - c) / M with p_k = (k - c) dp
-    phase_j = np.exp(2j * np.pi * c * j / m)
-    pref_k = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c * c / m)
-    pref = (dy / (np.pi * hbar)) * pref_k[None, :]
+    # 2 p_k y_j / hbar = 2 pi (k - c)(j - c) / M with p_k = (k - c) dp: an M-point DFT in j - c
+    scale = rho.dy / (np.pi * constants.hbar)
     out = np.empty(vals.shape)
-    peaks, imag_peaks = [], []
+    peaks, anti_peaks = [], []
     for blk in _row_blocks(vals.shape[0], vals.itemsize * m):
-        # one block buffer, transformed in place; pref first: the multiply rounds by operand order
-        w = vals[blk] * phase_j[None, :]
-        np.fft.fft(w, axis=1, out=w)
-        np.multiply(pref, w, out=w)
-        peaks.append(np.max(np.abs(w)))
-        imag_peaks.append(np.max(np.abs(w.imag)))
-        out[blk] = w.real
+        upper, lower = vals[blk, c:], vals[blk, c::-1]  # y >= 0 and its mirror -y
+        mirrored = np.conj(lower)
+        peaks.append(np.maximum(np.max(np.abs(upper)), np.max(np.abs(lower))))
+        anti_peaks.append(np.max(np.abs(upper - mirrored)))
+        hermitian = np.add(upper, mirrored, out=mirrored)
+        hermitian *= 0.5
+        w = np.fft.hfft(hermitian, n=m, axis=1)  # p = 0 first, negative p last
+        np.multiply(w[:, : c + 1], scale, out=out[blk, c:])
+        np.multiply(w[:, c + 1 :], scale, out=out[blk, :c])
     out.setflags(write=False)  # WignerGrid adopts it
-    dp = np.pi * hbar / (m * dy)
+    dp = np.pi * constants.hbar / (m * rho.dy)
     p = (np.arange(m) - c) * dp
 
     # np.max, not max(): a NaN block peak must propagate as it does over the whole lattice
-    scale = float(np.max(peaks))
-    residue = float(np.max(imag_peaks)) / scale if scale > 0 else 0.0
-    if residue > 1e-8:
+    peak = float(np.max(peaks))
+    defect = float(np.max(anti_peaks)) / peak if peak > 0 else 0.0
+    if defect > 1e-8:
         warnings.warn(
-            f"quasi-probability has relative imaginary residue {residue:.3e}; "
-            "the input density matrix is not Hermitian on this lattice",
+            f"density matrix has relative anti-Hermitian part {defect:.3e}; it is not "
+            "Hermitian on this lattice, and W is the real part of its transform",
             GridCoverageWarning,
             stacklevel=2,
         )

@@ -33,6 +33,44 @@ def propagate_through_nodes(psi0, model, nodes, substeps, constants=CONSTANTS):
     return records, psis
 
 
+def split_operator_reference(psi, model, dt, steps, t_start=0.0, constants=CONSTANTS):
+    """The split-operator loop written out with fresh temporaries at every step.
+
+    Half kinetic step, the potential factor at the step midpoint (recomputed
+    at every step), half kinetic step; no quality checks.  Returns the
+    amplitudes.  Below 16384 points numpy does not elide the temporary of
+    ``half_kinetic * fft(amp)``, so the product is taken in that operand order.
+    """
+    from hydrec.potentials import potential_value
+
+    grid = psi.grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    half_kinetic = np.exp(-1j * constants.hbar * k**2 * dt / (4.0 * constants.mass))
+    amp = np.array(psi.amplitudes, dtype=complex)
+    t = t_start
+    for _ in range(steps):
+        amp = np.fft.ifft(half_kinetic * np.fft.fft(amp))
+        v = potential_value(model, grid.points, t + 0.5 * dt)
+        amp *= np.exp(-1j * v * dt / constants.hbar)
+        amp = np.fft.ifft(half_kinetic * np.fft.fft(amp))
+        t += dt
+    return amp
+
+
+def full_spectrum_wigner(rho, constants=CONSTANTS):
+    """The complex Wigner transform of every row: phase factors, an M-point FFT, a prefactor.
+
+    ``(dy / pi hbar) sum_j exp(-2 pi i (k - c)(j - c) / M) rho[:, j]`` with ``c = M // 2``;
+    its real part is W for any lattice, its imaginary part vanishes for a Hermitian one.
+    """
+    m, c = rho.y.size, rho.y.size // 2
+    j = np.arange(m)
+    phase = np.exp(2j * np.pi * c * j / m)
+    pref = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c * c / m)
+    transformed = np.fft.fft(rho.values * phase[None, :], axis=1)
+    return (rho.dy / (np.pi * constants.hbar)) * pref[None, :] * transformed
+
+
 def traced_peak(call):
     """``call()`` and the most bytes it held allocated at once (tracemalloc)."""
     tracemalloc.start()

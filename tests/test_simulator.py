@@ -3,7 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import assert_bytes_equal, cat_momentum_resolution_ok, derivative_stencil, traced_peak
+from conftest import (
+    assert_bytes_equal,
+    cat_momentum_resolution_ok,
+    derivative_stencil,
+    full_spectrum_wigner,
+    split_operator_reference,
+    traced_peak,
+)
 from hydrec.numerics import LATTICE_BLOCK_BYTES, PhysicalConstants, SpatialGrid
 from hydrec.potentials import (
     free_potential,
@@ -192,6 +199,31 @@ def test_propagate_detects_wraparound():
         propagate(psi, free_potential(), CONSTANTS, dt=1e-3, steps=800)
 
 
+@pytest.mark.parametrize(
+    "n_points, model, steps",
+    [
+        (2048, harmonic_potential(0.5), 460),
+        (1024, quartic_potential(c2=0.1, c4=0.05), 300),
+        (256, paul_trap_potential(a=1.0, b=0.3, big_omega=4.0), 120),  # V changes every step
+    ],
+)
+def test_propagate_equals_the_step_by_step_loop_bitwise(n_points, model, steps):
+    grid = SpatialGrid(-12.0, 12.0, n_points)
+    psi = gaussian_packet(grid, 0.8, center=0.5, momentum=0.7)
+    out = propagate(psi, model, CONSTANTS, 1e-3, steps, t_start=0.3)
+    assert_bytes_equal(out.amplitudes, split_operator_reference(psi, model, 1e-3, steps, 0.3))
+
+
+@pytest.mark.parametrize(
+    "dt, t_start, name",
+    [(np.nan, 0.0, "dt"), (np.inf, 0.0, "dt"), (-np.inf, 0.0, "dt"), (1e-3, np.nan, "t_start")],
+)
+def test_propagate_rejects_a_non_finite_time(dt, t_start, name):
+    psi = gaussian_packet(SpatialGrid(-8.0, 8.0, 128), 0.8)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        propagate(psi, harmonic_potential(1.0), CONSTANTS, dt, 10, t_start=t_start)
+
+
 def test_wigner_gaussian_closed_form():
     sigma = 0.8
     grid = SpatialGrid(-12.0, 12.0, 1537)
@@ -231,7 +263,7 @@ def test_wigner_flags_non_hermitian_input():
     rng = np.random.default_rng(3)
     values = rng.normal(size=(64, 17)) + 1j * rng.normal(size=(64, 17))
     rho = DensityMatrixGrid(grid, y, values)
-    with pytest.warns(GridCoverageWarning, match="imaginary residue"):
+    with pytest.warns(GridCoverageWarning, match="anti-Hermitian part"):
         wigner_transform(rho, CONSTANTS)
 
 
@@ -499,25 +531,18 @@ def test_wigner_transform_equals_the_out_of_place_transform_bitwise():
     envelope = np.exp(-grid.points**2) * (1.0 + 0.3 * rng.normal(size=257))
     psi = WaveFunction(grid, envelope * np.exp(2j * np.pi * rng.uniform(size=257)))
     rho = exact_density_matrix(psi, offdiagonal_lattice(40 * grid.dx, 81))
-    m, c = rho.y.size, rho.y.size // 2
-    j = np.arange(m)
-    phase = np.exp(2j * np.pi * c * j / m)
-    pref = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c * c / m)
-    transformed = np.fft.fft(rho.values * phase[None, :], axis=1)
-    reference = (rho.dy / (np.pi * CONSTANTS.hbar)) * pref[None, :] * transformed
-    assert wigner_transform(rho, CONSTANTS).values.tobytes() == reference.real.tobytes()
+    reference, _ = out_of_place_wigner(rho)
+    assert wigner_transform(rho, CONSTANTS).values.tobytes() == reference.tobytes()
 
 
 def out_of_place_wigner(rho):
-    """The whole-lattice transform: its real part and the residue ``wigner_transform`` flags."""
+    """The half-spectrum transform of the whole lattice, and the defect it flags."""
     m, c = rho.y.size, rho.y.size // 2
-    j = np.arange(m)
-    phase = np.exp(2j * np.pi * c * j / m)
-    pref = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c * c / m)
-    transformed = np.fft.fft(rho.values * phase[None, :], axis=1)
-    w = (rho.dy / (np.pi * CONSTANTS.hbar)) * pref[None, :] * transformed
-    scale = np.max(np.abs(w))
-    return w.real, np.max(np.abs(w.imag)) / scale if scale > 0 else 0.0
+    upper, lower = rho.values[:, c:], rho.values[:, c::-1]
+    w = np.fft.hfft((upper + np.conj(lower)) / 2, n=m, axis=1)  # p = 0 in column 0
+    w = np.roll(w, c, axis=1) * (rho.dy / (np.pi * CONSTANTS.hbar))
+    peak = np.max(np.abs(rho.values))
+    return w, np.max(np.abs(upper - np.conj(lower))) / peak if peak > 0 else 0.0
 
 
 @pytest.mark.parametrize("row", [None, 0, -1])  # no NaN, a NaN in the first or the last block
@@ -534,16 +559,68 @@ def test_wigner_transform_of_a_nan_lattice_matches_the_whole_lattice_transform(r
     if row is not None:
         values[row, 7] = np.nan
     rho = DensityMatrixGrid(grid, y, values)
-    reference, residue = out_of_place_wigner(rho)
+    reference, defect = out_of_place_wigner(rho)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         w = wigner_transform(rho, CONSTANTS)
     assert_bytes_equal(w.values, reference)  # NaN rows included
     # a NaN anywhere makes the whole-lattice scale NaN, which flags nothing
-    assert len(caught) == (residue > 1e-8) == (row is None and not hermitian)
+    assert len(caught) == (defect > 1e-8) == (row is None and not hermitian)
     if caught:
         assert caught[0].category is GridCoverageWarning
-        assert f"residue {residue:.3e}" in str(caught[0].message)
+        assert f"part {defect:.3e}" in str(caught[0].message)
+
+
+def random_hermitian_lattice():
+    grid, y = SpatialGrid(-4.0, 4.0, 96), offdiagonal_lattice(1.0, 41)
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(96, 41)) + 1j * rng.normal(size=(96, 41))
+    return DensityMatrixGrid(grid, y, values + np.conj(values[:, ::-1]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: exact_density_matrix(
+            gaussian_packet(SpatialGrid(-12.0, 12.0, 512), 0.9, center=0.4, momentum=1.3)
+        ),
+        lambda: cat_state_density_matrix(
+            CAT, SpatialGrid(-8.0, 8.0, 401), offdiagonal_lattice(6.0, 481)
+        ),
+        random_hermitian_lattice,
+    ],
+    ids=["gaussian", "cat", "random-hermitian"],
+)
+def test_wigner_transform_agrees_with_the_full_spectrum_transform(make):
+    rho = make()
+    reference = full_spectrum_wigner(rho)
+    w = wigner_transform(rho, CONSTANTS)
+    peak = np.max(np.abs(reference))
+    assert np.max(np.abs(reference.imag)) <= 1e-12 * peak  # the input is Hermitian
+    assert np.max(np.abs(w.values - reference.real)) <= 1e-12 * peak
+
+
+def test_wigner_transform_of_a_non_hermitian_lattice_is_the_real_part():
+    grid, y = SpatialGrid(-4.0, 4.0, 96), offdiagonal_lattice(1.0, 41)
+    rng = np.random.default_rng(12)
+    rho = DensityMatrixGrid(grid, y, rng.normal(size=(96, 41)) + 1j * rng.normal(size=(96, 41)))
+    reference = full_spectrum_wigner(rho)
+    with pytest.warns(GridCoverageWarning, match="anti-Hermitian part"):
+        w = wigner_transform(rho, CONSTANTS)
+    assert np.max(np.abs(reference.imag)) > 0.1 * np.max(np.abs(reference.real))
+    assert np.max(np.abs(w.values - reference.real)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("column", [7, 33])  # y < 0 and y > 0 on a 41-point lattice
+def test_a_nan_on_either_side_of_y_zero_gives_a_nan_row(column):
+    values = np.array(random_hermitian_lattice().values)
+    values[20, column] = np.nan
+    rho = DensityMatrixGrid(SpatialGrid(-4.0, 4.0, 96), offdiagonal_lattice(1.0, 41), values)
+    w = wigner_transform(rho, CONSTANTS)
+    assert np.isnan(w.values[20]).all()
+    assert np.isfinite(np.delete(w.values, 20, axis=0)).all()
+    with pytest.raises(ValueError, match="quasi-probability distribution holds non-finite"):
+        oracle_moment_set(w, range(3), CONSTANTS)
 
 
 def nan_lattice():
