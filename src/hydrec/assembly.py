@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import GridField, _row_blocks
-from .simulator import DensityMatrixGrid
+from .simulator import DensityMatrixGrid, _offdiagonal_axis
 
 __all__ = [
     "MomentField",
@@ -128,7 +128,7 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
     y : array
         Off-diagonal lattice: odd, ascending, uniform and symmetric about 0.
     hbar : float
-        Sets the off-diagonal length scale.
+        Sets the off-diagonal length scale; positive and finite.
 
     Returns
     -------
@@ -139,9 +139,9 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
     f = moments.values
     if f.ndim != 2 or not len(f):
         raise ValueError(f"moments must be one (N+1, n_points) matrix holding f_0, got {f.shape}")
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    y = np.asarray(y, dtype=float)
+    if not (np.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    y = _offdiagonal_axis(y)  # checked before the sweep, not by DensityMatrixGrid after it
     z = _taylor_terms(y, hbar, len(f) - 1)
     abs_z = np.abs(z)
     f_peaks = np.max(np.abs(f), axis=1)

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import GridField, PhysicalConstants, SpatialGrid
-from .numerics import _check_numbers, _read_only_array, _row_blocks
+from .numerics import _check_numbers, _is_number, _read_only_array, _row_blocks
 
 __all__ = [
     "SimulationQualityError",
@@ -315,15 +315,23 @@ def propagate(
 ) -> WaveFunction:
     """Second-order split-operator evolution under V(x, t).
 
-    Each step applies half a kinetic step in momentum space, a full potential
-    step with V evaluated at the step midpoint time, and another half kinetic
-    step.  Negative ``dt`` propagates backward in time.  The steps work in
+    Each step is a half kinetic step in momentum space, a full potential step
+    with V evaluated at the step midpoint time, and another half kinetic step.
+    Consecutive half kinetic steps are merged (Strang): one half step opens
+    the run, each step then kicks and takes a full kinetic step, and the last
+    step closes with a half step, so ``steps`` steps cost ``steps + 1`` FFT
+    pairs.  Negative ``dt`` propagates backward in time.  The steps work in
     place on one set of buffers; the potential factor ``exp(-i V dt / hbar)``
-    is recomputed only when V differs from the previous step's, so a static
-    potential costs one exponential per call.
+    is built from ``cos`` and ``sin`` of the phase and recomputed only when V
+    differs from the previous step's, so a static potential costs one per call.
+
+    The norm and edge guards run after each kick, where the state equals the
+    end of that step up to unitary factors, and once more on the returned state.
 
     Raises
     ------
+    TypeError
+        If ``steps`` is not an integer.
     ValueError
         If ``dt`` or ``t_start`` is not finite, or the model carries a ``mass``
         that differs from ``constants.mass``.
@@ -336,6 +344,8 @@ def propagate(
     for name, value in (("dt", dt), ("t_start", t_start)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not _is_number(steps, integer=True):
+        raise TypeError(f"steps must be an integer, got {steps!r}")
     check_mass(model, constants.mass)
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -347,37 +357,49 @@ def propagate(
     x = grid.points
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
     half_kinetic = np.exp(-1j * constants.hbar * k**2 * dt / (4.0 * constants.mass))
+    # its own exponential: half_kinetic**2 rounds differently
+    kinetic = np.exp(-1j * constants.hbar * k**2 * dt / (2.0 * constants.mass))
     amp = np.array(psi.amplitudes, dtype=complex)
     kick = np.empty_like(amp)
     v_kick = None  # the V that ``kick`` was computed from
     magnitude = np.empty(grid.n_points)  # shared by the norm and wrap-around checks
     norm_ref = float(np.sum(np.abs(amp) ** 2))
     t = t_start
-    for _ in range(steps):
-        _half_kinetic_step(amp, half_kinetic)
+    _half_kinetic_step(amp, half_kinetic)
+    for step in range(steps):
         v = potential_value(model, x, t + 0.5 * dt)
         if v_kick is None or not np.array_equal(v, v_kick):
-            np.exp(-1j * v * dt / constants.hbar, out=kick)
+            # numpy divides a complex by hbar as a product with 1 / hbar; the same
+            # rounding keeps the kick bitwise equal to exp(-1j * v * dt / hbar)
+            phase = -v * dt * (1.0 / constants.hbar)
+            np.cos(phase, out=kick.real)
+            np.sin(phase, out=kick.imag)
             v_kick = v
         amp *= kick
-        _half_kinetic_step(amp, half_kinetic)
         t += dt
-        np.abs(amp, out=magnitude)
-        peak = float(np.max(magnitude))
-        edge = float(max(magnitude[0], magnitude[-1]))
-        norm_now = float(np.sum(np.square(magnitude, out=magnitude)))
-        if abs(norm_now - norm_ref) > NORM_DRIFT_TOLERANCE * norm_ref:
-            raise SimulationQualityError(
-                f"norm drifted by {abs(norm_now - norm_ref) / norm_ref:.3e} in one step "
-                "(relative); the grid or time step is inadequate"
-            )
-        norm_ref = norm_now
-        if peak > 0 and edge > WRAP_TOLERANCE * peak:
-            raise SimulationQualityError(
-                f"edge amplitude {edge:.3e} exceeds {WRAP_TOLERANCE:.0e} of peak "
-                f"{peak:.3e}; the packet is wrapping around the periodic grid"
-            )
+        norm_ref = _checked_norm(amp, magnitude, norm_ref)
+        _half_kinetic_step(amp, half_kinetic if step == steps - 1 else kinetic)
+    _checked_norm(amp, magnitude, norm_ref)
     return WaveFunction(grid, amp)
+
+
+def _checked_norm(amp: np.ndarray, magnitude: np.ndarray, norm_ref: float) -> float:
+    """The squared norm of ``amp``, after the norm-drift and wrap-around guards pass."""
+    np.abs(amp, out=magnitude)
+    peak = float(np.max(magnitude))
+    edge = float(max(magnitude[0], magnitude[-1]))
+    norm_now = float(np.sum(np.square(magnitude, out=magnitude)))
+    if abs(norm_now - norm_ref) > NORM_DRIFT_TOLERANCE * norm_ref:
+        raise SimulationQualityError(
+            f"norm drifted by {abs(norm_now - norm_ref) / norm_ref:.3e} in one step "
+            "(relative); the grid or time step is inadequate"
+        )
+    if peak > 0 and edge > WRAP_TOLERANCE * peak:
+        raise SimulationQualityError(
+            f"edge amplitude {edge:.3e} exceeds {WRAP_TOLERANCE:.0e} of peak "
+            f"{peak:.3e}; the packet is wrapping around the periodic grid"
+        )
+    return norm_now
 
 
 def _half_kinetic_step(amp: np.ndarray, half_kinetic: np.ndarray) -> None:

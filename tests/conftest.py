@@ -34,7 +34,7 @@ def propagate_through_nodes(psi0, model, nodes, substeps, constants=CONSTANTS):
 
 
 def split_operator_reference(psi, model, dt, steps, t_start=0.0, constants=CONSTANTS):
-    """The split-operator loop written out with fresh temporaries at every step.
+    """The unmerged split-operator loop written out with fresh temporaries at every step.
 
     Half kinetic step, the potential factor at the step midpoint (recomputed
     at every step), half kinetic step; no quality checks.  Returns the
@@ -54,6 +54,32 @@ def split_operator_reference(psi, model, dt, steps, t_start=0.0, constants=CONST
         amp *= np.exp(-1j * v * dt / constants.hbar)
         amp = np.fft.ifft(half_kinetic * np.fft.fft(amp))
         t += dt
+    return amp
+
+
+def merged_split_operator_reference(psi, model, dt, steps, t_start=0.0, constants=CONSTANTS):
+    """The Strang-merged split-operator loop with fresh temporaries at every step.
+
+    A half kinetic step, then per step the potential factor at the step
+    midpoint (``exp(-i V dt / hbar)``, recomputed at every step) and a full
+    kinetic step, except for a half kinetic step on the last; no quality
+    checks.  Returns the amplitudes.  The kinetic factors are multiplied from
+    the left, as in :func:`split_operator_reference`.
+    """
+    from hydrec.potentials import potential_value
+
+    grid = psi.grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    half_kinetic = np.exp(-1j * constants.hbar * k**2 * dt / (4.0 * constants.mass))
+    kinetic = np.exp(-1j * constants.hbar * k**2 * dt / (2.0 * constants.mass))
+    amp = np.fft.ifft(half_kinetic * np.fft.fft(np.array(psi.amplitudes, dtype=complex)))
+    t = t_start
+    for step in range(steps):
+        v = potential_value(model, grid.points, t + 0.5 * dt)
+        amp *= np.exp(-1j * v * dt / constants.hbar)
+        t += dt
+        factor = half_kinetic if step == steps - 1 else kinetic
+        amp = np.fft.ifft(factor * np.fft.fft(amp))
     return amp
 
 

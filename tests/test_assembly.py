@@ -11,6 +11,7 @@ from conftest import (
     real_imag_split,
     traced_peak,
 )
+from hydrec import assembly
 from hydrec.assembly import _axis_weights, _resample_onto, _taylor_terms, assemble, compare
 from hydrec.cli import main, read_dataset
 from hydrec.numerics import LATTICE_BLOCK_BYTES, DecayAssumptionWarning, GridField, SpatialGrid
@@ -256,6 +257,22 @@ def test_compare_rejects_an_f0_on_another_grid(grid, y_lattice):
 def test_assemble_rejects_an_even_lattice(grid):
     with pytest.raises(ValueError, match="odd count"):
         assemble(cat_moments(grid, 2), 0.1 * (np.arange(8) - 3.5), HBAR)
+
+
+def test_assemble_checks_the_lattice_before_the_sweep(grid, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the Taylor table was built for a lattice that is rejected")
+
+    monkeypatch.setattr(assembly, "_taylor_terms", no_sweep)
+    message = "^y lattice must be one-dimensional with an odd count >= 3$"
+    with pytest.raises(ValueError, match=message):
+        assemble(cat_moments(grid, 2), offdiagonal_lattice(1.0, 101)[:-1], HBAR)
+
+
+@pytest.mark.parametrize("hbar", [np.nan, np.inf, 0.0, -1.0])
+def test_assemble_rejects_an_hbar_that_is_not_positive_and_finite(grid, y_lattice, hbar):
+    with pytest.raises(ValueError, match=f"^hbar must be positive and finite, got {hbar}$"):
+        assemble(cat_moments(grid, 2), y_lattice, hbar)
 
 
 def test_assemble_validates_moment_sequence(grid, y_lattice):

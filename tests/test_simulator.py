@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import (
     cat_momentum_resolution_ok,
     derivative_stencil,
     full_spectrum_wigner,
+    merged_split_operator_reference,
     split_operator_reference,
     traced_peak,
 )
@@ -199,7 +201,7 @@ def test_propagate_detects_wraparound():
         propagate(psi, free_potential(), CONSTANTS, dt=1e-3, steps=800)
 
 
-@pytest.mark.parametrize(
+PROPAGATION_CASES = pytest.mark.parametrize(
     "n_points, model, steps",
     [
         (2048, harmonic_potential(0.5), 460),
@@ -207,11 +209,71 @@ def test_propagate_detects_wraparound():
         (256, paul_trap_potential(a=1.0, b=0.3, big_omega=4.0), 120),  # V changes every step
     ],
 )
+
+
+@PROPAGATION_CASES
 def test_propagate_equals_the_step_by_step_loop_bitwise(n_points, model, steps):
     grid = SpatialGrid(-12.0, 12.0, n_points)
     psi = gaussian_packet(grid, 0.8, center=0.5, momentum=0.7)
     out = propagate(psi, model, CONSTANTS, 1e-3, steps, t_start=0.3)
-    assert_bytes_equal(out.amplitudes, split_operator_reference(psi, model, 1e-3, steps, 0.3))
+    expected = merged_split_operator_reference(psi, model, 1e-3, steps, 0.3)
+    assert_bytes_equal(out.amplitudes, expected)
+
+
+@PROPAGATION_CASES
+def test_propagate_agrees_with_the_unmerged_loop(n_points, model, steps):
+    # merging the half kinetic steps changes only the rounding
+    grid = SpatialGrid(-12.0, 12.0, n_points)
+    psi = gaussian_packet(grid, 0.8, center=0.5, momentum=0.7)
+    out = propagate(psi, model, CONSTANTS, 1e-3, steps, t_start=0.3).amplitudes
+    unmerged = split_operator_reference(psi, model, 1e-3, steps, 0.3)
+    assert np.max(np.abs(out - unmerged)) <= 1e-13 * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_propagate_takes_one_fft_pair_per_step_plus_one(monkeypatch, steps):
+    calls = {"fft": 0, "ifft": 0}
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+
+        return wrapper
+
+    psi = gaussian_packet(SpatialGrid(-12.0, 12.0, 256), 0.8)
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    propagate(psi, harmonic_potential(1.0), CONSTANTS, 1e-3, steps)
+    assert calls == {"fft": steps + 1, "ifft": steps + 1}
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_propagate_kick_equals_the_complex_exponential_bitwise(hbar):
+    # the reference kicks with exp(-1j * v * dt / hbar); propagate builds it from cos and sin
+    constants = PhysicalConstants(hbar=hbar)
+    model = paul_trap_potential(a=1.0, b=0.3, big_omega=4.0)
+    psi = gaussian_packet(SpatialGrid(-12.0, 12.0, 4096), 0.8, center=0.5, hbar=hbar)
+    out = propagate(psi, model, constants, 2e-3, 40, t_start=0.1)
+    expected = merged_split_operator_reference(psi, model, 2e-3, 40, 0.1, constants)
+    assert_bytes_equal(out.amplitudes, expected)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, "3", None])
+def test_propagate_rejects_a_steps_that_is_not_an_integer(steps):
+    psi = gaussian_packet(SpatialGrid(-8.0, 8.0, 128), 0.8)
+    message = f"^steps must be an integer, got {re.escape(repr(steps))}$"
+    with pytest.raises(TypeError, match=message):
+        propagate(psi, harmonic_potential(1.0), CONSTANTS, 1e-3, steps)
+
+
+def test_propagate_takes_a_numpy_integer_steps():
+    psi = gaussian_packet(SpatialGrid(-8.0, 8.0, 128), 0.8)
+    model = harmonic_potential(1.0)
+    out = propagate(psi, model, CONSTANTS, 1e-3, np.int64(3))
+    assert_bytes_equal(out.amplitudes, propagate(psi, model, CONSTANTS, 1e-3, 3).amplitudes)
 
 
 @pytest.mark.parametrize(
