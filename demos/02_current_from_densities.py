@@ -20,9 +20,8 @@ from hydrec import (
     differentiation_matrix,
     free_potential,
     gaussian_packet,
-    probability_density,
-    propagate,
     reconstruct_current,
+    sample_densities,
 )
 
 constants = PhysicalConstants()
@@ -32,12 +31,7 @@ nodes = TimeNodes(-0.005, 0.005, 3)  # three snapshots straddling t = 0
 
 print(f"boosted Gaussian, momentum hbar*k0 = {k0}")
 psi = gaussian_packet(grid, 1.0, momentum=k0 * constants.hbar)
-psi = propagate(psi, free_potential(), constants, nodes.t_0 / 8, 8)
-records = [probability_density(psi)]
-for j in range(nodes.m):
-    psi = propagate(psi, free_potential(), constants, nodes.dt / 8, 8,
-                    t_start=nodes.t_0 + j * nodes.dt)
-    records.append(probability_density(psi))
+records, _ = sample_densities(psi, free_potential(), constants, nodes, substeps=8)
 
 current = reconstruct_current(records, grid, nodes, constants)
 expected = constants.hbar * k0 * records[1].values

@@ -20,8 +20,7 @@ from hydrec import (
     gaussian_packet,
     harmonic_potential,
     oracle_moment_set,
-    probability_density,
-    propagate,
+    sample_densities,
 )
 
 constants = PhysicalConstants()
@@ -37,15 +36,7 @@ print(f"coherent state in a trap: omega = {omega}, displacement = {center}, "
 print(f"sampling f_0 at {nodes.m_plus_1} times, dt = {nodes.dt}")
 
 psi = gaussian_packet(grid, sigma, center=center, momentum=momentum)
-sub = 40
-n0 = max(8, int(np.ceil(abs(nodes.t_0) / (nodes.dt / sub))))
-psi = propagate(psi, model, constants, nodes.t_0 / n0, n0)
-records, psis = [probability_density(psi)], [psi]
-for j in range(nodes.m):
-    psi = propagate(psi, model, constants, nodes.dt / sub, sub,
-                    t_start=nodes.t_0 + j * nodes.dt)
-    records.append(probability_density(psi))
-    psis.append(psi)
+records, psis = sample_densities(psi, model, constants, nodes, substeps=40)
 
 import warnings
 

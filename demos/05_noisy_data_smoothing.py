@@ -30,8 +30,7 @@ from hydrec import (
     free_potential,
     gaussian_packet,
     gaussian_packet_moment,
-    probability_density,
-    propagate,
+    sample_densities,
     smooth_local_poly,
 )
 
@@ -43,13 +42,8 @@ noise_level = 2e-4
 rng = np.random.default_rng(2024)
 
 psi = gaussian_packet(grid, 1.0, momentum=k0)
-psi = propagate(psi, free_potential(), constants, nodes.t_0 / 16, 16)
-clean = []
-for j in range(nodes.m_plus_1):
-    if j:
-        psi = propagate(psi, free_potential(), constants, nodes.dt / 16, 16,
-                        t_start=nodes.t_0 + (j - 1) * nodes.dt)
-    clean.append(probability_density(psi).values)
+densities, _ = sample_densities(psi, free_potential(), constants, nodes, substeps=16)
+clean = [f.values for f in densities]
 
 noisy = [
     GridField(grid, np.clip(c + rng.normal(0.0, noise_level, c.shape), 0.0, None))

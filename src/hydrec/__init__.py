@@ -54,6 +54,7 @@ from .simulator import (
     oracle_moment_set,
     probability_density,
     propagate,
+    sample_densities,
     wigner_transform,
 )
 
@@ -91,6 +92,7 @@ __all__ = [
     "gaussian_packet_moment",
     "probability_density",
     "propagate",
+    "sample_densities",
     "exact_density_matrix",
     "offdiagonal_lattice",
     "wigner_transform",

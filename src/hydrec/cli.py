@@ -31,13 +31,7 @@ import numpy as np
 
 from .assembly import TaylorReconstruction, assemble, compare
 from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes, _is_number, _row_blocks
-from .potentials import (
-    PARAMETERS,
-    PotentialModel,
-    check_parameters,
-    model_from_dict,
-    model_to_dict,
-)
+from .potentials import PARAMETERS, PotentialModel, check_parameters, model_from_dict, model_to_dict
 from .reconstruction import InsufficientTimeSamplesError, build_pyramid
 from .simulator import (
     CatStateParams,
@@ -49,8 +43,8 @@ from .simulator import (
     gaussian_packet,
     make_cat_state,
     offdiagonal_lattice,
-    probability_density,
-    propagate,
+    sample_densities,
+    _walk_steps,
 )
 
 __all__ = [
@@ -71,9 +65,6 @@ __all__ = [
 FORMAT_VERSION = 2
 #: The manifest keys of each payload: its file name and its checksum.
 PAYLOAD_KEYS = {"data": ("data_path", "checksum"), "psi": ("psi_path", "psi_checksum")}
-#: Default internal propagation step; node intervals are subdivided to stay
-#: at or below this.
-MAX_INTERNAL_STEP = 1e-3
 
 CAT_DEFAULTS = CatStateParams()
 
@@ -319,20 +310,16 @@ def read_moment_set(path: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _split_numbers(flag: str, form: str, text: str, *kinds) -> tuple:
+    """``text`` split at commas into a number of each kind; only malformed text names ``form``."""
+    try:
+        return tuple(kind(value) for kind, value in zip(kinds, text.split(","), strict=True))
+    except ValueError as exc:
+        raise ValueError(f"{flag} expects {form!r}, got {text!r}") from exc
+
+
 def _parse_grid(text: str) -> SpatialGrid:
-    try:
-        x_min, x_max, n = text.split(",")
-        return SpatialGrid(float(x_min), float(x_max), int(n))
-    except ValueError as exc:
-        raise ValueError(f"--grid expects 'xmin,xmax,n', got {text!r}") from exc
-
-
-def _parse_times(text: str) -> TimeNodes:
-    try:
-        t0, dt, m = text.split(",")
-        return TimeNodes(float(t0), float(dt), int(m) + 1)
-    except ValueError as exc:
-        raise ValueError(f"--times expects 't0,dt,m', got {text!r}") from exc
+    return SpatialGrid(*_split_numbers("--grid", "xmin,xmax,n", text, float, float, int))
 
 
 def _parse_potential(text: str, mass: float) -> PotentialModel:
@@ -346,7 +333,7 @@ def _parse_potential(text: str, mass: float) -> PotentialModel:
                 raise ValueError(f"potential parameter {item!r} is not key=value")
             params[key.strip()] = value.strip()
     check_parameters(kind, params)
-    values = {k: mass if k == "mass" else d for k, d in PARAMETERS[kind].items() if d is not None}
+    values = {"mass": mass} if "mass" in PARAMETERS[kind] else {}  # PotentialModel fills the rest
     for key, value in params.items():
         if key == "coeffs":  # rows of x^k, each a '/'-separated time polynomial
             values[key] = [[float(c) for c in row.split("/")] for row in value.split(";")]
@@ -355,23 +342,9 @@ def _parse_potential(text: str, mass: float) -> PotentialModel:
     return PotentialModel(kind, values)
 
 
-def _parse_smooth(text: str) -> tuple[int, int]:
-    try:
-        window, degree = text.split(",")
-        return int(window), int(degree)
-    except ValueError as exc:
-        raise ValueError(f"--smooth expects 'window,degree', got {text!r}") from exc
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-
-def _substeps(dt: float, override: int | None) -> int:
-    if override is not None:
-        return max(1, override)
-    return max(8, int(np.ceil(abs(dt) / MAX_INTERNAL_STEP)))
 
 
 def _prepare_state(args, grid: SpatialGrid, constants: PhysicalConstants, model) -> tuple:
@@ -392,27 +365,17 @@ def _prepare_state(args, grid: SpatialGrid, constants: PhysicalConstants, model)
 
 
 def cmd_simulate(args) -> int:
+    if not (np.isfinite(args.noise) and args.noise >= 0.0):
+        raise ValueError(f"--noise must be a finite number >= 0, got {args.noise}")
     constants = PhysicalConstants(hbar=args.hbar, mass=args.mass)
     grid = _parse_grid(args.grid)
-    nodes = _parse_times(args.times)
+    t_0, dt, m = _split_numbers("--times", "t0,dt,m", args.times, float, float, int)
+    nodes = TimeNodes(t_0, dt, m + 1)
+    sub = _walk_steps(nodes, args.substeps)[1]  # rejects a substeps below 1
     model = _parse_potential(args.potential, constants.mass)
     psi, state = _prepare_state(args, grid, constants, model)
-
-    # State is prepared at t = 0; walk to t_0 (possibly backward), then node
-    # to node with a fixed substep count so solver error is smooth in time.
-    if nodes.t_0 != 0.0:
-        n0 = _substeps(nodes.t_0, args.substeps)
-        psi = propagate(psi, model, constants, nodes.t_0 / n0, n0, t_start=0.0)
-    records = [probability_density(psi).values]
-    psis = [psi.amplitudes]
-    sub = _substeps(nodes.dt, args.substeps)
-    for j in range(nodes.m):
-        psi = propagate(
-            psi, model, constants, nodes.dt / sub, sub, t_start=nodes.t_0 + j * nodes.dt
-        )
-        records.append(probability_density(psi).values)
-        psis.append(psi.amplitudes)
-    records = np.stack(records)
+    fields, psis = sample_densities(psi, model, constants, nodes, args.substeps)
+    records = np.stack([f.values for f in fields])
 
     if args.noise > 0.0:
         rng = np.random.default_rng(args.seed)
@@ -423,7 +386,7 @@ def cmd_simulate(args) -> int:
         f"times={args.times} hbar={args.hbar} mass={args.mass} noise={args.noise} "
         f"seed={args.seed} substeps={sub}"
     )
-    psis = np.stack(psis) if args.store_psi else None
+    psis = np.stack([p.amplitudes for p in psis]) if args.store_psi else None
     path = write_dataset(
         Path(args.out), constants, grid, nodes, model, records, state, provenance, psis
     )
@@ -437,7 +400,9 @@ def cmd_reconstruct(args) -> int:
     node = nodes.central_index if args.node is None else args.node
     if not (0 <= node <= nodes.m):
         raise ValueError(f"node {node} outside 0..{nodes.m}")
-    smoothing = _parse_smooth(args.smooth) if args.smooth else None
+    smoothing = None
+    if args.smooth:
+        smoothing = _split_numbers("--smooth", "window,degree", args.smooth, int, int)
     pyramid = build_pyramid(
         data["records"],
         data["grid"],
@@ -561,7 +526,7 @@ def cmd_demo_cat(args) -> int:
     requested Taylor order, and reports sup errors against the closed-form
     density matrix over |x| <= 3, |y| <= 1.5.
     """
-    orders = sorted(int(n) for n in args.orders.split(","))
+    orders = sorted({int(n) for n in args.orders.split(",")})
     if any(n < 0 for n in orders):
         raise ValueError("orders must be >= 0")
     constants = PhysicalConstants(hbar=args.hbar)
@@ -640,7 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.0)
     p.add_argument("--noise", type=float, default=0.0, help="additive Gaussian noise on f0")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--substeps", type=int, default=None, help="internal steps per node interval")
+    p.add_argument("--substeps", type=int, default=None, help="internal steps per node interval; "
+                   "dt/substeps is also the lead-in step to t0 (default: steps of at most 1e-3)")
     p.add_argument("--store-psi", action="store_true", help="also store wavefunctions")
     p.set_defaults(func=cmd_simulate)
 

@@ -262,19 +262,19 @@ def smooth_local_poly(values, window: int, degree: int) -> np.ndarray:
     window : int
         Odd window length, ``degree < window <= n_points``.
     degree : int
-        Fit polynomial degree.
+        Fit polynomial degree, at least 0.
 
     Returns
     -------
     numpy.ndarray
         Smoothed samples; polynomials of degree <= ``degree`` pass unchanged.
     """
-    if window % 2 == 0:
-        raise ValueError(f"window must be odd, got {window}")
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be a positive odd integer, got {window}")
     if window > np.shape(values)[-1]:
         raise ValueError(f"window {window} exceeds grid size {np.shape(values)[-1]}")
-    if degree >= window:
-        raise ValueError(f"degree {degree} must be below window {window}")
+    if not 0 <= degree < window:
+        raise ValueError(f"degree {degree} must be >= 0 and below window {window}")
     if window == 1:
         return values
     from scipy.signal import savgol_filter  # only smoothing needs scipy

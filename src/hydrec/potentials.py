@@ -42,8 +42,7 @@ PARAMETERS = {
     "paul_trap": {"a": None, "b": None, "big_omega": None, "mass": 1.0},
 }
 KINDS = tuple(PARAMETERS)
-# Per kind, the rows ``coeffs[k]`` of x^k (see PotentialModel) from the
-# params, defaults filled in.
+# Per kind, the rows ``coeffs[k]`` of x^k (see PotentialModel) from the params.
 _ROWS = {
     "free": lambda p: [[0]],
     "harmonic": lambda p: [[0], [0], [0.5 * float(p["mass"]) * float(p["omega"]) ** 2]],
@@ -82,7 +81,7 @@ def _nested(value, kind):
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """Tagged potential description; ``params`` is stored read-only.
+    """Tagged potential description; ``params`` is stored read-only, defaults filled in.
 
     ``V(x, t) = sum_k (sum_j coeffs[k][j] * basis_j(t)) * x**k`` with the time
     basis ``t**j``, except the Paul trap's single ``a + b cos(big_omega t)``.
@@ -94,14 +93,16 @@ class PotentialModel:
     coeffs: tuple = field(init=False, repr=False, compare=False, hash=True)
 
     def __post_init__(self):
-        params = MappingProxyType({k: _nested(v, tuple) for k, v in dict(self.params).items()})
-        check_parameters(self.kind, params)
+        given = {k: _nested(v, tuple) for k, v in dict(self.params).items()}
+        check_parameters(self.kind, given)
+        defaults = {k: d for k, d in PARAMETERS[self.kind].items() if d is not None}
+        params = MappingProxyType(defaults | given)
         for key, value in params.items():
             if not _real_rows(value if key == "coeffs" else ((value,),)):
                 what = "rows of finite real numbers" if key == "coeffs" else "a finite real number"
                 got = self.params[key]
                 raise ValueError(f"{self.kind} potential {key!r} must be {what}, got {got!r}")
-        rows = _ROWS[self.kind]({**PARAMETERS[self.kind], **params})
+        rows = _ROWS[self.kind](params)
         if not rows:
             raise ValueError(f"{self.kind} potential needs at least one coefficient row")
         padded = np.array(list(zip_longest(*rows, fillvalue=0.0)), dtype=float).T

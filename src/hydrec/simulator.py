@@ -1,10 +1,10 @@
 """Ground-truth generation and independent oracles.
 
-Provides split-operator wave-packet propagation for synthesizing measured
-position densities, exact density matrices in rotated ``(x, y)`` coordinates
-(values at ``<x+y| rho |x-y>``), the phase-space quasi-probability transform,
-and momentum-moment oracles, including closed forms for Gaussian and
-two-component superposition (cat) states.
+Provides split-operator wave-packet propagation and the walk across the time
+nodes that synthesizes the measured position densities, exact density
+matrices in rotated ``(x, y)`` coordinates (values at ``<x+y| rho |x-y>``),
+the phase-space quasi-probability transform, and momentum-moment oracles,
+including closed forms for Gaussian and two-component superposition (cat) states.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import comb, factorial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import GridField, PhysicalConstants, SpatialGrid
+from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes
 from .numerics import _check_numbers, _is_number, _read_only_array, _row_blocks
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "gaussian_packet_moment",
     "probability_density",
     "propagate",
+    "sample_densities",
     "exact_density_matrix",
     "offdiagonal_lattice",
     "wigner_transform",
@@ -46,6 +47,8 @@ NORM_DRIFT_TOLERANCE = 1e-10
 WRAP_TOLERANCE = 1e-8
 #: Relative level below which a quasi-probability column counts as decayed.
 P_DECAY_THRESHOLD = 1e-12
+#: Internal step of :func:`sample_densities` when no substep count is given.
+MAX_INTERNAL_STEP = 1e-3
 
 
 class SimulationQualityError(RuntimeError):
@@ -66,11 +69,6 @@ class WaveFunction:
     def __post_init__(self):
         amp = _read_only_array(self.amplitudes, complex, (self.grid.n_points,), finite=True)
         object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def norm(self) -> float:
-        """Squared L2 norm, integral of |psi|^2 over the grid."""
-        return float(np.trapezoid(np.abs(self.amplitudes) ** 2, dx=self.grid.dx))
 
 
 @dataclass(frozen=True)
@@ -381,6 +379,39 @@ def propagate(
         _half_kinetic_step(amp, half_kinetic if step == steps - 1 else kinetic)
     _checked_norm(amp, magnitude, norm_ref)
     return WaveFunction(grid, amp)
+
+
+def _walk_steps(nodes: TimeNodes, substeps: int | None) -> tuple[int, int]:
+    """The step counts of :func:`sample_densities`: of the lead-in to t_0, and of each interval."""
+    if substeps is not None and not (_is_number(substeps, integer=True) and substeps >= 1):
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
+    h = MAX_INTERNAL_STEP if substeps is None else nodes.dt / substeps
+    steps = max(8, int(np.ceil(nodes.dt / h))) if substeps is None else substeps
+    lead_in = 0 if nodes.t_0 == 0.0 else max(8, int(np.ceil(abs(nodes.t_0) / h)))
+    return lead_in, steps
+
+
+def sample_densities(
+    psi: WaveFunction, model, constants: PhysicalConstants, nodes: TimeNodes, substeps=None
+) -> tuple[list[GridField], list[WaveFunction]]:
+    """The ``m + 1`` densities and states at the nodes of a state prepared at t = 0.
+
+    The walk propagates to ``t_0`` (backward when it is negative), then node
+    to node, with the internal step ``h = MAX_INTERNAL_STEP``, or
+    ``nodes.dt / substeps`` when ``substeps`` is given.  The lead-in takes
+    ``max(8, ceil(|t_0| / h))`` steps (none at ``t_0 == 0``); each interval
+    takes ``max(8, ceil(dt / h))`` steps, or exactly ``substeps``: the same
+    count every interval, so that solver error is smooth in time.  A
+    ``substeps`` that is not an integer >= 1 raises ``ValueError`` before any step.
+    """
+    lead_in, steps = _walk_steps(nodes, substeps)
+    if lead_in:
+        psi = propagate(psi, model, constants, nodes.t_0 / lead_in, lead_in, t_start=0.0)
+    psis = [psi]
+    for j in range(nodes.m):
+        t_start = nodes.t_0 + j * nodes.dt
+        psis.append(propagate(psis[-1], model, constants, nodes.dt / steps, steps, t_start=t_start))
+    return [probability_density(p) for p in psis], psis
 
 
 def _checked_norm(amp: np.ndarray, magnitude: np.ndarray, norm_ref: float) -> float:

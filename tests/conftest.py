@@ -6,31 +6,9 @@ import pytest
 
 from hydrec.assembly import TaylorReconstruction, assemble
 from hydrec.numerics import PhysicalConstants
-from hydrec.simulator import GridCoverageWarning, probability_density, propagate
+from hydrec.simulator import GridCoverageWarning
 
 CONSTANTS = PhysicalConstants()
-
-
-def propagate_through_nodes(psi0, model, nodes, substeps, constants=CONSTANTS):
-    """Walk a state (prepared at t = 0) across the time nodes.
-
-    Propagation reaches t_0 first (backward if needed), then advances node to
-    node with a fixed substep count so that solver error is smooth in time.
-    Returns the density records and the wavefunctions at every node.
-    """
-    psi = psi0
-    if nodes.t_0 != 0.0:
-        n0 = max(8, int(np.ceil(abs(nodes.t_0) / (nodes.dt / substeps))))
-        psi = propagate(psi, model, constants, nodes.t_0 / n0, n0, t_start=0.0)
-    records, psis = [probability_density(psi)], [psi]
-    for j in range(nodes.m):
-        psi = propagate(
-            psi, model, constants, nodes.dt / substeps, substeps,
-            t_start=nodes.t_0 + j * nodes.dt,
-        )
-        records.append(probability_density(psi))
-        psis.append(psi)
-    return records, psis
 
 
 def split_operator_reference(psi, model, dt, steps, t_start=0.0, constants=CONSTANTS):

@@ -18,7 +18,6 @@ from conftest import (
     cat_momentum_resolution_ok,
     derivative_stencil,
     hbar_rescaling_check,
-    propagate_through_nodes,
 )
 from hydrec.assembly import assemble
 from hydrec.cli import main, read_dataset
@@ -44,6 +43,7 @@ from hydrec.simulator import (
     make_cat_state,
     offdiagonal_lattice,
     oracle_moment_set,
+    sample_densities,
 )
 
 C = PhysicalConstants()
@@ -87,8 +87,8 @@ def cat_dataset():
     grid = SpatialGrid(-10.0, 10.0, 1024)
     nodes = TimeNodes(0.09, 5e-3, 5)
     start = time.perf_counter()
-    records, psis = propagate_through_nodes(
-        make_cat_state(CAT, grid), free_potential(), nodes, substeps=8
+    records, psis = sample_densities(
+        make_cat_state(CAT, grid), free_potential(), C, nodes, substeps=8
     )
     return {
         "grid": grid, "nodes": nodes, "records": records, "psis": psis,
@@ -105,9 +105,9 @@ def harmonic_dataset():
     center, momentum = 0.3, 0.8
     nodes = TimeNodes(0.3 - 4 * 0.04, 0.04, 9)
     start = time.perf_counter()
-    records, psis = propagate_through_nodes(
+    records, psis = sample_densities(
         gaussian_packet(grid, sigma, center=center, momentum=momentum),
-        model, nodes, substeps=40,
+        model, C, nodes, substeps=40,
     )
     excursion = float(np.hypot(center, momentum / (C.mass * omega)))
     return {
@@ -124,8 +124,8 @@ def quartic_dataset():
     sigma = np.sqrt(0.5)
     nodes = TimeNodes(0.1 - 3 * 0.01, 0.01, 7)
     start = time.perf_counter()
-    records, psis = propagate_through_nodes(
-        gaussian_packet(grid, sigma, center=1.0), model, nodes, substeps=10
+    records, psis = sample_densities(
+        gaussian_packet(grid, sigma, center=1.0), model, C, nodes, substeps=10
     )
     return {
         "grid": grid, "nodes": nodes, "records": records, "psis": psis,
@@ -189,8 +189,8 @@ def test_criterion_2_sample_count_rule_and_cat_accuracy(cat_dataset):
     small_grid = SpatialGrid(-10.0, 10.0, 512)
     for m in range(1, 9):
         small_nodes = TimeNodes(0.09, 5e-3, m + 1)
-        records, _ = propagate_through_nodes(
-            make_cat_state(CAT, small_grid), free_potential(), small_nodes, substeps=8
+        records, _ = sample_densities(
+            make_cat_state(CAT, small_grid), free_potential(), C, small_nodes, substeps=8
         )
         pyramid = build_pyramid(records, small_grid, small_nodes,
                                 free_potential(), C, order_max=m)
@@ -280,15 +280,15 @@ def test_criterion_4_continuity(cat_dataset, harmonic_dataset, quartic_dataset):
     ratios = {}
     fine_grid = SpatialGrid(-10.0, 10.0, 4096)
     fine_nodes = TimeNodes(0.09, 5e-3, 5)
-    records, _ = propagate_through_nodes(
-        make_cat_state(CAT, fine_grid), free_potential(), fine_nodes, substeps=8
+    records, _ = sample_densities(
+        make_cat_state(CAT, fine_grid), free_potential(), C, fine_nodes, substeps=8
     )
     ratios["cat-4096"] = continuity_ratio(records, fine_grid, fine_nodes, 4)
 
     gauss_grid = SpatialGrid(-14.0, 14.0, 2048)
     gauss_nodes = TimeNodes(0.0, 5e-3, 5)
-    g_records, _ = propagate_through_nodes(
-        gaussian_packet(gauss_grid, 1.0, momentum=1.0), free_potential(),
+    g_records, _ = sample_densities(
+        gaussian_packet(gauss_grid, 1.0, momentum=1.0), free_potential(), C,
         gauss_nodes, substeps=8,
     )
     ratios["gaussian-boost"] = continuity_ratio(g_records, gauss_grid, gauss_nodes, 4)
@@ -325,8 +325,8 @@ def test_criterion_5_structural_invariants():
     # (a) odd moments vanish for the symmetric superposition state at t = 0
     grid = SpatialGrid(-10.0, 10.0, 1024)
     nodes = TimeNodes(-0.01, 5e-3, 5)  # central node exactly at t = 0
-    records, _ = propagate_through_nodes(
-        make_cat_state(CAT, grid), free_potential(), nodes, substeps=8
+    records, _ = sample_densities(
+        make_cat_state(CAT, grid), free_potential(), C, nodes, substeps=8
     )
     pyramid = build_pyramid(records, grid, nodes, free_potential(), C, order_max=1)
     f1 = pyramid.levels[1][nodes.central_index]

@@ -97,6 +97,104 @@ def test_simulate_wraparound_exits_2(tmp_path):
     assert run(*argv) == 2
 
 
+def test_simulate_writes_the_densities_and_states_of_sample_densities(tmp_path):
+    from hydrec.numerics import PhysicalConstants, SpatialGrid, TimeNodes
+    from hydrec.potentials import quartic_potential
+    from hydrec.simulator import CatStateParams, make_cat_state, sample_densities
+
+    # the README quartic dataset, with the default internal step
+    argv = ["simulate", "--state", "cat", "--grid=-10,10,1024", "--times", "0.09,0.005,12",
+            "--potential", "quartic:c2=0.5,c4=0.1", "--store-psi", "--out", tmp_path / "ds"]
+    assert run(*argv) == 0
+    data = read_dataset(tmp_path / "ds" / "dataset.json")
+    grid = SpatialGrid(-10.0, 10.0, 1024)
+    records, psis = sample_densities(
+        make_cat_state(CatStateParams(), grid), quartic_potential(0.5, 0.1),
+        PhysicalConstants(), TimeNodes(0.09, 0.005, 13),
+    )
+    assert np.array_equal(data["records"], np.stack([r.values for r in records]))
+    assert np.array_equal(data["psis"], np.stack([p.amplitudes for p in psis]))
+    assert data["manifest"]["provenance"].endswith(" substeps=8")
+
+
+def test_simulate_substeps_sets_the_lead_in_step_too(tmp_path):
+    # 8 steps per interval are steps of dt / 8 from t = 0 to t_0 = 3, not 8 steps of 0.375
+    args = dict(grid="-10,10,512", times="3,0.005,4", potential="quartic:c2=0.5,c4=0.1",
+                sigma="0.7", momentum="0")
+    assert run(*small_dataset_args(tmp_path / "default", **args)) == 0
+    assert run(*small_dataset_args(tmp_path / "eight", substeps=8, **args)) == 0
+    default = read_dataset(tmp_path / "default" / "dataset.json")["records"]
+    eight = read_dataset(tmp_path / "eight" / "dataset.json")
+    assert np.max(np.abs(eight["records"] - default)) <= 1e-6
+    assert eight["manifest"]["provenance"].endswith(" substeps=8")
+
+
+def simulate_error(capsys, monkeypatch, tmp_path, **overrides):
+    """The exit status and the standard-error lines of a simulate run that must not propagate."""
+    import hydrec.simulator as simulator
+
+    monkeypatch.setattr(simulator, "propagate", lambda *a, **k: pytest.fail("propagated"))
+    capsys.readouterr()
+    status = run(*small_dataset_args(tmp_path / "ds", **overrides))
+    assert not (tmp_path / "ds").exists()
+    return status, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1", "-inf"])
+def test_simulate_rejects_a_noise_that_is_not_finite_and_nonnegative(
+    capsys, monkeypatch, tmp_path, noise
+):
+    status, err = simulate_error(capsys, monkeypatch, tmp_path, noise=noise)
+    assert status == 1 and len(err) == 1
+    assert err[0].startswith("hydrec: error: --noise must be a finite number >= 0")
+
+
+@pytest.mark.parametrize("substeps", ["0", "-3"])
+def test_simulate_rejects_substeps_below_1(capsys, monkeypatch, tmp_path, substeps):
+    status, err = simulate_error(capsys, monkeypatch, tmp_path, substeps=substeps)
+    assert status == 1 and len(err) == 1
+    assert err[0] == f"hydrec: error: substeps must be an integer >= 1, got {substeps}"
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason, malformed",
+    [
+        ("grid", "-10,10,4", "need at least 8 grid points, got 4", "-10,10"),
+        ("grid", "10,-10,64", "x_min must be below x_max, got [10.0, -10.0]", "-10,10,64.5"),
+        ("times", "0,-0.005,4", "dt must be positive, got -0.005", "0,0.005,4,1"),
+        ("times", "0,0.005,-1", "need at least one time node, got 0", "0,0.005,1.5"),
+    ],
+)
+def test_simulate_reports_why_a_grid_or_times_value_is_rejected(
+    capsys, monkeypatch, tmp_path, flag, value, reason, malformed
+):
+    # the constructor's reason for numbers it rejects; the expected form for text that is not
+    form = {"grid": "xmin,xmax,n", "times": "t0,dt,m"}[flag]
+    expects = f"--{flag} expects {form!r}, got {malformed!r}"
+    for text, message in ((value, reason), (malformed, expects)):
+        assert simulate_error(capsys, monkeypatch, tmp_path, **{flag: text}) == (
+            1, [f"hydrec: error: {message}"]
+        )
+
+
+@pytest.mark.parametrize(
+    "smooth, reason",
+    [
+        ("-1,0", "window must be a positive odd integer, got -1"),
+        ("5,-1", "degree -1 must be >= 0 and below window 5"),
+        ("4,2", "window must be a positive odd integer, got 4"),
+    ],
+)
+def test_reconstruct_reports_why_a_smoothing_is_rejected(tmp_path, capsys, smooth, reason):
+    assert run(*small_dataset_args(tmp_path / "ds")) == 0
+    argv = ["reconstruct", tmp_path / "ds" / "dataset.json", "--order", "1", "--out", tmp_path]
+    malformed = f"--smooth expects 'window,degree', got '{smooth},1'"
+    for text, message in ((smooth, reason), (f"{smooth},1", malformed)):
+        capsys.readouterr()
+        assert run(*argv, f"--smooth={text}") == 1
+        assert capsys.readouterr().err.splitlines() == [f"hydrec: error: {message}"]
+
+
 def test_dataset_checksum_detects_corruption(tmp_path):
     out = tmp_path / "ds"
     run(*small_dataset_args(out))
@@ -428,6 +526,17 @@ def test_demo_cat_is_deterministic(tmp_path):
     for name in ("demo_summary.json", "demo_summary.txt", "rho_N4.bin", "rho_N12.bin",
                  "rho_N4.dat", "rho_N12.dat"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_demo_cat_runs_a_repeated_order_once(tmp_path, capsys):
+    out = tmp_path / "demo"
+    capsys.readouterr()
+    argv = ["demo-cat", "--orders", "10,4,10", "--grid=-6,6,121", "--n-y", "21", "--out", out]
+    assert run(*argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["4", "10"]
+    summary = json.loads((out / "demo_summary.json").read_text())
+    assert [entry["order"] for entry in summary["orders"]] == [4, 10]
 
 
 def test_simulate_cat_records_carry_the_state_norm(tmp_path):

@@ -162,3 +162,10 @@ def test_numpy_numbers_are_real_numbers():
     model = PotentialModel("polynomial", {"coeffs": np.array([[0.0], [0.0], [2.0]])})
     assert model == polynomial_potential([[0], [0], [2]])
     assert harmonic_potential(np.float64(2.0), mass=np.int64(1)).coeffs == ((0.0,), (0.0,), (2.0,))
+
+
+def test_a_model_fills_its_own_defaults():
+    assert PotentialModel("harmonic", {"omega": 1.0}) == harmonic_potential(1.0)
+    assert PotentialModel("quartic", {"c2": 0.5}) == quartic_potential(0.5)
+    assert dict(PotentialModel("quartic").params) == {"c2": 0.0, "c4": 0.0}
+    assert PotentialModel("paul_trap", {"a": 1, "b": 0.5, "big_omega": 6}).params["mass"] == 1.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import hydrec.reconstruction as reconstruction_module
-from conftest import propagate_through_nodes
 from hydrec.assembly import assemble
 from hydrec.numerics import (
     DecayAssumptionWarning,
@@ -32,6 +31,7 @@ from hydrec.simulator import (
     offdiagonal_lattice,
     oracle_moment_set,
     propagate,
+    sample_densities,
 )
 
 CONSTANTS = PhysicalConstants()
@@ -71,7 +71,7 @@ def test_current_vanishes_at_free_gaussian_waist():
     grid = SpatialGrid(-12.0, 12.0, 1024)
     nodes = TimeNodes(-0.01, 0.01, 3)  # central node exactly at t = 0
     psi0 = gaussian_packet(grid, 1.0)
-    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
+    records, _ = sample_densities(psi0, free_potential(), CONSTANTS, nodes, substeps=20)
     f1 = reconstruct_current(records, grid, nodes, CONSTANTS)
     f0_scale = np.max(records[1].values)
     momentum_scale = CONSTANTS.hbar / 1.0  # width-limited momentum spread
@@ -84,7 +84,7 @@ def test_current_vanishes_for_stationary_state():
     sigma = np.sqrt(CONSTANTS.hbar / (2.0 * CONSTANTS.mass * omega))
     psi0 = gaussian_packet(grid, sigma)  # harmonic ground state
     nodes = TimeNodes(0.0, 0.02, 3)
-    records, _ = propagate_through_nodes(psi0, harmonic_potential(omega), nodes, substeps=20)
+    records, _ = sample_densities(psi0, harmonic_potential(omega), CONSTANTS, nodes, substeps=20)
     f1 = reconstruct_current(records, grid, nodes, CONSTANTS)
     assert np.max(np.abs(f1.values)) < 1e-8 * np.max(records[0].values)
 
@@ -95,7 +95,7 @@ def test_current_of_boosted_packet():
     k0 = 1.5
     psi0 = gaussian_packet(grid, 1.0, momentum=k0 * CONSTANTS.hbar)
     nodes = TimeNodes(-0.005, 0.005, 3)
-    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
+    records, _ = sample_densities(psi0, free_potential(), CONSTANTS, nodes, substeps=20)
     f1 = reconstruct_current(records, grid, nodes, CONSTANTS)
     expected = CONSTANTS.hbar * k0 * records[1].values
     rel = np.linalg.norm(f1.values - expected) / np.linalg.norm(expected)
@@ -106,7 +106,7 @@ def test_time_reversed_records_flip_current_sign():
     grid = SpatialGrid(-14.0, 14.0, 1024)
     psi0 = gaussian_packet(grid, 1.0, momentum=1.0)
     nodes = TimeNodes(0.0, 0.01, 5)
-    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
+    records, _ = sample_densities(psi0, free_potential(), CONSTANTS, nodes, substeps=20)
     forward = reconstruct_current(records, grid, nodes, CONSTANTS)
     backward = reconstruct_current(records[::-1], grid, nodes, CONSTANTS)
     scale = np.max(np.abs(forward.values))
@@ -117,7 +117,7 @@ def test_free_model_equals_zero_frequency_harmonic_bitwise():
     grid = SpatialGrid(-12.0, 12.0, 512)
     psi0 = gaussian_packet(grid, 1.0, momentum=0.8)
     nodes = TimeNodes(0.0, 0.01, 5)
-    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
+    records, _ = sample_densities(psi0, free_potential(), CONSTANTS, nodes, substeps=20)
     # the top levels carry an amplified rounding residue at the grid edges
     with pytest.warns(DecayAssumptionWarning):
         a = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=4)
@@ -133,11 +133,11 @@ def test_pyramid_is_linear_in_the_state():
     grid = SpatialGrid(-14.0, 14.0, 1024)
     nodes = TimeNodes(0.0, 0.01, 4)
     model = harmonic_potential(omega=1.0)
-    rec_a, _ = propagate_through_nodes(
-        gaussian_packet(grid, 1.0, center=0.6), model, nodes, substeps=20
+    rec_a, _ = sample_densities(
+        gaussian_packet(grid, 1.0, center=0.6), model, CONSTANTS, nodes, substeps=20
     )
-    rec_b, _ = propagate_through_nodes(
-        gaussian_packet(grid, 0.7, center=-0.9), model, nodes, substeps=20
+    rec_b, _ = sample_densities(
+        gaussian_packet(grid, 0.7, center=-0.9), model, CONSTANTS, nodes, substeps=20
     )
     mixed = [GridField(grid, a.values + b.values) for a, b in zip(rec_a, rec_b)]
     with pytest.warns(DecayAssumptionWarning):  # edge residue, see below
@@ -201,7 +201,7 @@ def test_harmonic_coherent_first_moment_against_oracle():
     psi0 = gaussian_packet(grid, sigma, center=1.0)
     dt = 2.0 * np.pi / omega / 200.0
     nodes = TimeNodes(0.3 - 2 * dt, dt, 5)
-    records, psis = propagate_through_nodes(psi0, model, nodes, substeps=20)
+    records, psis = sample_densities(psi0, model, CONSTANTS, nodes, substeps=20)
     pyramid = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=1)
     f1 = pyramid.levels[1][nodes.central_index]
     oracle = oracle_moment_set(psis[nodes.central_index], [1], CONSTANTS)[0].values
@@ -240,8 +240,8 @@ def test_time_dependent_trap_pipeline():
     model = paul_trap_potential(a=1.0, b=0.4, big_omega=3.0)
     grid = SpatialGrid(-14.0, 14.0, 1024)
     nodes = TimeNodes(0.05, 0.01, 3)
-    records, psis = propagate_through_nodes(
-        gaussian_packet(grid, 0.8, center=0.7), model, nodes, substeps=20
+    records, psis = sample_densities(
+        gaussian_packet(grid, 0.8, center=0.7), model, CONSTANTS, nodes, substeps=20
     )
     pyramid = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=2)
     oracles = oracle_moment_set(psis[1], range(3), CONSTANTS)
@@ -256,8 +256,8 @@ def test_levels_stay_real():
     grid = SpatialGrid(-12.0, 12.0, 512)
     nodes = TimeNodes(0.0, 0.01, 4)
     model = harmonic_potential(omega=1.0)
-    records, _ = propagate_through_nodes(
-        gaussian_packet(grid, 1.0, center=0.5), model, nodes, substeps=20
+    records, _ = sample_densities(
+        gaussian_packet(grid, 1.0, center=0.5), model, CONSTANTS, nodes, substeps=20
     )
     with pytest.warns(DecayAssumptionWarning):  # edge residue of the top levels
         pyramid = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=3)
@@ -271,7 +271,7 @@ def test_moment_units_sanity_second_moment_positive_mass_density():
     grid = SpatialGrid(-14.0, 14.0, 1024)
     psi0 = gaussian_packet(grid, 1.0, momentum=1.0)
     nodes = TimeNodes(-0.01, 0.01, 3)
-    records, _ = propagate_through_nodes(psi0, free_potential(), nodes, substeps=20)
+    records, _ = sample_densities(psi0, free_potential(), CONSTANTS, nodes, substeps=20)
     pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=2)
     f2 = pyramid.levels[2][nodes.central_index]
     analytic = gaussian_packet_moment(2, grid.points, 1.0, momentum=1.0)

@@ -13,7 +13,7 @@ from conftest import (
     split_operator_reference,
     traced_peak,
 )
-from hydrec.numerics import LATTICE_BLOCK_BYTES, PhysicalConstants, SpatialGrid
+from hydrec.numerics import LATTICE_BLOCK_BYTES, PhysicalConstants, SpatialGrid, TimeNodes
 from hydrec.potentials import (
     free_potential,
     harmonic_potential,
@@ -38,11 +38,17 @@ from hydrec.simulator import (
     oracle_moment_set,
     probability_density,
     propagate,
+    sample_densities,
     wigner_transform,
 )
 
 CONSTANTS = PhysicalConstants()
 CAT = CatStateParams()
+
+
+def squared_norm(psi):
+    """The integral of |psi|^2 over the grid, by the trapezoid rule."""
+    return float(np.trapezoid(probability_density(psi).values, dx=psi.grid.dx))
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +79,7 @@ def test_cat_amplitude_at_cosine_zero(cat_grid):
 def test_cat_norm_closed_form(cat_psi):
     expected = 2.0 * CAT.sigma * np.sqrt(2.0 * np.pi) * (1.0 + np.exp(-2.0 * CAT.k0**2 * CAT.sigma**2))
     assert cat_state_norm(CAT) == pytest.approx(expected, rel=1e-14)
-    assert cat_psi.norm == pytest.approx(expected, rel=1e-9)
+    assert squared_norm(cat_psi) == pytest.approx(expected, rel=1e-9)
 
 
 def test_cat_grid_rejections():
@@ -158,7 +164,7 @@ def test_propagate_free_gaussian_spreading():
     var = np.trapezoid((x - mean) ** 2 * f, x) / norm
     expected = sigma**2 + (CONSTANTS.hbar * t / (2.0 * CONSTANTS.mass * sigma)) ** 2
     assert var == pytest.approx(expected, rel=1e-6)
-    assert out.norm == pytest.approx(psi.norm, rel=1e-9)
+    assert squared_norm(out) == pytest.approx(squared_norm(psi), rel=1e-9)
 
 
 def test_propagate_coherent_center_follows_classical_path():
@@ -191,7 +197,7 @@ def test_propagate_norm_conservation_all_potentials():
         paul_trap_potential(a=1.0, b=0.3, big_omega=4.0),
     ):
         out = propagate(psi, model, CONSTANTS, dt=1e-3, steps=200)
-        assert out.norm == pytest.approx(psi.norm, rel=1e-10)
+        assert squared_norm(out) == pytest.approx(squared_norm(psi), rel=1e-10)
 
 
 def test_propagate_detects_wraparound():
@@ -199,6 +205,64 @@ def test_propagate_detects_wraparound():
     psi = gaussian_packet(grid, 0.5, momentum=5.0)
     with pytest.raises(SimulationQualityError, match="wrap"):
         propagate(psi, free_potential(), CONSTANTS, dt=1e-3, steps=800)
+
+
+def assert_walk_equals(records, psis, expected_psis):
+    assert len(records) == len(psis) == len(expected_psis)
+    for record, psi, expected in zip(records, psis, expected_psis):
+        assert_bytes_equal(psi.amplitudes, expected.amplitudes)
+        assert_bytes_equal(record.values, np.abs(expected.amplitudes) ** 2)
+
+
+def test_sample_densities_by_default_is_the_walk_simulate_took():
+    # the README quartic dataset: cat state, 1024 points, 13 nodes from t_0 = 0.09
+    model = quartic_potential(c2=0.5, c4=0.1)
+    grid = SpatialGrid(-10.0, 10.0, 1024)
+    nodes = TimeNodes(0.09, 0.005, 13)
+    psi = make_cat_state(CAT, grid)
+    records, psis = sample_densities(psi, model, CONSTANTS, nodes)
+    # steps of at most 1e-3: 90 to t_0, then 8 per node interval
+    n0, sub = max(8, int(np.ceil(abs(nodes.t_0) / 1e-3))), max(8, int(np.ceil(nodes.dt / 1e-3)))
+    expected = [propagate(psi, model, CONSTANTS, nodes.t_0 / n0, n0, t_start=0.0)]
+    for j in range(nodes.m):
+        t_start = nodes.t_0 + j * nodes.dt
+        step = nodes.dt / sub
+        expected.append(propagate(expected[-1], model, CONSTANTS, step, sub, t_start=t_start))
+    assert (n0, sub) == (90, 8)
+    assert_walk_equals(records, psis, expected)
+
+
+@pytest.mark.parametrize(
+    "model, nodes, substeps",
+    [
+        (harmonic_potential(0.5), TimeNodes(0.14, 0.04, 9), 40),  # demos/03
+        (free_potential(), TimeNodes(-0.005, 0.005, 3), 8),  # a lead-in backward in time
+        (paul_trap_potential(a=1.0, b=0.4, big_omega=3.0), TimeNodes(0.0, 0.01, 3), 20),
+    ],
+)
+def test_sample_densities_with_substeps_steps_dt_over_substeps_from_t_0(model, nodes, substeps):
+    grid = SpatialGrid(-14.0, 14.0, 512)
+    psi = gaussian_packet(grid, 1.0, center=0.3, momentum=0.8)
+    records, psis = sample_densities(psi, model, CONSTANTS, nodes, substeps=substeps)
+    expected = [psi]
+    if nodes.t_0 != 0.0:
+        n0 = max(8, int(np.ceil(abs(nodes.t_0) / (nodes.dt / substeps))))
+        expected = [propagate(psi, model, CONSTANTS, nodes.t_0 / n0, n0, t_start=0.0)]
+    for j in range(nodes.m):
+        t_start = nodes.t_0 + j * nodes.dt
+        step = nodes.dt / substeps
+        expected.append(propagate(expected[-1], model, CONSTANTS, step, substeps, t_start=t_start))
+    assert_walk_equals(records, psis, expected)
+
+
+@pytest.mark.parametrize("substeps", [0, -3, 2.5, True])
+def test_sample_densities_rejects_a_substep_count_before_any_step(monkeypatch, substeps):
+    import hydrec.simulator as simulator
+
+    monkeypatch.setattr(simulator, "propagate", lambda *a, **k: pytest.fail("propagated"))
+    psi = gaussian_packet(SpatialGrid(-8.0, 8.0, 64), 1.0)
+    with pytest.raises(ValueError, match="substeps must be an integer >= 1"):
+        sample_densities(psi, free_potential(), CONSTANTS, TimeNodes(0.1, 0.01, 3), substeps)
 
 
 PROPAGATION_CASES = pytest.mark.parametrize(
@@ -309,7 +373,7 @@ def test_wigner_marginals(cat_psi):
     marginal = np.trapezoid(w.values, dx=w.dp, axis=1)
     assert np.max(np.abs(marginal - f0)) < 1e-8 * np.max(f0)
     total = np.trapezoid(marginal, dx=cat_psi.grid.dx)
-    assert total == pytest.approx(cat_psi.norm, rel=1e-8)
+    assert total == pytest.approx(squared_norm(cat_psi), rel=1e-8)
 
 
 def test_wigner_cat_interference_is_negative(cat_psi):
