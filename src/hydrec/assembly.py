@@ -9,7 +9,8 @@ so that no explicit large factorial is formed.  The moments f_0 .. f_N at one
 time arrive as one ``(N+1, n_points)`` :class:`~hydrec.numerics.GridField`,
 and the sum is one contraction of that matrix with the table of ``z_n``.
 Real moments make the real part of the sum carry only even orders and the
-imaginary part only odd orders.
+imaginary part only odd orders, so the y < 0 half is the conjugate of the
+y >= 0 half; only that half is summed.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ class TaylorReconstruction:
     scale is absolute, since |rho(x, x')| <= max f_0 for any density matrix.
     Two terms, because a real state's odd moments are identically zero; at
     N = 0 the last term is f_0 itself, so the radius is 0.
+
+    ``values`` is Hermitian by construction: :func:`assemble` sums the Taylor
+    terms on the y >= 0 columns ``M//2 .. M-1`` only and writes column
+    ``M-1-j`` as ``(re, 0.0 - im)`` of column j.  On a lattice whose halves
+    are exact negatives (as ``offdiagonal_lattice`` builds it) that is the sum
+    at -y bit for bit, ``+0.0`` imaginary parts included; on one symmetric
+    only to rounding, the y < 0 columns hold the values at the mirrored points.
 
     ``moments`` holds one :class:`MomentField` per row of the assembled matrix,
     because the benchmark reads ``rec.moments[0].field`` (``perfbench/worker.py``
@@ -142,25 +150,36 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
     if not (np.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
     y = _offdiagonal_axis(y)  # checked before the sweep, not by DensityMatrixGrid after it
-    z = _taylor_terms(y, hbar, len(f) - 1)
+    c = y.size // 2  # y = 0
+    # the y >= 0 half: the y < 0 half mirrors it, and |z_n| and |y| are even in y
+    z = _taylor_terms(y[c:], hbar, len(f) - 1)
     abs_z = np.abs(z)
     f_peaks = np.max(np.abs(f), axis=1)
-    values = np.zeros((f.shape[1], y.size), dtype=complex)
-    blocks = list(_row_blocks(f.shape[1], values.itemsize * y.size))
-    term = np.empty_like(values[blocks[0]])  # the first block is the largest
+    values = np.empty((f.shape[1], y.size), dtype=complex)
+    blocks = list(_row_blocks(f.shape[1], values.itemsize * z.shape[1]))
+    # a block's y >= 0 half is summed y-major, so that each multiply and add runs along x
+    sums = np.empty((z.shape[1], f[:, blocks[0]].shape[1]), dtype=complex)  # the largest block
+    term = np.empty_like(sums)
     with np.errstate(over="ignore", invalid="ignore"):  # reported per order below
         # summed from +0.0, orders in sequence, so a -0.0 moment gives +0.0 (a start from
-        # the n = 0 term would keep -0.0); one block of rows at a time, one reused term buffer
+        # the n = 0 term would keep -0.0); one block of rows at a time, reused buffers
         for blk in blocks:
-            block = values[blk]
-            for f_n, z_n in zip(f, z):
-                block += np.multiply(f_n[blk, None], z_n, out=term[: block.shape[0]])
+            f_blk = f[:, blk]
+            acc = sums[:, : f_blk.shape[1]]
+            acc.fill(0.0)
+            for f_n, z_n in zip(f_blk, z):
+                acc += np.multiply(f_n, z_n[:, None], out=term[:, : acc.shape[1]])
+            values[blk, c:] = acc.T
+            # column M-1-j holds (re, 0.0 - im) of column j: 0.0 - 0.0 is +0.0, as the sum gives
+            mirror, upper = values[blk, :c], acc[:0:-1].T
+            mirror.real = upper.real
+            np.subtract(0.0, upper.imag, out=mirror.imag)
         values.setflags(write=False)  # DensityMatrixGrid adopts it
         # each z_n is purely real or purely imaginary, so this is max |f_n z_n| exactly
         term_peaks = f_peaks * np.max(abs_z, axis=1)
         # an overflowed term is never trusted
         tail = np.max(f_peaks[-2:, None] * abs_z[-2:], axis=0)
-    trusted = np.abs(y)[tail < TRUST_THRESHOLD * f_peaks[0]]
+    trusted = np.abs(y[c:])[tail < TRUST_THRESHOLD * f_peaks[0]]
     for n in np.flatnonzero(~(term_peaks <= TERM_MAGNITUDE_LIMIT)):
         warnings.warn(
             f"order-{n} term reaches magnitude {term_peaks[n]:.3e}; the expansion has "

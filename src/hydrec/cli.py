@@ -12,7 +12,11 @@ trip is bit-exact or fails loudly.  A reader rejects a manifest with another
 format version, a missing required key, or a payload path that leaves the
 manifest's directory.  Density grids are also written as ``rho_<tag>.dat``,
 one ``x y re im`` line per lattice point (x-major) in shortest round-trip
-decimal, after a ``# x y re im`` header.
+decimal, after a ``# x y re im`` header.  The table is formatted from the
+y >= 0 half of each row, whose y < 0 mirror ``assemble`` guarantees, so only
+half of the values go through ``repr``; its bytes are those of formatting
+every value.  ``compare`` resolves its reference before it writes anything, so
+a missing or mismatched reference leaves no density grid.
 
 Exit codes: 0 success, 2 simulation-quality failure, 3 insufficient time
 samples, 4 missing reference, 1 anything else.
@@ -335,10 +339,14 @@ def _parse_potential(text: str, mass: float) -> PotentialModel:
     check_parameters(kind, params)
     values = {"mass": mass} if "mass" in PARAMETERS[kind] else {}  # PotentialModel fills the rest
     for key, value in params.items():
-        if key == "coeffs":  # rows of x^k, each a '/'-separated time polynomial
-            values[key] = [[float(c) for c in row.split("/")] for row in value.split(";")]
-        else:
-            values[key] = float(value)
+        try:
+            if key == "coeffs":  # rows of x^k, each a '/'-separated time polynomial
+                values[key] = [[float(c) for c in row.split("/")] for row in value.split(";")]
+            else:
+                values[key] = float(value)
+        except ValueError:
+            form = "numbers 'c0;c1/c1t;...'" if key == "coeffs" else "a number"
+            raise ValueError(f"--potential {kind}: {key} expects {form}, got {value!r}") from None
     return PotentialModel(kind, values)
 
 
@@ -433,18 +441,28 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
         hbar=rec.hbar,
         trust_radius=rec.trust_radius,
     )
-    # shortest round-trip decimal of every value, x-major like the payload,
-    # written one block of x rows at a time
+    # shortest round-trip decimal of every value, x-major like the payload, formatted from
+    # the y >= 0 half: assemble writes column M-1-j as (re, 0.0 - im) of column j
+    m, c = y.size, y.size // 2
+    h = m - c  # the y >= 0 half
     ys = list(map(repr, y.tolist()))
+    # a row's format fields: {0} is x, then the half's h re, h im and h mirrored im texts;
+    # column k reads half column |k - c|
+    row = "".join(
+        f"{{0}} {ys[k]} {{{1 + abs(k - c)}}} {{{1 + (h if k >= c else 2 * h) + abs(k - c)}}}\n"
+        for k in range(m)
+    )
     points = grid.points
     with (out_dir / f"rho_{tag}.dat").open("w") as table:
         table.write("# x y re im\n")
-        for blk in _row_blocks(grid.n_points, vals.itemsize * y.size):
-            block = vals[blk]
-            xs = [text for text in map(repr, points[blk].tolist()) for _ in ys]
-            real = map(repr, block.real.ravel().tolist())
-            imag = map(repr, block.imag.ravel().tolist())
-            table.write("".join(map("{} {} {} {}\n".format, xs, ys * len(block), real, imag)))
+        for blk in _row_blocks(grid.n_points, vals.itemsize * m):
+            half = vals[blk, c:]
+            xs = map(repr, points[blk].tolist())
+            for x, re, im in zip(xs, half.real.tolist(), half.imag.tolist()):
+                im = list(map(repr, im))
+                # the text of 0.0 - v: +0.0 and nan stay, any other sign flips
+                flip = [t[1:] if t[0] == "-" else t if t in ("0.0", "nan") else "-" + t for t in im]
+                table.write(row.format(x, *map(repr, re), *im, *flip))
 
 
 def _resolve_reference(args, mset: dict, y: np.ndarray):
@@ -485,17 +503,19 @@ def cmd_assemble_compare(args, with_reference: bool) -> int:
     mset = read_moment_set(Path(args.moments))
     y = offdiagonal_lattice(args.y_max, args.n_y)
     rec = assemble(GridField(mset["grid"], mset["moments"]), y, mset["constants"].hbar)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tag = f"N{rec.order_max}"
-    _emit_density_grid(out_dir, tag, rec)
-
     report = None
-    if with_reference:
+    if with_reference:  # before any file is written, and the reference freed before the table
         reference = _resolve_reference(args, mset, rec.y)
         region = (args.region_x, args.region_y)
         report = compare(rec.values, reference, region=region, f0=rec.moments[0].field)
+        del reference
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tag = f"N{rec.order_max}"
+    if report is not None:
         _dump_json(out_dir / f"report_{tag}.json", report.as_dict())
+    _emit_density_grid(out_dir, tag, rec)
+
     hermiticity = rec.values.hermiticity_defect() if report is None else report.hermiticity_defect
     lines = [
         f"order_max        {rec.order_max}",
@@ -526,7 +546,8 @@ def cmd_demo_cat(args) -> int:
     requested Taylor order, and reports sup errors against the closed-form
     density matrix over |x| <= 3, |y| <= 1.5.
     """
-    orders = sorted({int(n) for n in args.orders.split(",")})
+    kinds = [int] * (args.orders.count(",") + 1)
+    orders = sorted(set(_split_numbers("--orders", "n1,n2,...", args.orders, *kinds)))
     if any(n < 0 for n in orders):
         raise ValueError("orders must be >= 0")
     constants = PhysicalConstants(hbar=args.hbar)

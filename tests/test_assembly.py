@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     assert_bytes_equal,
@@ -368,6 +371,42 @@ def test_assemble_equals_the_einsum_contraction_bitwise(case):
         rec = assemble(GridField(grid, f), y, 0.7)
     assert bool(caught) == overflows
     assert_bytes_equal(rec.values.values, einsum_assembly(f, y, 0.7))
+
+
+@st.composite
+def moment_matrices(draw):
+    """Real f_0 .. f_N, N = 0..14, some rows all zero, magnitudes up to 1e300."""
+    order = draw(st.integers(0, 14))
+    shape = (order + 1, draw(st.integers(8, 24)))
+    f = draw(arrays(np.float64, shape, elements=st.floats(-1e300, 1e300)))
+    f[draw(st.lists(st.integers(0, order), max_size=order + 1))] = 0.0
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    f=moment_matrices(),
+    n_y=st.integers(1, 20).map(lambda k: 2 * k + 1),
+    y_max=st.sampled_from([0.1, 1.5, 40.0, 1e20, 1e150]),  # the last two overflow at N >= 2
+    hbar=st.sampled_from([1e-3, 0.7, 1.0]),
+)
+def test_assemble_writes_the_y_below_0_half_as_the_mirror_of_the_upper_half(f, n_y, y_max, hbar):
+    y = offdiagonal_lattice(y_max, n_y)
+    c = n_y // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an overflowing order, reported and kept
+        rec = assemble(GridField(SpatialGrid(-1.0, 1.0, f.shape[1]), f), y, hbar)
+    values = rec.values.values
+    upper = values[:, :c:-1]  # columns M-1 .. c+1
+    mirrored = np.empty_like(upper)
+    mirrored.real = upper.real
+    mirrored.imag = 0.0 - upper.imag
+    assert np.array_equal(values[:, :c].view(np.uint64), mirrored.view(np.uint64))
+    assert np.array_equal(values[:, c].real, f[0]) and not values[:, c].imag.any()
+    # and the mirror is the order-by-order sum at y < 0, bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = sequential_assembly(f, y, hbar)[0]
+    assert_bytes_equal(values, direct)
 
 
 def one_shot_resample(b, a):

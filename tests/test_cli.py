@@ -19,7 +19,8 @@ from hydrec.cli import (
     read_dataset,
     read_moment_set,
 )
-from hydrec.numerics import DecayAssumptionWarning
+from hydrec.assembly import assemble
+from hydrec.numerics import DecayAssumptionWarning, GridField
 from hydrec.potentials import x_coefficients
 from hydrec.reconstruction import build_pyramid
 from hydrec.simulator import DensityMatrixGrid, GridCoverageWarning
@@ -330,6 +331,43 @@ def test_dat_table_is_the_one_shot_join_of_the_payload(tmp_path):
     assert (out / "rho_N7.dat").read_bytes() == table.encode()
 
 
+def overflowing_assembly(grid, y):
+    f = np.random.default_rng(4).normal(size=(9, grid.n_points))
+    # terms of opposite signs overflow to inf and -inf in both parts, which sum to nan
+    f[1:5, ::3] = np.finfo(float).max
+    with pytest.warns(UserWarning, match="left the floating-point range"):
+        return assemble(GridField(grid, f), y, 0.7)
+
+
+def cat_assembly(grid, y):
+    from hydrec.simulator import CatStateParams, cat_state_moment
+
+    f = [cat_state_moment(CatStateParams(), n, grid.points) for n in range(7)]
+    return assemble(GridField(grid, f), y, 1.0)  # odd cat moments vanish: every im is 0.0
+
+
+@pytest.mark.parametrize("make", [cat_assembly, overflowing_assembly])
+def test_dat_table_of_zero_and_non_finite_values_is_the_one_shot_join(tmp_path, make):
+    from hydrec.cli import _emit_density_grid
+    from hydrec.numerics import LATTICE_BLOCK_BYTES, SpatialGrid
+    from hydrec.simulator import offdiagonal_lattice
+
+    n_x = LATTICE_BLOCK_BYTES // (16 * 21) + 5  # two blocks of rows
+    grid, y = SpatialGrid(-6, 6, n_x), offdiagonal_lattice(1.5, 21)
+    rec = make(grid, y)
+    _emit_density_grid(tmp_path, "N", rec)
+    values = np.frombuffer((tmp_path / "rho_N.bin").read_bytes(), dtype="<c16").reshape(n_x, 21)
+    assert values.tobytes() == rec.values.values.tobytes()
+    xs = [t for t in map(repr, grid.points.tolist()) for _ in range(21)]
+    ys = list(map(repr, y.tolist())) * n_x
+    real = map(repr, values.real.ravel().tolist())
+    imag = list(map(repr, values.imag.ravel().tolist()))
+    table = "# x y re im\n" + "".join(map("{} {} {} {}\n".format, xs, ys, real, imag))
+    assert (tmp_path / "rho_N.dat").read_text() == table
+    kinds = {"0.0"} if make is cat_assembly else {"0.0", "inf", "-inf", "nan"}
+    assert kinds <= set(imag)
+
+
 def test_compare_stored_psi_reference(tmp_path):
     ds = tmp_path / "ds"
     assert run(*small_dataset_args(ds), "--store-psi") == 0
@@ -478,6 +516,27 @@ def test_compare_stored_psi_at_a_node_past_the_dataset_exits_1(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "case, status",
+    [("no --dataset", 4), ("no stored psi", 4), ("another dataset", 1)],
+)
+def test_a_failed_compare_writes_no_density_grid(tmp_path, capsys, case, status):
+    ds, mdir, out = tmp_path / "ds", tmp_path / "m", tmp_path / "cmp"
+    assert run(*small_dataset_args(ds), "--store-psi") == 0
+    assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
+    dataset = []
+    if case != "no --dataset":
+        other = tmp_path / "other"  # without psi, or the psi of another state
+        psi = ["--store-psi"] if case == "another dataset" else []
+        assert run(*small_dataset_args(other, center="0.5"), *psi) == 0
+        dataset = ["--dataset", other / "dataset.json"]
+    capsys.readouterr()
+    assert run("compare", mdir / "moments.json", "--reference", "stored-psi", *dataset,
+               "--n-y", "11", "--out", out) == status
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not list(out.glob("rho_N*")) and not list(out.glob("report_N*"))
+
+
+@pytest.mark.parametrize(
     "verb, flag",
     [
         ("reconstruct", "--hbar"),
@@ -594,6 +653,28 @@ def test_potential_with_an_unknown_or_missing_key_exits_1(tmp_path, capsys, pote
     assert len(err) == 1 and err[0].startswith("hydrec: error:")
     assert f"{kind} potential" in err[0] and key in err[0]
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value, names",
+    [
+        ("simulate", "potential", "harmonic:omega=abc", ["omega", "a number", "'abc'"]),
+        ("simulate", "potential", "polynomial:coeffs=0;a", ["coeffs", "'c0;c1/c1t;...'"]),
+        ("demo-cat", "orders", "10,x", ["'10,x'", "'n1,n2,...'"]),
+    ],
+)
+def test_a_value_that_is_not_a_number_exits_1_naming_flag_key_and_form(
+    tmp_path, capsys, verb, flag, value, names
+):
+    argv = small_dataset_args(tmp_path / "out", **{flag: value})
+    if verb == "demo-cat":
+        argv = ["demo-cat", f"--{flag}", value, "--grid=-6,6,121", "--out", tmp_path / "out"]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"hydrec: error: --{flag} ")
+    assert all(name in err[0] for name in names), err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_potential_mass_key_is_used(tmp_path, capsys):

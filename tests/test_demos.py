@@ -1,4 +1,4 @@
-"""Every script under demos/ runs to completion against the current API."""
+"""Every script under demos/ and the README's library quick start run against the current API."""
 
 import os
 import subprocess
@@ -29,3 +29,11 @@ def test_demo_exits_0(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_library_quick_start_reports_a_trusted_radius(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (library)\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})  # pytest.ini makes a decay warning an error
+    shape, radius = capsys.readouterr().out.split(") ")
+    assert shape == "(1024, 101" and float(radius.split()[0]) > 0.0
