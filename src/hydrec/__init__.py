@@ -18,7 +18,6 @@ from .numerics import (
     TimeNodes,
     cumulative_integral,
     differentiation_matrix,
-    smooth_local_poly,
 )
 from .potentials import (
     PotentialModel,
@@ -69,7 +68,6 @@ __all__ = [
     "DecayAssumptionWarning",
     "cumulative_integral",
     "differentiation_matrix",
-    "smooth_local_poly",
     "PotentialModel",
     "free_potential",
     "harmonic_potential",

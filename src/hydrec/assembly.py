@@ -116,9 +116,9 @@ class ComparisonReport:
 
 def _taylor_terms(y: np.ndarray, hbar: float, order_max: int) -> np.ndarray:
     """Rows ``z_n = (2 i y / hbar)^n / n!``, n = 0..order_max; overflow is left to the callers."""
-    ratio = 2j * y / hbar
     z = np.ones((order_max + 1, y.size), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        ratio = 2j * y / hbar
         for n in range(1, order_max + 1):
             z[n] = z[n - 1] * ratio / n
     return z

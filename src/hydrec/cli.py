@@ -258,7 +258,6 @@ def write_moment_set(
     moments: np.ndarray,
     central_time: float,
     node: int,
-    smoothing: tuple[int, int] | None,
     dataset_path: str = "",
 ) -> Path:
     """Write the ``(N+1, n_points)`` matrix of f_0 .. f_N at ``node`` plus its manifest."""
@@ -276,7 +275,6 @@ def write_moment_set(
         central_time=central_time,
         node=node,
         order_max=len(array) - 1,
-        smoothing=None if smoothing is None else {"window": smoothing[0], "degree": smoothing[1]},
     )
 
 
@@ -335,6 +333,8 @@ def _parse_potential(text: str, mass: float) -> PotentialModel:
             key, _, value = item.partition("=")
             if not value:
                 raise ValueError(f"potential parameter {item!r} is not key=value")
+            if key.strip() in params:
+                raise ValueError(f"--potential {kind}: {key.strip()} is given more than once")
             params[key.strip()] = value.strip()
     check_parameters(kind, params)
     values = {"mass": mass} if "mass" in PARAMETERS[kind] else {}  # PotentialModel fills the rest
@@ -364,6 +364,8 @@ def _prepare_state(args, grid: SpatialGrid, constants: PhysicalConstants, model)
         if model.kind != "harmonic":
             raise ValueError("the coherent state needs a harmonic potential (its width is set by omega)")
         omega = float(model.params["omega"])
+        if not omega > 0.0:
+            raise ValueError(f"the coherent state needs omega > 0, got {omega}")
         sigma = float(np.sqrt(constants.hbar / (2.0 * constants.mass * omega)))
     psi = gaussian_packet(
         grid, sigma, center=args.center, momentum=args.momentum, hbar=constants.hbar
@@ -375,6 +377,8 @@ def _prepare_state(args, grid: SpatialGrid, constants: PhysicalConstants, model)
 def cmd_simulate(args) -> int:
     if not (np.isfinite(args.noise) and args.noise >= 0.0):
         raise ValueError(f"--noise must be a finite number >= 0, got {args.noise}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     constants = PhysicalConstants(hbar=args.hbar, mass=args.mass)
     grid = _parse_grid(args.grid)
     t_0, dt, m = _split_numbers("--times", "t0,dt,m", args.times, float, float, int)
@@ -408,21 +412,12 @@ def cmd_reconstruct(args) -> int:
     node = nodes.central_index if args.node is None else args.node
     if not (0 <= node <= nodes.m):
         raise ValueError(f"node {node} outside 0..{nodes.m}")
-    smoothing = None
-    if args.smooth:
-        smoothing = _split_numbers("--smooth", "window,degree", args.smooth, int, int)
     pyramid = build_pyramid(
-        data["records"],
-        data["grid"],
-        nodes,
-        data["model"],
-        data["constants"],
-        order_max=args.order,
-        smoothing=smoothing,
+        data["records"], data["grid"], nodes, data["model"], data["constants"], args.order
     )
     path = write_moment_set(
         Path(args.out), data["manifest"], [level[node] for level in pyramid.levels],
-        float(nodes.t_0 + node * nodes.dt), node, smoothing, dataset_path=str(args.dataset),
+        float(nodes.t_0 + node * nodes.dt), node, dataset_path=str(args.dataset),
     )
     print(path)
     return 0
@@ -635,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("dataset", help="path to dataset.json")
     p.add_argument("--order", type=int, required=True, help="highest moment order N")
-    p.add_argument("--smooth", default="", help="window,degree local-polynomial smoothing of f0")
     p.add_argument("--node", type=int, default=None, help="report node (default: central)")
     p.set_defaults(func=cmd_reconstruct)
 

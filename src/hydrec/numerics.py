@@ -20,7 +20,6 @@ __all__ = [
     "PhysicalConstants",
     "cumulative_integral",
     "differentiation_matrix",
-    "smooth_local_poly",
 ]
 
 #: Relative amplitude above which a field is considered not to have decayed
@@ -245,38 +244,3 @@ def differentiation_matrix(nodes: TimeNodes) -> np.ndarray:
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -d.sum(axis=1))
     return d
-
-
-def smooth_local_poly(values, window: int, degree: int) -> np.ndarray:
-    """Local least-squares polynomial smoothing (Savitzky-Golay) along the last axis.
-
-    Each point is replaced by the value at that point of the least-squares
-    polynomial of the given degree fitted over a centered window; near the
-    edges the fit uses the one-sided end windows.  All rows go through one
-    filter call.
-
-    Parameters
-    ----------
-    values : array
-        Input samples, one field per row.
-    window : int
-        Odd window length, ``degree < window <= n_points``.
-    degree : int
-        Fit polynomial degree, at least 0.
-
-    Returns
-    -------
-    numpy.ndarray
-        Smoothed samples; polynomials of degree <= ``degree`` pass unchanged.
-    """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be a positive odd integer, got {window}")
-    if window > np.shape(values)[-1]:
-        raise ValueError(f"window {window} exceeds grid size {np.shape(values)[-1]}")
-    if not 0 <= degree < window:
-        raise ValueError(f"degree {degree} must be >= 0 and below window {window}")
-    if window == 1:
-        return values
-    from scipy.signal import savgol_filter  # only smoothing needs scipy
-
-    return savgol_filter(values, window_length=window, polyorder=degree, mode="interp", axis=-1)

@@ -36,7 +36,6 @@ from .numerics import (
     _read_only_array,
     cumulative_integral,
     differentiation_matrix,
-    smooth_local_poly,
 )
 from .potentials import PotentialModel, check_mass, free_potential, potential_derivative
 
@@ -57,8 +56,8 @@ class MomentPyramid:
     """All moments up to order N at all time nodes.
 
     ``levels[n]`` is a read-only ``(m+1, n_points)`` array of f_n at every
-    node.  Order 0 is the (possibly smoothed) input density; each higher level
-    derives only from the levels below it.
+    node.  Order 0 is the input density; each higher level derives only from
+    the levels below it.
     """
 
     grid: SpatialGrid
@@ -116,7 +115,6 @@ def build_pyramid(
     model: PotentialModel,
     constants: PhysicalConstants,
     order_max: int,
-    smoothing: tuple[int, int] | None = None,
 ) -> MomentPyramid:
     """Reconstruct all moments up to ``order_max`` from density records.
 
@@ -132,9 +130,6 @@ def build_pyramid(
         hbar and mass.
     order_max : int
         Highest moment order N; requires ``N <= m``.
-    smoothing : (window, degree), optional
-        Local-polynomial smoothing applied to the input densities only,
-        before the recursion.  Off by default.
 
     Returns
     -------
@@ -149,10 +144,7 @@ def build_pyramid(
             f"(an order-n moment requires the density at n+1 times); got {m + 1}"
         )
     check_mass(model, constants.mass)
-    base = _as_record_matrix(f0_records, grid, nodes)
-    if smoothing is not None:
-        base = smooth_local_poly(base, *smoothing)
-    levels = [base]
+    levels = [_as_record_matrix(f0_records, grid, nodes)]
     if order_max >= 1:
         if m > 12:
             warnings.warn(

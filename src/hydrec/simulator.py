@@ -208,6 +208,10 @@ def gaussian_packet(
 
     ``sigma`` is the position standard deviation of |psi|^2.
     """
+    named = {"sigma": sigma, "center": center, "momentum": momentum, "hbar": hbar}
+    for name, value in named.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = grid.points

@@ -152,6 +152,16 @@ def test_term_overflow_is_flagged(grid):
         assemble(boosted_moments(grid, 2), huge_y, HBAR)
 
 
+def test_a_lattice_where_2y_over_hbar_overflows_warns_only_per_order(grid):
+    # 2y/hbar itself leaves the floating-point range; no numpy RuntimeWarning escapes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = assemble(boosted_moments(grid, 2), offdiagonal_lattice(1e308, 3), HBAR)
+    assert [str(w.message).split()[0] for w in caught] == ["order-1", "order-2"]
+    assert all(w.category is UserWarning for w in caught)
+    assert np.array_equal(rec.values.values[:, 1].real, rec.moments[0].field.values)
+
+
 def test_trust_radius_grows_with_order(grid, y_lattice):
     rec10 = assemble(cat_moments(grid, 10), y_lattice, HBAR)
     rec36 = assemble(cat_moments(grid, 36), y_lattice, HBAR)

@@ -37,14 +37,38 @@ def test_payload_checksum_known_vectors():
     assert payload_checksum(b"foobar") == "9d212f7f254a51f9"
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
+    # the README command-line quick start and a small demo-cat, with scipy refused at import
     src = str(Path(hydrec.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = (
-        "import hydrec.cli; import sys; "
-        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
-    )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    code = """if True:
+        import sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(f"{name} is refused")
+
+        sys.meta_path.insert(0, NoScipy())
+        from hydrec.cli import main
+
+        out = sys.argv[1]
+        for argv in (
+            ["simulate", "--state", "cat", "--grid=-10,10,1024", "--times", "0.09,0.005,4",
+             "--potential", "free", "--store-psi", "--out", f"{out}/dataset"],
+            ["reconstruct", f"{out}/dataset/dataset.json", "--order", "4", "--out", f"{out}/moments"],
+            ["assemble", f"{out}/moments/moments.json", "--y-max", "1.5", "--n-y", "201",
+             "--out", f"{out}/rho"],
+            ["compare", f"{out}/moments/moments.json", "--reference", "stored-psi",
+             "--dataset", f"{out}/dataset/dataset.json", "--region-y", "0.1", "--out", f"{out}/report"],
+            ["demo-cat", "--orders", "2,4", "--out", f"{out}/figure"],
+        ):
+            assert main(argv) == 0, argv
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+    """
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True, timeout=300)
+    assert (tmp_path / "report" / "report_N4.json").exists()
+    assert (tmp_path / "figure" / "rho_N4.bin").exists()
 
 
 def small_dataset_args(out, **overrides):
@@ -158,6 +182,28 @@ def test_simulate_rejects_substeps_below_1(capsys, monkeypatch, tmp_path, subste
 
 
 @pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"center": "inf"}, "center must be finite, got inf"),
+        ({"sigma": "nan"}, "sigma must be finite, got nan"),
+        ({"momentum": "nan"}, "momentum must be finite, got nan"),
+        ({"state": "coherent", "potential": "harmonic:omega=-1"},
+         "the coherent state needs omega > 0, got -1.0"),
+        ({"noise": "1e-6", "seed": "-1"}, "--seed must be >= 0, got -1"),
+        ({"potential": "harmonic:omega=1,omega=2"},
+         "--potential harmonic: omega is given more than once"),
+    ],
+    ids=["center inf", "sigma nan", "momentum nan", "coherent omega -1", "seed -1", "omega twice"],
+)
+def test_simulate_rejects_a_state_a_seed_or_a_potential_key_naming_it(
+    capsys, monkeypatch, tmp_path, overrides, message
+):
+    assert simulate_error(capsys, monkeypatch, tmp_path, **overrides) == (
+        1, [f"hydrec: error: {message}"]
+    )
+
+
+@pytest.mark.parametrize(
     "flag, value, reason, malformed",
     [
         ("grid", "-10,10,4", "need at least 8 grid points, got 4", "-10,10"),
@@ -176,24 +222,6 @@ def test_simulate_reports_why_a_grid_or_times_value_is_rejected(
         assert simulate_error(capsys, monkeypatch, tmp_path, **{flag: text}) == (
             1, [f"hydrec: error: {message}"]
         )
-
-
-@pytest.mark.parametrize(
-    "smooth, reason",
-    [
-        ("-1,0", "window must be a positive odd integer, got -1"),
-        ("5,-1", "degree -1 must be >= 0 and below window 5"),
-        ("4,2", "window must be a positive odd integer, got 4"),
-    ],
-)
-def test_reconstruct_reports_why_a_smoothing_is_rejected(tmp_path, capsys, smooth, reason):
-    assert run(*small_dataset_args(tmp_path / "ds")) == 0
-    argv = ["reconstruct", tmp_path / "ds" / "dataset.json", "--order", "1", "--out", tmp_path]
-    malformed = f"--smooth expects 'window,degree', got '{smooth},1'"
-    for text, message in ((smooth, reason), (f"{smooth},1", malformed)):
-        capsys.readouterr()
-        assert run(*argv, f"--smooth={text}") == 1
-        assert capsys.readouterr().err.splitlines() == [f"hydrec: error: {message}"]
 
 
 def test_dataset_checksum_detects_corruption(tmp_path):
@@ -255,28 +283,36 @@ def test_reconstruct_insufficient_samples_exits_3(tmp_path, capsys):
     assert "time samples" in err and "4" in err
 
 
-def test_reconstruct_smoothing_option(tmp_path):
+def test_reconstruct_smooth_is_an_unrecognized_argument(tmp_path, capsys):
     ds = tmp_path / "ds"
     run(*small_dataset_args(ds))
-    out = tmp_path / "sm"
-    assert run(
-        "reconstruct", ds / "dataset.json", "--order", "1", "--smooth", "5,2", "--out", out
-    ) == 0
-    assert read_moment_set(out / "moments.json")["manifest"]["smoothing"] == {
-        "window": 5,
-        "degree": 2,
-    }
+    capsys.readouterr()
+    argv = ("reconstruct", ds / "dataset.json", "--order", "1", "--smooth", "7,3")
+    assert run(*argv, "--out", tmp_path / "m") == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "hydrec: error: unrecognized arguments: --smooth 7,3"
+    assert "Traceback" not in err
+    assert not (tmp_path / "m").exists()
 
 
-def test_reconstruct_smooth_7_3_runs_end_to_end(tmp_path):
+def test_a_moment_set_that_records_a_smoothing_still_reads_and_assembles(tmp_path):
+    # moment sets once recorded "smoothing": null or {"window", "degree"}; readers ignore the key
+    from hydrec.cli import FORMAT_VERSION
+
     ds = tmp_path / "ds"
     run(*small_dataset_args(ds))
-    mdir = tmp_path / "sm"
-    assert run(
-        "reconstruct", ds / "dataset.json", "--order", "2", "--smooth", "7,3", "--out", mdir
-    ) == 0
-    assert run("assemble", mdir / "moments.json", "--n-y", "21", "--out", tmp_path / "rho") == 0
-    assert (tmp_path / "rho" / "rho_N2.bin").stat().st_size == 256 * 21 * 16
+    mdir = tmp_path / "m"
+    assert run("reconstruct", ds / "dataset.json", "--order", "2", "--out", mdir) == 0
+    assert run("assemble", mdir / "moments.json", "--n-y", "21", "--out", tmp_path / "now") == 0
+    manifest = json.loads((mdir / "moments.json").read_text())
+    assert FORMAT_VERSION == manifest["format_version"] == 2 and "smoothing" not in manifest
+    manifest["smoothing"] = {"window": 7, "degree": 3}
+    (mdir / "moments.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    mset = read_moment_set(mdir / "moments.json")
+    assert mset["manifest"]["smoothing"] == {"window": 7, "degree": 3}
+    assert run("assemble", mdir / "moments.json", "--n-y", "21", "--out", tmp_path / "old") == 0
+    for name in ("rho_N2.bin", "rho_N2.json", "rho_N2.dat"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "now" / name).read_bytes()
 
 
 def test_assemble_emits_grid_files(tmp_path):

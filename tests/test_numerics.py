@@ -10,7 +10,6 @@ from hydrec.numerics import (
     TimeNodes,
     cumulative_integral,
     differentiation_matrix,
-    smooth_local_poly,
 )
 
 # Integral of exp(-x^2) * 2 * (cos(4*sqrt(2)*x) + 1) over [-8, 8], computed
@@ -179,52 +178,6 @@ def test_differentiation_matrix_monomial_exactness(m):
         exact = k * t ** (k - 1) if k > 0 else np.zeros_like(t)
         scale = max(np.max(np.abs(exact)), 1.0)
         assert np.max(np.abs(result - exact)) < 1e-10 * scale
-
-
-def test_smoothing_window_one_is_identity():
-    g = SpatialGrid(0.0, 1.0, 32)
-    f = np.sin(7.0 * g.points)
-    out = smooth_local_poly(f, window=1, degree=0)
-    assert np.array_equal(out, f)
-
-
-def test_smoothing_preserves_fit_degree_polynomials():
-    g = SpatialGrid(-1.0, 1.0, 41)
-    x = g.points
-    f = 0.3 - 1.2 * x + 0.7 * x**2
-    out = smooth_local_poly(f, window=7, degree=2)
-    assert np.max(np.abs(out - f)) < 1e-12
-
-
-def test_smoothing_is_idempotent_on_polynomials():
-    g = SpatialGrid(-1.0, 1.0, 41)
-    x = g.points
-    f = x**3 - x
-    once = smooth_local_poly(f, window=9, degree=3)
-    twice = smooth_local_poly(once, window=9, degree=3)
-    assert np.max(np.abs(once - twice)) < 1e-12
-
-
-def test_smoothing_reduces_noise():
-    rng = np.random.default_rng(7)
-    g = SpatialGrid(-4.0, 4.0, 257)
-    clean = np.exp(-g.points**2)
-    noisy = clean + rng.uniform(-1e-2, 1e-2, size=g.n_points)
-    smoothed = smooth_local_poly(noisy, window=11, degree=3)
-    rms_noisy = np.sqrt(np.mean((noisy - clean) ** 2))
-    rms_smoothed = np.sqrt(np.mean((smoothed - clean) ** 2))
-    assert rms_smoothed < rms_noisy
-
-
-def test_smoothing_rejects_bad_parameters():
-    g = SpatialGrid(0.0, 1.0, 32)
-    f = np.zeros(g.n_points)
-    with pytest.raises(ValueError):
-        smooth_local_poly(f, window=4, degree=1)
-    with pytest.raises(ValueError):
-        smooth_local_poly(f, window=5, degree=5)
-    with pytest.raises(ValueError):
-        smooth_local_poly(f, window=33, degree=2)
 
 
 def test_derivative_stencil_central_difference():

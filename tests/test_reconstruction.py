@@ -209,20 +209,6 @@ def test_harmonic_coherent_first_moment_against_oracle():
     assert rel < 1e-2
 
 
-def test_smoothing_hook_runs_and_preserves_clean_data():
-    grid = SpatialGrid(-10.0, 10.0, 512)
-    nodes = TimeNodes(0.0, 0.01, 3)
-    rows = [np.exp(-grid.points**2) * (1 + 0.05 * j) for j in range(3)]
-    records = [GridField(grid, r) for r in rows]
-    plain = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=1)
-    smoothed = build_pyramid(
-        records, grid, nodes, free_potential(), CONSTANTS, order_max=1, smoothing=(7, 3)
-    )
-    scale = np.max(np.abs(plain.levels[1]))
-    # Gaussians are locally cubic to high accuracy at this resolution
-    assert np.max(np.abs(plain.levels[1] - smoothed.levels[1])) < 1e-4 * scale
-
-
 def test_many_nodes_warning():
     grid = SpatialGrid(-10.0, 10.0, 256)
     nodes = TimeNodes(0.0, 0.01, 14)

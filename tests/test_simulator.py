@@ -426,6 +426,13 @@ def test_cat_symbolic_moment_formula():
     assert np.array_equal(cat_state_moment(CAT, 5, np.linspace(-1, 1, 5)), np.zeros(5))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["sigma", "center", "momentum", "hbar"])
+def test_gaussian_packet_rejects_a_parameter_that_is_not_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        gaussian_packet(SpatialGrid(-8.0, 8.0, 64), **{"sigma": 1.0, name: value})
+
+
 def test_gaussian_packet_moments_match_oracle():
     grid = SpatialGrid(-14.0, 14.0, 2049)
     sigma, k = 0.9, 1.5
