@@ -6,7 +6,9 @@ the mass times) the time derivative of the cumulative position probability,
 so three density snapshots suffice to measure it.  For a Gaussian packet
 boosted to momentum hbar*k0 the current must equal hbar*k0 * f_0, and the
 continuity identity d/dt f_0 + (1/m) d/dx f_1 = 0 closes the loop.
-``reconstruct_current`` returns f_1 at the central node as a ``GridField``.
+``sample_densities`` returns the snapshots as one ``(3, n_points)`` matrix,
+and f_1 is ``levels[1, 1]`` of ``build_pyramid``'s order-1 pyramid: order 1
+at the central node, which needs no potential.
 
 Run:  python demos/02_current_from_densities.py
 """
@@ -17,10 +19,10 @@ from hydrec import (
     PhysicalConstants,
     SpatialGrid,
     TimeNodes,
+    build_pyramid,
     differentiation_matrix,
     free_potential,
     gaussian_packet,
-    reconstruct_current,
     sample_densities,
 )
 
@@ -33,20 +35,25 @@ print(f"boosted Gaussian, momentum hbar*k0 = {k0}")
 psi = gaussian_packet(grid, 1.0, momentum=k0 * constants.hbar)
 records, _ = sample_densities(psi, free_potential(), constants, nodes, substeps=8)
 
-current = reconstruct_current(records, grid, nodes, constants)
-expected = constants.hbar * k0 * records[1].values
-rel = np.linalg.norm(current.values - expected) / np.linalg.norm(expected)
+
+def current(records):
+    """f_1 at the central node."""
+    return build_pyramid(records, grid, nodes, free_potential(), constants, 1).levels[1, 1]
+
+
+f1 = current(records)
+expected = constants.hbar * k0 * records[1]
+rel = np.linalg.norm(f1 - expected) / np.linalg.norm(expected)
 print(f"relative L2 deviation of f_1 from hbar*k0*f_0: {rel:.2e}")
 
 # continuity residual, with the time derivative from the same node stencil
 d = differentiation_matrix(nodes)
-density_rate = (d @ np.stack([r.values for r in records]))[1]
-divergence = np.gradient(current.values, grid.dx)
+density_rate = (d @ records)[1]
+divergence = np.gradient(f1, grid.dx)
 residual = density_rate + divergence / constants.mass
 ratio = np.linalg.norm(residual) / np.linalg.norm(density_rate)
 print(f"continuity residual / |density rate|: {ratio:.2e}")
 
 print("\ncross-check: time-reversing the snapshots flips the current's sign")
-reversed_current = reconstruct_current(records[::-1], grid, nodes, constants)
-flip = np.max(np.abs(reversed_current.values + current.values))
+flip = np.max(np.abs(current(records[::-1]) + f1))
 print(f"max |f_1(reversed) + f_1| = {flip:.2e}")

@@ -56,8 +56,7 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", DecayAssumptionWarning)
     for dt in (0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32):
         nodes = TimeNodes(-dt, dt, 3)
-        densities, _ = sample_densities(psi, free_potential(), constants, nodes, substeps=16)
-        clean = np.stack([f.values for f in densities])
+        clean, _ = sample_densities(psi, free_potential(), constants, nodes, substeps=16)
         rng = np.random.default_rng(2024)
         noisy = np.clip(clean + rng.normal(0.0, noise_level, clean.shape), 0.0, None)
         f1_clean, f1_noisy = current(clean, nodes), current(noisy, nodes)

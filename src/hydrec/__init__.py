@@ -29,12 +29,7 @@ from .potentials import (
     potential_value,
     quartic_potential,
 )
-from .reconstruction import (
-    InsufficientTimeSamplesError,
-    MomentPyramid,
-    build_pyramid,
-    reconstruct_current,
-)
+from .reconstruction import InsufficientTimeSamplesError, MomentPyramid, build_pyramid
 from .simulator import (
     CatStateParams,
     DensityMatrixGrid,
@@ -99,7 +94,6 @@ __all__ = [
     "MomentPyramid",
     "InsufficientTimeSamplesError",
     "build_pyramid",
-    "reconstruct_current",
     "TaylorReconstruction",
     "ComparisonReport",
     "assemble",

@@ -153,7 +153,9 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
     c = y.size // 2  # y = 0
     # the y >= 0 half: the y < 0 half mirrors it, and |z_n| and |y| are even in y
     z = _taylor_terms(y[c:], hbar, len(f) - 1)
+    # a NaN z_n comes only from an overflow (0 * inf), so its magnitude is inf
     abs_z = np.abs(z)
+    abs_z[np.isnan(abs_z)] = np.inf
     f_peaks = np.max(np.abs(f), axis=1)
     values = np.empty((f.shape[1], y.size), dtype=complex)
     blocks = list(_row_blocks(f.shape[1], values.itemsize * z.shape[1]))

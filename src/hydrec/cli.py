@@ -386,8 +386,7 @@ def cmd_simulate(args) -> int:
     sub = _walk_steps(nodes, args.substeps)[1]  # rejects a substeps below 1
     model = _parse_potential(args.potential, constants.mass)
     psi, state = _prepare_state(args, grid, constants, model)
-    fields, psis = sample_densities(psi, model, constants, nodes, args.substeps)
-    records = np.stack([f.values for f in fields])
+    records, psis = sample_densities(psi, model, constants, nodes, args.substeps)
 
     if args.noise > 0.0:
         rng = np.random.default_rng(args.seed)
@@ -416,7 +415,7 @@ def cmd_reconstruct(args) -> int:
         data["records"], data["grid"], nodes, data["model"], data["constants"], args.order
     )
     path = write_moment_set(
-        Path(args.out), data["manifest"], [level[node] for level in pyramid.levels],
+        Path(args.out), data["manifest"], pyramid.levels[:, node],
         float(nodes.t_0 + node * nodes.dt), node, dataset_path=str(args.dataset),
     )
     print(path)
@@ -469,6 +468,11 @@ def _resolve_reference(args, mset: dict, y: np.ndarray):
             raise MissingReferenceError(
                 f"{args.moments} was not reconstructed from a cat state; "
                 "'analytic-cat' needs one"
+            )
+        if abs(manifest["central_time"]) > 1e-12:  # the closed form is the state at t = 0
+            raise MissingReferenceError(
+                f"{args.moments} holds the moments at t = {manifest['central_time']:g}; "
+                "'analytic-cat' describes the state at t = 0 only"
             )
         return cat_state_density_matrix(mset["cat_state"], grid, y)
     if args.reference == "stored-psi":

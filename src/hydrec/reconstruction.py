@@ -37,13 +37,12 @@ from .numerics import (
     cumulative_integral,
     differentiation_matrix,
 )
-from .potentials import PotentialModel, check_mass, free_potential, potential_derivative
+from .potentials import PotentialModel, check_mass, potential_derivative
 
 __all__ = [
     "InsufficientTimeSamplesError",
     "MomentPyramid",
     "build_pyramid",
-    "reconstruct_current",
 ]
 
 
@@ -55,14 +54,14 @@ class InsufficientTimeSamplesError(ValueError):
 class MomentPyramid:
     """All moments up to order N at all time nodes.
 
-    ``levels[n]`` is a read-only ``(m+1, n_points)`` array of f_n at every
-    node.  Order 0 is the input density; each higher level derives only from
-    the levels below it.
+    ``levels`` is one read-only ``(N+1, m+1, n_points)`` array: ``levels[n]``
+    holds f_n at every node.  Order 0 is the input density; each higher level
+    derives only from the levels below it.
     """
 
     grid: SpatialGrid
     nodes: TimeNodes
-    levels: tuple = field(repr=False)
+    levels: np.ndarray = field(repr=False)
 
     @property
     def order_max(self) -> int:
@@ -70,8 +69,7 @@ class MomentPyramid:
 
     def central_slice(self) -> GridField:
         """All orders at the central node, as one ``(N+1, n_points)`` field."""
-        c = self.nodes.central_index
-        return GridField(self.grid, [level[c] for level in self.levels])
+        return GridField(self.grid, self.levels[:, self.nodes.central_index])
 
 
 def _as_record_matrix(f0_records, grid: SpatialGrid, nodes: TimeNodes) -> np.ndarray:
@@ -97,15 +95,17 @@ def _force_table(model: PotentialModel, grid: SpatialGrid, nodes: TimeNodes, n_m
     ]
 
 
-def _next_level(levels, forces: list, diff: np.ndarray, dx: float, constants: PhysicalConstants):
-    """f_{n+1} at all nodes from levels 0..n, one cumulative integral per integrand."""
-    n = len(levels) - 1
+def _next_level(
+    levels, n: int, forces: list, diff: np.ndarray, dx: float, constants: PhysicalConstants
+) -> None:
+    """Write f_{n+1} at all nodes into ``levels[n + 1]``, one cumulative integral per integrand."""
     mass, hbar = constants.mass, constants.hbar
-    out = -mass * (diff @ cumulative_integral(levels[n], dx))
+    out = levels[n + 1]
+    np.matmul(diff, cumulative_integral(levels[n], dx), out=out)
+    out *= -mass
     for k, dv in enumerate(forces[: (n + 1) // 2]):
         coef = mass * (-1.0) ** k * (hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
         out -= coef * cumulative_integral(dv * levels[n - 2 * k - 1], dx)
-    return out
 
 
 def build_pyramid(
@@ -129,7 +129,9 @@ def build_pyramid(
     constants : PhysicalConstants
         hbar and mass.
     order_max : int
-        Highest moment order N; requires ``N <= m``.
+        Highest moment order N; requires ``N <= m``.  Order 1, the
+        probability current, does not depend on the potential: f_1 is
+        ``-mass`` times the time derivative of the cumulative probability.
 
     Returns
     -------
@@ -144,7 +146,8 @@ def build_pyramid(
             f"(an order-n moment requires the density at n+1 times); got {m + 1}"
         )
     check_mass(model, constants.mass)
-    levels = [_as_record_matrix(f0_records, grid, nodes)]
+    levels = np.empty((order_max + 1, nodes.m_plus_1, grid.n_points))
+    levels[0] = _as_record_matrix(f0_records, grid, nodes)
     if order_max >= 1:
         if m > 12:
             warnings.warn(
@@ -155,24 +158,7 @@ def build_pyramid(
             )
         diff = differentiation_matrix(nodes)
         forces = _force_table(model, grid, nodes, order_max - 1)
-        for _ in range(order_max):
-            levels.append(_next_level(levels, forces, diff, grid.dx, constants))
-    for level in levels:
-        level.setflags(write=False)
-    return MomentPyramid(grid=grid, nodes=nodes, levels=tuple(levels))
-
-
-def reconstruct_current(
-    f0_records,
-    grid: SpatialGrid,
-    nodes: TimeNodes,
-    constants: PhysicalConstants,
-    node: int | None = None,
-) -> GridField:
-    """Probability-current moment f_1 from densities alone.
-
-    The order-0 recursion step is potential-independent: f_1 is ``-mass``
-    times the time derivative of the cumulative position probability.
-    """
-    pyramid = build_pyramid(f0_records, grid, nodes, free_potential(), constants, order_max=1)
-    return GridField(grid, pyramid.levels[1][nodes.central_index if node is None else node])
+        for n in range(order_max):
+            _next_level(levels, n, forces, diff, grid.dx, constants)
+    levels.setflags(write=False)
+    return MomentPyramid(grid=grid, nodes=nodes, levels=levels)

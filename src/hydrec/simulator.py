@@ -397,16 +397,18 @@ def _walk_steps(nodes: TimeNodes, substeps: int | None) -> tuple[int, int]:
 
 def sample_densities(
     psi: WaveFunction, model, constants: PhysicalConstants, nodes: TimeNodes, substeps=None
-) -> tuple[list[GridField], list[WaveFunction]]:
-    """The ``m + 1`` densities and states at the nodes of a state prepared at t = 0.
+) -> tuple[np.ndarray, list[WaveFunction]]:
+    """The densities and states at the ``m + 1`` nodes of a state prepared at t = 0.
 
-    The walk propagates to ``t_0`` (backward when it is negative), then node
-    to node, with the internal step ``h = MAX_INTERNAL_STEP``, or
-    ``nodes.dt / substeps`` when ``substeps`` is given.  The lead-in takes
-    ``max(8, ceil(|t_0| / h))`` steps (none at ``t_0 == 0``); each interval
-    takes ``max(8, ceil(dt / h))`` steps, or exactly ``substeps``: the same
-    count every interval, so that solver error is smooth in time.  A
-    ``substeps`` that is not an integer >= 1 raises ``ValueError`` before any step.
+    The densities are one read-only ``(m+1, n_points)`` array, row j at node
+    j; the states are a list.  The walk propagates to ``t_0`` (backward when
+    it is negative), then node to node, with the internal step
+    ``h = MAX_INTERNAL_STEP``, or ``nodes.dt / substeps`` when ``substeps`` is
+    given.  The lead-in takes ``max(8, ceil(|t_0| / h))`` steps (none at
+    ``t_0 == 0``); each interval takes ``max(8, ceil(dt / h))`` steps, or
+    exactly ``substeps``: the same count every interval, so that solver error
+    is smooth in time.  A ``substeps`` that is not an integer >= 1 raises
+    ``ValueError`` before any step.
     """
     lead_in, steps = _walk_steps(nodes, substeps)
     if lead_in:
@@ -415,7 +417,9 @@ def sample_densities(
     for j in range(nodes.m):
         t_start = nodes.t_0 + j * nodes.dt
         psis.append(propagate(psis[-1], model, constants, nodes.dt / steps, steps, t_start=t_start))
-    return [probability_density(p) for p in psis], psis
+    densities = np.abs(np.stack([p.amplitudes for p in psis])) ** 2
+    densities.setflags(write=False)
+    return densities, psis
 
 
 def _checked_norm(amp: np.ndarray, magnitude: np.ndarray, norm_ref: float) -> float:

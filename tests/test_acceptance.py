@@ -29,11 +29,7 @@ from hydrec.numerics import (
     differentiation_matrix,
 )
 from hydrec.potentials import free_potential, harmonic_potential, quartic_potential
-from hydrec.reconstruction import (
-    InsufficientTimeSamplesError,
-    build_pyramid,
-    reconstruct_current,
-)
+from hydrec.reconstruction import InsufficientTimeSamplesError, build_pyramid
 from hydrec.simulator import (
     CatStateParams,
     cat_state_density_matrix,
@@ -268,10 +264,9 @@ def test_criterion_3_force_term_stratification(harmonic_dataset, quartic_dataset
 
 def continuity_ratio(records, grid, nodes, node):
     d = differentiation_matrix(nodes)
-    stacked = np.stack([r.values for r in records])
-    density_rate = (d @ stacked)[node]
-    current = reconstruct_current(records, grid, nodes, C, node=node)
-    divergence = np.gradient(current.values, grid.dx)
+    density_rate = (d @ records)[node]
+    current = build_pyramid(records, grid, nodes, free_potential(), C, order_max=1).levels[1, node]
+    divergence = np.gradient(current, grid.dx)
     residual = density_rate + divergence / C.mass
     return float(np.linalg.norm(residual) / np.linalg.norm(density_rate))
 
@@ -330,7 +325,7 @@ def test_criterion_5_structural_invariants():
     )
     pyramid = build_pyramid(records, grid, nodes, free_potential(), C, order_max=1)
     f1 = pyramid.levels[1][nodes.central_index]
-    odd_bound = 1e-6 * float(np.max(records[2].values)) * C.hbar * CAT.k0
+    odd_bound = 1e-6 * float(np.max(records[2])) * C.hbar * CAT.k0
     odd_ok = float(np.max(np.abs(f1))) < odd_bound
 
     # (b) diagonal exactness and (c) Hermiticity of the assembled polynomial

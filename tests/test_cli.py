@@ -39,6 +39,7 @@ def test_payload_checksum_known_vectors():
 
 def test_import_loads_no_scipy(tmp_path):
     # the README command-line quick start and a small demo-cat, with scipy refused at import
+    # and every warning an error
     src = str(Path(hydrec.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = """if True:
@@ -54,19 +55,22 @@ def test_import_loads_no_scipy(tmp_path):
 
         out = sys.argv[1]
         for argv in (
-            ["simulate", "--state", "cat", "--grid=-10,10,1024", "--times", "0.09,0.005,4",
+            ["simulate", "--state", "cat", "--grid=-10,10,1001", "--times", "0.09,0.02,4",
              "--potential", "free", "--store-psi", "--out", f"{out}/dataset"],
             ["reconstruct", f"{out}/dataset/dataset.json", "--order", "4", "--out", f"{out}/moments"],
-            ["assemble", f"{out}/moments/moments.json", "--y-max", "1.5", "--n-y", "201",
+            ["assemble", f"{out}/moments/moments.json", "--y-max", "1.5", "--n-y", "151",
              "--out", f"{out}/rho"],
             ["compare", f"{out}/moments/moments.json", "--reference", "stored-psi",
-             "--dataset", f"{out}/dataset/dataset.json", "--region-y", "0.1", "--out", f"{out}/report"],
+             "--dataset", f"{out}/dataset/dataset.json", "--n-y", "151", "--region-y", "0.1",
+             "--out", f"{out}/report"],
             ["demo-cat", "--orders", "2,4", "--out", f"{out}/figure"],
         ):
             assert main(argv) == 0, argv
         assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
     """
-    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True, timeout=300)
+    subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, str(tmp_path)], env=env, check=True, timeout=300
+    )
     assert (tmp_path / "report" / "report_N4.json").exists()
     assert (tmp_path / "figure" / "rho_N4.bin").exists()
 
@@ -137,7 +141,7 @@ def test_simulate_writes_the_densities_and_states_of_sample_densities(tmp_path):
         make_cat_state(CatStateParams(), grid), quartic_potential(0.5, 0.1),
         PhysicalConstants(), TimeNodes(0.09, 0.005, 13),
     )
-    assert np.array_equal(data["records"], np.stack([r.values for r in records]))
+    assert np.array_equal(data["records"], records)
     assert np.array_equal(data["psis"], np.stack([p.amplitudes for p in psis]))
     assert data["manifest"]["provenance"].endswith(" substeps=8")
 
@@ -473,6 +477,24 @@ def test_compare_analytic_cat_reference(tmp_path):
     assert report["hermiticity_defect"] < 1e-12
 
 
+def test_compare_analytic_cat_of_a_moment_set_away_from_t_0_exits_4(tmp_path, capsys):
+    # the closed form is the cat state at t = 0; these moments are those at t = 0.1
+    ds = tmp_path / "ds"
+    assert run(*small_dataset_args(ds, state="cat", times="0.09,0.01,2")) == 0
+    mdir = tmp_path / "m"
+    assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
+    capsys.readouterr()
+    status = run(
+        "compare", mdir / "moments.json", "--reference", "analytic-cat", "--n-y", "11",
+        "--out", tmp_path / "cmp",
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert status == 4
+    assert len(err) == 1 and err[0].startswith("hydrec: missing reference:")
+    assert str(mdir / "moments.json") in err[0] and "t = 0.1" in err[0]
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_compare_analytic_cat_of_a_gaussian_moment_set_exits_4(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert run(*small_dataset_args(ds)) == 0  # a Gaussian packet
@@ -586,8 +608,8 @@ def test_constant_flags_a_verb_does_not_read_exit_1(tmp_path, capsys, verb, flag
     # reconstruct, assemble and compare take hbar and mass from the manifest;
     # demo-cat needs no mass
     ds = tmp_path / "ds"
-    # analytic-cat compares only a moment set that records a cat state
-    assert run(*small_dataset_args(ds, state="cat")) == 0
+    # analytic-cat compares only a moment set of a cat state, centred at t = 0
+    assert run(*small_dataset_args(ds, state="cat", times="-0.01,0.01,2")) == 0
     mdir = tmp_path / "m"
     assert run("reconstruct", ds / "dataset.json", "--order", "1", "--out", mdir) == 0
     operands = {

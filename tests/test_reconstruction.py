@@ -20,11 +20,7 @@ from hydrec.potentials import (
     paul_trap_potential,
     quartic_potential,
 )
-from hydrec.reconstruction import (
-    InsufficientTimeSamplesError,
-    build_pyramid,
-    reconstruct_current,
-)
+from hydrec.reconstruction import InsufficientTimeSamplesError, build_pyramid
 from hydrec.simulator import (
     gaussian_packet,
     gaussian_packet_moment,
@@ -72,10 +68,11 @@ def test_current_vanishes_at_free_gaussian_waist():
     nodes = TimeNodes(-0.01, 0.01, 3)  # central node exactly at t = 0
     psi0 = gaussian_packet(grid, 1.0)
     records, _ = sample_densities(psi0, free_potential(), CONSTANTS, nodes, substeps=20)
-    f1 = reconstruct_current(records, grid, nodes, CONSTANTS)
-    f0_scale = np.max(records[1].values)
+    pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=1)
+    f1 = pyramid.levels[1, nodes.central_index]
+    f0_scale = np.max(records[1])
     momentum_scale = CONSTANTS.hbar / 1.0  # width-limited momentum spread
-    assert np.max(np.abs(f1.values)) < 1e-9 * f0_scale * momentum_scale
+    assert np.max(np.abs(f1)) < 1e-9 * f0_scale * momentum_scale
 
 
 def test_current_vanishes_for_stationary_state():
@@ -85,8 +82,10 @@ def test_current_vanishes_for_stationary_state():
     psi0 = gaussian_packet(grid, sigma)  # harmonic ground state
     nodes = TimeNodes(0.0, 0.02, 3)
     records, _ = sample_densities(psi0, harmonic_potential(omega), CONSTANTS, nodes, substeps=20)
-    f1 = reconstruct_current(records, grid, nodes, CONSTANTS)
-    assert np.max(np.abs(f1.values)) < 1e-8 * np.max(records[0].values)
+    # order 1 needs no potential
+    pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=1)
+    f1 = pyramid.levels[1, nodes.central_index]
+    assert np.max(np.abs(f1)) < 1e-8 * np.max(records[0])
 
 
 def test_current_of_boosted_packet():
@@ -96,9 +95,10 @@ def test_current_of_boosted_packet():
     psi0 = gaussian_packet(grid, 1.0, momentum=k0 * CONSTANTS.hbar)
     nodes = TimeNodes(-0.005, 0.005, 3)
     records, _ = sample_densities(psi0, free_potential(), CONSTANTS, nodes, substeps=20)
-    f1 = reconstruct_current(records, grid, nodes, CONSTANTS)
-    expected = CONSTANTS.hbar * k0 * records[1].values
-    rel = np.linalg.norm(f1.values - expected) / np.linalg.norm(expected)
+    pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=1)
+    f1 = pyramid.levels[1, nodes.central_index]
+    expected = CONSTANTS.hbar * k0 * records[1]
+    rel = np.linalg.norm(f1 - expected) / np.linalg.norm(expected)
     assert rel < 1e-4
 
 
@@ -107,10 +107,12 @@ def test_time_reversed_records_flip_current_sign():
     psi0 = gaussian_packet(grid, 1.0, momentum=1.0)
     nodes = TimeNodes(0.0, 0.01, 5)
     records, _ = sample_densities(psi0, free_potential(), CONSTANTS, nodes, substeps=20)
-    forward = reconstruct_current(records, grid, nodes, CONSTANTS)
-    backward = reconstruct_current(records[::-1], grid, nodes, CONSTANTS)
-    scale = np.max(np.abs(forward.values))
-    assert np.max(np.abs(backward.values + forward.values)) < 1e-12 * scale
+    forward, backward = (
+        build_pyramid(r, grid, nodes, free_potential(), CONSTANTS, 1).levels[1, nodes.central_index]
+        for r in (records, records[::-1])
+    )
+    scale = np.max(np.abs(forward))
+    assert np.max(np.abs(backward + forward)) < 1e-12 * scale
 
 
 def test_free_model_equals_zero_frequency_harmonic_bitwise():
@@ -139,7 +141,7 @@ def test_pyramid_is_linear_in_the_state():
     rec_b, _ = sample_densities(
         gaussian_packet(grid, 0.7, center=-0.9), model, CONSTANTS, nodes, substeps=20
     )
-    mixed = [GridField(grid, a.values + b.values) for a, b in zip(rec_a, rec_b)]
+    mixed = rec_a + rec_b
     with pytest.warns(DecayAssumptionWarning):  # edge residue, see below
         pa = build_pyramid(rec_a, grid, nodes, model, CONSTANTS, order_max=3)
         pb = build_pyramid(rec_b, grid, nodes, model, CONSTANTS, order_max=3)
@@ -278,6 +280,21 @@ def test_pyramid_levels_and_term_peaks_are_read_only():
         rec.term_peaks[0] = 1.0
 
 
+def test_levels_are_one_read_only_order_node_x_array():
+    grid = SpatialGrid(-14.0, 14.0, 512)
+    nodes = TimeNodes(0.05, 0.01, 4)
+    model = quartic_potential(c2=0.5, c4=0.1)
+    psi = gaussian_packet(grid, 1.0, center=0.5)
+    records, _ = sample_densities(psi, model, CONSTANTS, nodes, substeps=20)
+    pyramid = build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=2)
+    levels = pyramid.levels
+    assert type(levels) is np.ndarray and levels.shape == (3, 4, 512)
+    assert not levels.flags.writeable and pyramid.order_max == 2
+    assert levels[0].tobytes() == records.tobytes()
+    c = nodes.central_index
+    assert pyramid.central_slice().values.tobytes() == levels[:, c].tobytes()
+
+
 def test_central_slice_and_the_assembled_f0_are_the_central_pyramid_rows_bitwise():
     # the benchmark assembles pyramid.central_slice() and reads rec.moments[0].field as f_0
     grid = SpatialGrid(-8.0, 8.0, 64)
@@ -292,9 +309,9 @@ def test_central_slice_and_the_assembled_f0_are_the_central_pyramid_rows_bitwise
     rec = assemble(moments, offdiagonal_lattice(0.5, 11), CONSTANTS.hbar)
     assert [m.order for m in rec.moments] == [0, 1, 2]
     assert rec.moments[0].field.values.tobytes() == pyramid.levels[0][c].tobytes()
-    current = reconstruct_current(records, grid, nodes, CONSTANTS)
+    current = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=1)
     assert current.grid == grid
-    assert current.values.tobytes() == pyramid.levels[1][c].tobytes()
+    assert current.levels[1, c].tobytes() == pyramid.levels[1][c].tobytes()
 
 
 @pytest.mark.parametrize(

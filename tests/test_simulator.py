@@ -211,7 +211,7 @@ def assert_walk_equals(records, psis, expected_psis):
     assert len(records) == len(psis) == len(expected_psis)
     for record, psi, expected in zip(records, psis, expected_psis):
         assert_bytes_equal(psi.amplitudes, expected.amplitudes)
-        assert_bytes_equal(record.values, np.abs(expected.amplitudes) ** 2)
+        assert_bytes_equal(record, np.abs(expected.amplitudes) ** 2)
 
 
 def test_sample_densities_by_default_is_the_walk_simulate_took():
@@ -253,6 +253,19 @@ def test_sample_densities_with_substeps_steps_dt_over_substeps_from_t_0(model, n
         step = nodes.dt / substeps
         expected.append(propagate(expected[-1], model, CONSTANTS, step, substeps, t_start=t_start))
     assert_walk_equals(records, psis, expected)
+
+
+def test_sample_densities_returns_one_read_only_density_matrix():
+    grid = SpatialGrid(-14.0, 14.0, 512)
+    nodes = TimeNodes(0.05, 0.01, 4)
+    psi = gaussian_packet(grid, 1.0, center=0.3, momentum=0.8)
+    densities, psis = sample_densities(psi, harmonic_potential(0.5), CONSTANTS, nodes, 8)
+    assert type(densities) is np.ndarray and densities.shape == (4, 512)
+    assert not densities.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        densities[0, 0] = 1.0
+    for row, state in zip(densities, psis, strict=True):
+        assert_bytes_equal(row, probability_density(state).values)
 
 
 @pytest.mark.parametrize("substeps", [0, -3, 2.5, True])
