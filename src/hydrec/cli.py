@@ -15,8 +15,7 @@ one ``x y re im`` line per lattice point (x-major) in shortest round-trip
 decimal, after a ``# x y re im`` header.  The table is formatted from the
 y >= 0 half of each row, whose y < 0 mirror ``assemble`` guarantees, so only
 half of the values go through ``repr``; its bytes are those of formatting
-every value.  ``compare`` resolves its reference before it writes anything, so
-a missing or mismatched reference leaves no density grid.
+every value.
 
 Exit codes: 0 success, 2 simulation-quality failure, 3 insufficient time
 samples, 4 missing reference, 1 anything else.
@@ -503,17 +502,17 @@ def cmd_assemble_compare(args, with_reference: bool) -> int:
     y = offdiagonal_lattice(args.y_max, args.n_y)
     rec = assemble(GridField(mset["grid"], mset["moments"]), y, mset["constants"].hbar)
     report = None
-    if with_reference:  # before any file is written, and the reference freed before the table
+    if with_reference:  # before any file is written
         reference = _resolve_reference(args, mset, rec.y)
         region = (args.region_x, args.region_y)
         report = compare(rec.values, reference, region=region, f0=rec.moments[0].field)
-        del reference
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"N{rec.order_max}"
-    if report is not None:
+    if report is None:  # assemble writes the density grid, compare its report
+        _emit_density_grid(out_dir, tag, rec)
+    else:
         _dump_json(out_dir / f"report_{tag}.json", report.as_dict())
-    _emit_density_grid(out_dir, tag, rec)
 
     hermiticity = rec.values.hermiticity_defect() if report is None else report.hermiticity_defect
     lines = [
@@ -555,11 +554,14 @@ def cmd_demo_cat(args) -> int:
     y = offdiagonal_lattice(args.y_max, args.n_y)
 
     x = grid.points
+    in_y = np.abs(y) <= 1.5
+    if np.count_nonzero(in_y) == 1:  # the diagonal alone, where rho_N = f_0 by construction
+        raise ValueError(f"region |y| <= 1.5 holds only y = 0 at dy = {y[1] - y[0]:g}")
+    region = np.ix_(np.abs(x) <= 3.0, in_y)
     # row n holds f_n; each order assembles the rows up to it
     moments = np.array(
         [cat_state_moment(params, n, x, hbar=constants.hbar) for n in range(orders[-1] + 1)]
     )
-    region = np.ix_(np.abs(x) <= 3.0, np.abs(y) <= 1.5)
     exact = cat_state_density_matrix(params, grid, y).values.real[region]
 
     out_dir = Path(args.out)
@@ -637,12 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=int, default=None, help="report node (default: central)")
     p.set_defaults(func=cmd_reconstruct)
 
-    for verb, with_ref in (("assemble", False), ("compare", True)):
-        p = sub.add_parser(
-            verb,
-            help="assemble the density-matrix Taylor polynomial"
-            + (" and compare against a reference" if with_ref else ""),
-        )
+    for verb, with_ref, about in (
+        ("assemble", False, "assemble the density-matrix Taylor polynomial"),
+        ("compare", True, "compare the Taylor polynomial against a reference"),
+    ):
+        p = sub.add_parser(verb, help=about)
         _add_common(p)
         p.add_argument("moments", help="path to moments.json")
         p.add_argument("--y-max", type=float, default=1.5)

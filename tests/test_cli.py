@@ -594,6 +594,27 @@ def test_a_failed_compare_writes_no_density_grid(tmp_path, capsys, case, status)
     assert not list(out.glob("rho_N*")) and not list(out.glob("report_N*"))
 
 
+def test_a_compare_writes_its_report_and_summary_only(tmp_path):
+    # the density grid is assemble's; compare adds no copy of it
+    ds, mdir, out = tmp_path / "ds", tmp_path / "m", tmp_path / "cmp"
+    assert run(*small_dataset_args(ds, grid="-10,10,251"), "--store-psi") == 0
+    assert run("reconstruct", ds / "dataset.json", "--order", "2", "--out", mdir) == 0
+    # dy = dx = 0.08, so the stored-psi reference is exact and prints no warning
+    assert run("compare", mdir / "moments.json", "--reference", "stored-psi",
+               "--dataset", ds / "dataset.json", "--y-max", "0.8", "--n-y", "21",
+               "--out", out) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["report_N2.json", "summary_N2.txt"]
+
+
+def test_demo_cat_region_holding_only_the_diagonal_exits_1(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert run("demo-cat", "--y-max", "10", "--n-y", "5", "--orders", "2", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    # rho_N(x, 0) = f_0 by construction, so that region would report a perfect score
+    assert len(err) == 1 and "|y| <= 1.5 holds only y = 0 at dy = 5" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "verb, flag",
     [

@@ -25,7 +25,7 @@ def test_demo_exits_0(demo, tmp_path):
         "TMPDIR": str(tmp_path),  # demos/04 writes its artifacts under a temporary directory
     }
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],  # a demo prints no warning
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
