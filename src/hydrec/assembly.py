@@ -16,11 +16,11 @@ y >= 0 half; only that half is summed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .numerics import GridField, _row_blocks
+from .numerics import GridField, SpatialGrid, _row_blocks
 from .simulator import DensityMatrixGrid, _offdiagonal_axis
 
 __all__ = [
@@ -91,7 +91,7 @@ class ComparisonReport:
     trace_b: float
     hermiticity_defect: float
     diagonal_mismatch: float
-    resampled: bool = False
+    resampled: bool
 
     def __post_init__(self):
         for name in ("sup_error", "l2_error", "hermiticity_defect", "diagonal_mismatch"):
@@ -102,16 +102,7 @@ class ComparisonReport:
             raise ValueError("traces must be finite")
 
     def as_dict(self) -> dict:
-        return {
-            "sup_error": self.sup_error,
-            "l2_error": self.l2_error,
-            "region": {"x_max": self.region[0], "y_max": self.region[1]},
-            "trace_a": self.trace_a,
-            "trace_b": self.trace_b,
-            "hermiticity_defect": self.hermiticity_defect,
-            "diagonal_mismatch": self.diagonal_mismatch,
-            "resampled": self.resampled,
-        }
+        return asdict(self) | {"region": {"x_max": self.region[0], "y_max": self.region[1]}}
 
 
 def _taylor_terms(y: np.ndarray, hbar: float, order_max: int) -> np.ndarray:
@@ -206,81 +197,62 @@ def _axis_weights(grid: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.
     return i, (points - grid[i]) / (grid[i + 1] - grid[i])
 
 
-def _resample_onto(b: DensityMatrixGrid, a: DensityMatrixGrid) -> np.ndarray:
-    """Bilinear resample of b's values onto a's lattice; points outside b get 0.
-
-    Corners and weights combine in the order of scipy's
-    ``RegularGridInterpolator(..., bounds_error=False, fill_value=0.0)``.
-    """
-    bx = b.x_grid.points
-    ax = a.x_grid.points
-    if bx[-1] < ax[0] or ax[-1] < bx[0]:  # both y lattices hold 0, so they always overlap
-        raise ValueError("lattices are disjoint; nothing to compare")
-    i, tx = _axis_weights(bx, ax)
-    j, ty = _axis_weights(b.y, a.y)
+def _resample_onto(b: DensityMatrixGrid, y: np.ndarray) -> np.ndarray:
+    """b's values interpolated linearly in y onto ``y``; points outside b's y range get 0."""
+    j, ty = _axis_weights(b.y, y)
     v = b.values
-    vals = np.empty((ax.size, a.y.size), dtype=complex)
-    for blk in _row_blocks(ax.size, vals.itemsize * a.y.size):
-        ib, tb = i[blk], tx[blk]
-        vals[blk] = (
-            v[np.ix_(ib, j)] * np.outer(1 - tb, 1 - ty)
-            + v[np.ix_(ib, j + 1)] * np.outer(1 - tb, ty)
-            + v[np.ix_(ib + 1, j)] * np.outer(tb, 1 - ty)
-            + v[np.ix_(ib + 1, j + 1)] * np.outer(tb, ty)
-        )
-    vals[(ax < bx[0]) | (ax > bx[-1])] = 0.0
-    vals[:, (a.y < b.y[0]) | (a.y > b.y[-1])] = 0.0
+    vals = np.empty((v.shape[0], y.size), dtype=complex)
+    for blk in _row_blocks(v.shape[0], vals.itemsize * y.size):
+        vals[blk] = v[blk, j] * (1 - ty) + v[blk, j + 1] * ty
+    vals[:, (y < b.y[0]) | (y > b.y[-1])] = 0.0
     return vals
 
 
+def _region_masks(
+    grid: SpatialGrid, y: np.ndarray, region: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``|x| <= x_max`` and ``|y| <= y_max`` masks of ``region``; an empty region is refused."""
+    x_max, y_max = region
+    mask_x = np.abs(grid.points) <= x_max
+    mask_y = np.abs(y) <= y_max
+    if not (mask_x.any() and mask_y.any()):
+        raise ValueError("comparison region contains no lattice points")
+    return mask_x, mask_y
+
+
 def compare(
-    a: DensityMatrixGrid,
-    b: DensityMatrixGrid,
-    region: tuple[float, float] | None = None,
-    f0: GridField | None = None,
+    a: DensityMatrixGrid, b: DensityMatrixGrid, region: tuple[float, float], f0: GridField
 ) -> ComparisonReport:
     """Error metrics of ``a`` against reference ``b`` over ``|x|, |y|`` bounds.
 
-    ``b`` is resampled bilinearly onto ``a``'s lattice when the lattices
-    differ (recorded in the report); disjoint lattices are rejected.  Traces
+    ``b`` must lie on ``a``'s x grid; it is interpolated linearly in y onto
+    ``a``'s y lattice when the two differ (recorded in the report).  Traces
     come from trapezoidal quadrature along the diagonal; the diagonal
-    mismatch is measured against ``f0`` when provided, else against ``b``'s
-    diagonal; ``f0`` must be one field on ``a``'s x grid.
+    mismatch is measured against ``f0``, one field on ``a``'s x grid.
     """
-    if f0 is not None and (f0.values.ndim != 1 or f0.grid != a.x_grid):
+    if f0.values.ndim != 1 or f0.grid != a.x_grid:
         raise ValueError(f"f0 must be one field on {a.x_grid}, not {f0.values.shape} on {f0.grid}")
-    resampled = not (a.x_grid == b.x_grid and np.array_equal(a.y, b.y))
-    b_vals = _resample_onto(b, a) if resampled else b.values
+    if b.x_grid != a.x_grid:
+        raise ValueError(f"the reference must lie on the compared x grid {a.x_grid}, not {b.x_grid}")
+    resampled = not np.array_equal(a.y, b.y)
+    b_vals = _resample_onto(b, a.y) if resampled else b.values
 
-    if region is None:
-        region = (float("inf"), float("inf"))
-    x_max, y_max = region
-    x = a.x_grid.points
-    mask_x = np.abs(x) <= x_max
-    mask_y = np.abs(a.y) <= y_max
-    if not (mask_x.any() and mask_y.any()):
-        raise ValueError("comparison region contains no lattice points")
-    ix = np.ix_(mask_x, mask_y)
+    ix = np.ix_(*_region_masks(a.x_grid, a.y, region))
     err = np.abs(a.values[ix] - b_vals[ix])  # cropped first: only the region is subtracted
     sup_error = float(np.max(err))
     l2_error = float(np.sqrt(np.sum(err**2) * a.x_grid.dx * a.dy))
 
     diag_a = a.values[:, a.y.size // 2]
-    diag_b = b_vals[:, a.y.size // 2]
     trace_a = float(np.trapezoid(diag_a.real, dx=a.x_grid.dx))
-    trace_b = float(np.trapezoid(diag_b.real, dx=a.x_grid.dx))
-    if f0 is not None:
-        diagonal_mismatch = float(np.max(np.abs(diag_a - f0.values)))
-    else:
-        diagonal_mismatch = float(np.max(np.abs(diag_a - diag_b)))
+    trace_b = float(np.trapezoid(b_vals[:, a.y.size // 2].real, dx=a.x_grid.dx))
 
     return ComparisonReport(
         sup_error=sup_error,
         l2_error=l2_error,
-        region=(x_max, y_max),
+        region=tuple(region),
         trace_a=trace_a,
         trace_b=trace_b,
+        diagonal_mismatch=float(np.max(np.abs(diag_a - f0.values))),
         hermiticity_defect=a.hermiticity_defect(),
-        diagonal_mismatch=diagonal_mismatch,
         resampled=resampled,
     )

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import TaylorReconstruction, assemble, compare
+from .assembly import TaylorReconstruction, _region_masks, assemble, compare
 from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes, _is_number, _row_blocks
 from .potentials import PARAMETERS, PotentialModel, check_parameters, model_from_dict, model_to_dict
 from .reconstruction import InsufficientTimeSamplesError, build_pyramid
@@ -474,38 +474,38 @@ def _resolve_reference(args, mset: dict, y: np.ndarray):
                 "'analytic-cat' describes the state at t = 0 only"
             )
         return cat_state_density_matrix(mset["cat_state"], grid, y)
-    if args.reference == "stored-psi":
-        dataset_path = Path(args.dataset) if args.dataset else None
-        if dataset_path is None or not dataset_path.exists():
-            raise MissingReferenceError(
-                "reference 'stored-psi' needs --dataset pointing at a manifest with wavefunctions"
-            )
-        data = read_dataset(dataset_path)
-        if "psis" not in data:
-            raise MissingReferenceError(
-                f"{dataset_path} stores no wavefunctions (simulate with --store-psi)"
-            )
-        node, recorded = manifest["node"], manifest.get("dataset_checksum")
-        checksum, last = data["manifest"]["checksum"], data["nodes"].m
-        if recorded != checksum or node > last:
-            raise DataFormatError(
-                f"{args.moments} (node {node}, dataset checksum {recorded!r}) was not "
-                f"reconstructed from {dataset_path} (checksum {checksum}, nodes 0..{last})"
-            )
-        psi = WaveFunction(data["grid"], data["psis"][node])
-        return exact_density_matrix(psi, y=y)
-    raise MissingReferenceError(f"unknown reference {args.reference!r}")
+    dataset_path = Path(args.dataset) if args.dataset else None
+    if dataset_path is None or not dataset_path.exists():
+        raise MissingReferenceError(
+            "reference 'stored-psi' needs --dataset pointing at a manifest with wavefunctions"
+        )
+    data = read_dataset(dataset_path)
+    if "psis" not in data:
+        raise MissingReferenceError(
+            f"{dataset_path} stores no wavefunctions (simulate with --store-psi)"
+        )
+    node, recorded = manifest["node"], manifest.get("dataset_checksum")
+    checksum, last = data["manifest"]["checksum"], data["nodes"].m
+    if recorded != checksum or node > last:
+        raise DataFormatError(
+            f"{args.moments} (node {node}, dataset checksum {recorded!r}) was not "
+            f"reconstructed from {dataset_path} (checksum {checksum}, nodes 0..{last})"
+        )
+    psi = WaveFunction(data["grid"], data["psis"][node])
+    return exact_density_matrix(psi, y=y)
 
 
 def cmd_assemble_compare(args, with_reference: bool) -> int:
     mset = read_moment_set(Path(args.moments))
     y = offdiagonal_lattice(args.y_max, args.n_y)
+    if with_reference:  # an empty region is refused before any work
+        region = (args.region_x, args.region_y)
+        _region_masks(mset["grid"], y, region)
     rec = assemble(GridField(mset["grid"], mset["moments"]), y, mset["constants"].hbar)
     report = None
     if with_reference:  # before any file is written
         reference = _resolve_reference(args, mset, rec.y)
-        region = (args.region_x, args.region_y)
-        report = compare(rec.values, reference, region=region, f0=rec.moments[0].field)
+        report = compare(rec.values, reference, region, rec.moments[0].field)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"N{rec.order_max}"
@@ -554,15 +554,15 @@ def cmd_demo_cat(args) -> int:
     y = offdiagonal_lattice(args.y_max, args.n_y)
 
     x = grid.points
-    in_y = np.abs(y) <= 1.5
+    region = (3.0, 1.5)
+    in_y = _region_masks(grid, y, region)[1]  # an empty region is refused before any work
     if np.count_nonzero(in_y) == 1:  # the diagonal alone, where rho_N = f_0 by construction
         raise ValueError(f"region |y| <= 1.5 holds only y = 0 at dy = {y[1] - y[0]:g}")
-    region = np.ix_(np.abs(x) <= 3.0, in_y)
     # row n holds f_n; each order assembles the rows up to it
     moments = np.array(
         [cat_state_moment(params, n, x, hbar=constants.hbar) for n in range(orders[-1] + 1)]
     )
-    exact = cat_state_density_matrix(params, grid, y).values.real[region]
+    exact = cat_state_density_matrix(params, grid, y)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -570,9 +570,10 @@ def cmd_demo_cat(args) -> int:
     results = []
     for order in orders:
         rec = assemble(GridField(grid, moments[: order + 1]), y, constants.hbar)
-        err = np.abs(rec.values.values.real[region] - exact)  # cropped first
+        # the cat's rho and moments are real, so |rho_N - rho| is |Re rho_N - Re rho|
+        err = compare(rec.values, exact, region, rec.moments[0].field).sup_error
         _emit_density_grid(out_dir, f"N{order}", rec)
-        results.append((order, float(err.max()), rec.trust_radius))
+        results.append((order, err, rec.trust_radius))
 
     summary = {
         "state": {"kind": "cat", "sigma": params.sigma, "k0": params.k0},

@@ -216,7 +216,7 @@ def test_trust_radius_bounds_the_quartic_pipeline_error(order, quartic_pipeline)
 
 def test_compare_identical_is_zero(grid, y_lattice):
     rec = assemble(cat_moments(grid, 10), y_lattice, HBAR)
-    report = compare(rec.values, rec.values)
+    report = compare(rec.values, rec.values, (np.inf, np.inf), rec.moments[0].field)
     assert report.sup_error == 0.0
     assert report.l2_error == 0.0
     assert report.diagonal_mismatch == 0.0
@@ -227,7 +227,7 @@ def test_compare_constant_offset(grid, y_lattice):
     rec = assemble(cat_moments(grid, 10), y_lattice, HBAR)
     eps = 3e-4
     shifted = DensityMatrixGrid(grid, y_lattice, rec.values.values + eps)
-    report = compare(shifted, rec.values, region=(3.0, 1.0))
+    report = compare(shifted, rec.values, (3.0, 1.0), rec.moments[0].field)
     assert report.sup_error == pytest.approx(eps, rel=1e-9)
 
 
@@ -243,30 +243,30 @@ def test_compare_against_closed_form_reference(grid, y_lattice):
 def test_compare_resamples_other_lattices(grid):
     y_a = offdiagonal_lattice(1.0, 101)
     rec_a = assemble(cat_moments(grid, 16), y_a, HBAR)
-    fine_grid = SpatialGrid(-6.05, 6.05, 1921)  # not nested in grid
-    y_b = offdiagonal_lattice(1.2, 481)
-    exact_b = cat_state_density_matrix(CAT, fine_grid, y_b)
-    report = compare(rec_a.values, exact_b, region=(2.0, 0.5))
+    y_b = offdiagonal_lattice(1.2, 481)  # not nested in y_a
+    exact_b = cat_state_density_matrix(CAT, grid, y_b)
+    report = compare(rec_a.values, exact_b, (2.0, 0.5), rec_a.moments[0].field)
     assert report.resampled
-    # truncation at N=16 is negligible here; the residual is bilinear
-    # interpolation error of the oscillatory reference
+    # truncation at N=16 is negligible here; the residual is linear
+    # interpolation error in y of the oscillatory reference
     assert report.sup_error < 5e-3
 
 
-def test_compare_rejects_disjoint_lattices(grid):
+def test_compare_rejects_a_reference_on_another_x_grid(grid):
     y = offdiagonal_lattice(1.0, 51)
     rec = assemble(cat_moments(grid, 4), y, HBAR)
-    far_grid = SpatialGrid(100.0, 112.0, 241)
-    other = cat_state_density_matrix(CAT, far_grid, y)
-    with pytest.raises(ValueError, match="disjoint"):
-        compare(rec.values, other)
+    other_grid = SpatialGrid(-6.05, 6.05, 1921)
+    other = cat_state_density_matrix(CAT, other_grid, y)
+    with pytest.raises(ValueError) as raised:
+        compare(rec.values, other, (3.0, 1.0), rec.moments[0].field)
+    assert repr(other_grid) in str(raised.value) and repr(grid) in str(raised.value)
 
 
 def test_compare_rejects_an_f0_on_another_grid(grid, y_lattice):
     rec = assemble(cat_moments(grid, 2), y_lattice, HBAR)
     other = SpatialGrid(-12.0, 12.0, 241)
     with pytest.raises(ValueError) as raised:
-        compare(rec.values, rec.values, f0=GridField(other, rec.moments[0].field.values))
+        compare(rec.values, rec.values, (3.0, 1.0), GridField(other, rec.moments[0].field.values))
     assert repr(other) in str(raised.value) and repr(grid) in str(raised.value)
 
 
@@ -304,7 +304,7 @@ def test_compare_rejects_a_stack_of_fields_as_f0(grid, y_lattice):
     rec = assemble(cat_moments(grid, 2), y_lattice, HBAR)
     f0 = GridField(grid, np.stack([rec.moments[0].field.values] * 2))
     with pytest.raises(ValueError, match="f0 must be one field"):
-        compare(rec.values, rec.values, f0=f0)
+        compare(rec.values, rec.values, (3.0, 1.0), f0)
 
 
 def sequential_assembly(f, y, hbar):
@@ -422,34 +422,22 @@ def test_assemble_writes_the_y_below_0_half_as_the_mirror_of_the_upper_half(f, n
     assert_bytes_equal(values, direct)
 
 
-def one_shot_resample(b, a):
-    """Bilinear resample of b onto a's lattice in one expression of whole-lattice terms."""
-    ax = a.x_grid.points
-    bx = b.x_grid.points
-    i, tx = _axis_weights(bx, ax)
-    j, ty = _axis_weights(b.y, a.y)
-    v = b.values
-    vals = (
-        v[np.ix_(i, j)] * np.outer(1 - tx, 1 - ty)
-        + v[np.ix_(i, j + 1)] * np.outer(1 - tx, ty)
-        + v[np.ix_(i + 1, j)] * np.outer(tx, 1 - ty)
-        + v[np.ix_(i + 1, j + 1)] * np.outer(tx, ty)
-    )
-    outside_x = (ax < bx[0]) | (ax > bx[-1])
-    outside_y = (a.y < b.y[0]) | (a.y > b.y[-1])
-    vals[np.logical_or.outer(outside_x, outside_y)] = 0.0
+def one_shot_resample(b, y):
+    """Linear resample of b onto the y lattice ``y`` in one expression of whole-lattice terms."""
+    j, ty = _axis_weights(b.y, y)
+    vals = b.values[:, j] * (1 - ty) + b.values[:, j + 1] * ty
+    vals[:, (y < b.y[0]) | (y > b.y[-1])] = 0.0
     return vals
 
 
 def test_resample_equals_the_one_shot_expression_and_holds_one_block():
     rng = np.random.default_rng(3)
-    b_grid = SpatialGrid(-5.0, 5.0, 1001)
-    b_y = b_grid.dx * np.arange(-80, 81)
-    b_values = rng.normal(size=(1001, 161)) + 1j * rng.normal(size=(1001, 161))
-    b = DensityMatrixGrid(b_grid, b_y, b_values)
-    # a's lattice reaches past b's in x and in y, so some points fall outside
-    a_grid = SpatialGrid(-6.0, 6.0, 8192)
-    a = DensityMatrixGrid(a_grid, offdiagonal_lattice(1.0, 101), np.zeros((8192, 101)))
-    resampled, peak = traced_peak(lambda: _resample_onto(b, a))
-    assert_bytes_equal(resampled, one_shot_resample(b, a))
+    grid = SpatialGrid(-6.0, 6.0, 8192)
+    b_y = 0.01 * np.arange(-80, 81)
+    b_values = rng.normal(size=(8192, 161)) + 1j * rng.normal(size=(8192, 161))
+    b = DensityMatrixGrid(grid, b_y, b_values)
+    # a's y lattice reaches past b's, so some points fall outside
+    y = offdiagonal_lattice(1.0, 101)
+    resampled, peak = traced_peak(lambda: _resample_onto(b, y))
+    assert_bytes_equal(resampled, one_shot_resample(b, y))
     assert peak <= 1.5 * resampled.nbytes

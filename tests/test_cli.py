@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +605,38 @@ def test_a_compare_writes_its_report_and_summary_only(tmp_path):
                "--dataset", ds / "dataset.json", "--y-max", "0.8", "--n-y", "21",
                "--out", out) == 0
     assert sorted(path.name for path in out.iterdir()) == ["report_N2.json", "summary_N2.txt"]
+
+
+def test_compare_refuses_an_empty_region_before_it_builds_its_reference(
+    tmp_path, capsys, monkeypatch
+):
+    ds, mdir, out = tmp_path / "ds", tmp_path / "m", tmp_path / "cmp"
+    assert run(*small_dataset_args(ds), "--store-psi") == 0
+    assert run("reconstruct", ds / "dataset.json", "--order", "2", "--out", mdir) == 0
+
+    def no_reference(*args):
+        raise AssertionError("a reference was built for a region that is refused")
+
+    monkeypatch.setattr("hydrec.cli._resolve_reference", no_reference)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = run("compare", mdir / "moments.json", "--reference", "stored-psi",
+                     "--dataset", ds / "dataset.json", "--region-x", "-1", "--out", out)
+    assert status == 1 and not caught
+    assert capsys.readouterr().err.splitlines() == [
+        "hydrec: error: comparison region contains no lattice points"
+    ]
+    assert not out.exists()
+
+
+def test_demo_cat_on_a_grid_without_the_region_exits_1(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert run("demo-cat", "--grid=10,20,101", "--orders", "2", "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "hydrec: error: comparison region contains no lattice points"
+    ]
+    assert not out.exists()
 
 
 def test_demo_cat_region_holding_only_the_diagonal_exits_1(tmp_path, capsys):

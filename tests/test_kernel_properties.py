@@ -5,9 +5,9 @@ The reference below is the row-by-row form of the recursion step: one
 ``potential_derivative`` call per (order, node), for every odd order, zero or
 not.  The library integrates whole ``(m+1, n_x)`` arrays at once and skips
 derivatives above the potential's degree; the two must agree bitwise.
-The bilinear resample of ``compare`` is checked the same way against scipy's
-``RegularGridInterpolator``, and every lattice ``offdiagonal_lattice`` builds
-against the y-lattice rule of ``DensityMatrixGrid``.
+The y resample of ``compare``, which keeps the reference's x grid, is checked
+against scipy's ``RegularGridInterpolator`` to one ulp, and every lattice
+``offdiagonal_lattice`` builds against the y-lattice rule of ``DensityMatrixGrid``.
 """
 
 import json
@@ -179,25 +179,21 @@ def test_every_offdiagonal_lattice_is_accepted_with_an_exact_zero_centre(y_max, 
     assert rho.y[half] == 0.0
 
 
-@st.composite
-def lattices(draw):
-    """A random uniform (x, y) lattice; any two of them overlap around the origin."""
-    grid = SpatialGrid(draw(st.floats(-8.0, -0.5)), draw(st.floats(0.5, 8.0)), draw(st.integers(8, 40)))
-    y = offdiagonal_lattice(draw(st.floats(0.1, 3.0)), 2 * draw(st.integers(1, 15)) + 1)
-    return grid, y
+grids = st.builds(SpatialGrid, st.floats(-8.0, -0.5), st.floats(0.5, 8.0), st.integers(8, 40))
+#: any two of them overlap around y = 0
+y_lattices = st.builds(
+    lambda y_max, half: offdiagonal_lattice(y_max, 2 * half + 1), st.floats(0.1, 3.0), st.integers(1, 15)
+)
 
 
 @settings(max_examples=100, deadline=None)
-@given(lattices(), lattices(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_resample_matches_regular_grid_interpolator(source, target, shared_x, seed):
+@given(grids, y_lattices, y_lattices, st.integers(0, 2**32 - 1))
+def test_resample_matches_regular_grid_interpolator(b_grid, b_y, a_y, seed):
     rng = np.random.default_rng(seed)
-    b_grid, b_y = source
-    a_grid, a_y = (b_grid, target[1]) if shared_x else target
     shape = (b_grid.n_points, b_y.size)
     b = DensityMatrixGrid(b_grid, b_y, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    a = DensityMatrixGrid(a_grid, a_y, np.zeros((a_grid.n_points, a_y.size)))
 
-    xx, yy = np.meshgrid(a_grid.points, a_y, indexing="ij")
+    xx, yy = np.meshgrid(b_grid.points, a_y, indexing="ij")
     points = np.stack([xx.ravel(), yy.ravel()], axis=-1)
     reference = [
         RegularGridInterpolator(
@@ -205,6 +201,6 @@ def test_resample_matches_regular_grid_interpolator(source, target, shared_x, se
         )(points).reshape(xx.shape)
         for part in (b.values.real, b.values.imag)
     ]
-    ours = _resample_onto(b, a)
+    ours = _resample_onto(b, a_y)
     for mine, ref in zip((ours.real, ours.imag), reference):
         assert np.all(np.abs(mine - ref) <= np.spacing(np.abs(ref)))
