@@ -381,6 +381,8 @@ def cmd_simulate(args) -> int:
     constants = PhysicalConstants(hbar=args.hbar, mass=args.mass)
     grid = _parse_grid(args.grid)
     t_0, dt, m = _split_numbers("--times", "t0,dt,m", args.times, float, float, int)
+    if m < 0:
+        raise ValueError(f"need at least one time node: --times m must be >= 0, got {m}")
     nodes = TimeNodes(t_0, dt, m + 1)
     sub = _walk_steps(nodes, args.substeps)[1]  # rejects a substeps below 1
     model = _parse_potential(args.potential, constants.mass)

@@ -7,7 +7,6 @@ deterministic and safe to share across threads.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -183,10 +182,9 @@ def cumulative_integral(values, dx: float) -> np.ndarray:
     """Running trapezoidal integral from the left grid edge, along the last axis.
 
     Approximates the half-line integral up to ``x`` for fields that decay at
-    the left boundary; the decay assumption is diagnosed, not enforced.  Each
+    the left boundary; the decay assumption is the caller's to check.  Each
     row of ``values`` is one field and integrates bitwise as it would on its
-    own.  Rows that have not decayed at the grid edges (relative amplitude
-    above ``EDGE_TOLERANCE``) get one :class:`DecayAssumptionWarning` per call.
+    own.
 
     Returns
     -------
@@ -194,18 +192,6 @@ def cumulative_integral(values, dx: float) -> np.ndarray:
         ``F`` shaped like ``values``, with ``F[..., 0] = 0`` and ``F[..., j]``
         the trapezoidal integral over ``[x_0, x_j]``.
     """
-    rows = np.reshape(values, (-1, np.shape(values)[-1]))  # one field per row
-    peak = np.maximum(rows.max(axis=-1), -rows.min(axis=-1))  # max |row|, without an |rows| copy
-    edge = np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
-    hot = np.flatnonzero((peak > 0.0) & (edge > EDGE_TOLERANCE * peak))
-    if hot.size:
-        i = hot[0]
-        warnings.warn(
-            f"field has edge amplitude {edge[i]:.3e} (> {EDGE_TOLERANCE:.0e} of max "
-            f"{peak[i]:.3e}); the half-line integral is not well approximated",
-            DecayAssumptionWarning,
-            stacklevel=2,
-        )
     # dx * (a + b) / 2.0 accumulated in place, in scipy's arithmetic order
     steps = values[..., 1:] + values[..., :-1]
     steps *= dx

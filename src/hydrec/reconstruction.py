@@ -3,13 +3,20 @@
 Given the probability density sampled at ``m + 1`` uniform times, each higher
 momentum moment follows from the ones below it:
 
-    f_{n+1} = -mass * d/dt CumInt(f_n)
-              - mass * sum_k (-1)^k (hbar/2)^(2k) C(n, 2k+1)
-                       CumInt(d^(2k+1)V/dx^(2k+1) * f_{n-2k-1})
+    f_{n+1} = -mass * CumInt(d/dt f_n + sum_k (-1)^k (hbar/2)^(2k) C(n, 2k+1)
+                                        d^(2k+1)V/dx^(2k+1) * f_{n-2k-1})
 
 where ``CumInt`` is the running integral from the left grid edge and the time
-derivative is the uniform-node collocation derivative.  Producing order ``N``
-therefore consumes ``N + 1`` time samples; requesting more is rejected.
+derivative is the uniform-node collocation derivative.  The recursion is
+linear and d/dt commutes with ``CumInt``, so each level is one running
+integral of one combined integrand.  Producing order ``N`` therefore consumes
+``N + 1`` time samples; requesting more is rejected.
+
+``CumInt`` assumes its integrand decays at the grid edges.  That is checked
+once per pyramid on the integrated f_0 .. f_(N-1), at every node, with at most
+one :class:`~hydrec.numerics.DecayAssumptionWarning` naming the lowest order
+that has not decayed; the force integrands d^(2k+1)V/dx^(2k+1) * f are not
+checked.
 
 Every moment is computed at all nodes so that repeated application of the
 same differentiation matrix realizes the nested time derivatives; the central
@@ -29,6 +36,8 @@ from math import comb
 import numpy as np
 
 from .numerics import (
+    EDGE_TOLERANCE,
+    DecayAssumptionWarning,
     GridField,
     PhysicalConstants,
     SpatialGrid,
@@ -95,19 +104,6 @@ def _force_table(model: PotentialModel, grid: SpatialGrid, nodes: TimeNodes, n_m
     ]
 
 
-def _next_level(
-    levels, n: int, forces: list, diff: np.ndarray, dx: float, constants: PhysicalConstants
-) -> None:
-    """Write f_{n+1} at all nodes into ``levels[n + 1]``, one cumulative integral per integrand."""
-    mass, hbar = constants.mass, constants.hbar
-    out = levels[n + 1]
-    np.matmul(diff, cumulative_integral(levels[n], dx), out=out)
-    out *= -mass
-    for k, dv in enumerate(forces[: (n + 1) // 2]):
-        coef = mass * (-1.0) ** k * (hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
-        out -= coef * cumulative_integral(dv * levels[n - 2 * k - 1], dx)
-
-
 def build_pyramid(
     f0_records,
     grid: SpatialGrid,
@@ -159,6 +155,22 @@ def build_pyramid(
         diff = differentiation_matrix(nodes)
         forces = _force_table(model, grid, nodes, order_max - 1)
         for n in range(order_max):
-            _next_level(levels, n, forces, diff, grid.dx, constants)
+            integrand = diff @ levels[n]  # d/dt and the running integral commute
+            for k, dv in enumerate(forces[: (n + 1) // 2]):
+                coef = (-1.0) ** k * (constants.hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
+                integrand += coef * dv * levels[n - 2 * k - 1]
+            np.multiply(cumulative_integral(integrand, grid.dx), -constants.mass, out=levels[n + 1])
+        # CumInt assumed that the integrated f_0 .. f_(N-1) decay at the edges
+        peak = np.maximum(levels[:-1].max(axis=-1), -levels[:-1].min(axis=-1))  # no |f| copy
+        edge = np.maximum(np.abs(levels[:-1, :, 0]), np.abs(levels[:-1, :, -1]))
+        hot = np.argwhere((peak > 0.0) & (edge > EDGE_TOLERANCE * peak))  # lowest order first
+        if hot.size:
+            n, j = hot[0]
+            warnings.warn(
+                f"f_{n} has edge amplitude {edge[n, j]:.3e} (> {EDGE_TOLERANCE:.0e} of max "
+                f"{peak[n, j]:.3e}) at node {j}; the half-line integral is not well approximated",
+                DecayAssumptionWarning,
+                stacklevel=2,
+            )
     levels.setflags(write=False)
     return MomentPyramid(grid=grid, nodes=nodes, levels=levels)

@@ -28,7 +28,14 @@ from hydrec.numerics import (
     TimeNodes,
     differentiation_matrix,
 )
-from hydrec.potentials import free_potential, harmonic_potential, quartic_potential
+import hydrec.reconstruction as reconstruction_module
+from hydrec.potentials import (
+    free_potential,
+    harmonic_potential,
+    polynomial_potential,
+    quartic_potential,
+    x_coefficients,
+)
 from hydrec.reconstruction import InsufficientTimeSamplesError, build_pyramid
 from hydrec.simulator import (
     CatStateParams,
@@ -453,4 +460,59 @@ def test_criterion_7_determinism_and_round_trip(tmp_path):
         f"repeated runs byte-identical (payload={same_payload}, manifest={same_manifest}, "
         f"psi={same_psi}); read round-trip bit-exact: {round_trip}; checksum "
         f"corruption detected: {corrupted_detected}; demo reruns identical: {demo_same}",
+    )
+
+
+# ---------------------------------------------------------------------------
+# criterion 8: an anharmonic, time-dependent potential against the oracle
+# ---------------------------------------------------------------------------
+
+#: relative L2 errors of f_1 .. f_6 measured on this case; the bounds are 3x these
+ANHARMONIC_DRIVEN_ERRORS = np.array([3.3e-5, 3.1e-5, 3.2e-4, 5.0e-4, 2.0e-2, 3.4e-2])
+
+
+def test_criterion_8_anharmonic_time_dependent_potential(monkeypatch):
+    # V = (0.25 + 0.5 t) x^2 + 0.3 t x^3 + 0.02 x^4: a driven, anharmonic well
+    model = polynomial_potential([[0], [0], [0.25, 0.5], [0.0, 0.3], [0.02]])
+    grid = SpatialGrid(-12.0, 12.0, 2048)
+    nodes = TimeNodes(0.44, 0.04, 9)
+    start = time.perf_counter()
+    records, psis = sample_densities(
+        gaussian_packet(grid, 0.8, center=0.3, momentum=0.8), model, C, nodes, substeps=40
+    )
+    central = nodes.central_index
+    oracles = oracle_moment_set(psis[central], range(1, 7), C)
+    support = records[central] > 1e-6 * records[central].max()
+
+    def errors(potential):
+        pyramid = build_pyramid(records, grid, nodes, potential, C, order_max=6)
+        return np.array([
+            rel_l2(pyramid.levels[n][central], oracles[n - 1].values, support) for n in range(1, 7)
+        ])
+
+    rels = errors(model)
+    ok_rels = bool(np.all(rels < 3.0 * ANHARMONIC_DRIVEN_ERRORS))
+
+    # three wrong force tables; each must break f_3 or f_4 by >= 100x
+    frozen = polynomial_potential([[c] for c in x_coefficients(model, nodes.central_time)])
+    dt = nodes.dt  # shifted: V(t + dt) in place of V(t)
+    shifted = polynomial_potential([[0], [0], [0.25 + 0.5 * dt, 0.5], [0.3 * dt, 0.3], [0.02]])
+    broken = {"V frozen at the central time": errors(frozen), "V shifted by dt": errors(shifted)}
+    real_table = reconstruction_module._force_table
+    monkeypatch.setattr(reconstruction_module, "_force_table", lambda *a: real_table(*a)[:1])
+    broken["third derivative of V dropped"] = errors(model)
+    monkeypatch.undo()
+    worsening = {name: float(np.max(wrong[2:4] / rels[2:4])) for name, wrong in broken.items()}
+    ok_broken = min(worsening.values()) >= 100.0
+
+    elapsed = time.perf_counter() - start
+    ok = ok_rels and ok_broken and elapsed < 10.0
+    report(
+        8,
+        ok,
+        "driven anharmonic well, central-node moments vs oracle relL2 n=1..6: "
+        + " ".join(f"{r:.1e}" for r in rels)
+        + " (< 3x the measured values); f_3/f_4 worsening with a wrong force table: "
+        + ", ".join(f"{name} {w:.0f}x" for name, w in worsening.items())
+        + f" (>= 100x); runtime {elapsed:.2f}s < 10s",
     )

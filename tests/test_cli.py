@@ -214,7 +214,11 @@ def test_simulate_rejects_a_state_a_seed_or_a_potential_key_naming_it(
         ("grid", "-10,10,4", "need at least 8 grid points, got 4", "-10,10"),
         ("grid", "10,-10,64", "x_min must be below x_max, got [10.0, -10.0]", "-10,10,64.5"),
         ("times", "0,-0.005,4", "dt must be positive, got -0.005", "0,0.005,4,1"),
-        ("times", "0,0.005,-1", "need at least one time node, got 0", "0,0.005,1.5"),
+        # m, as typed, not the node count m + 1
+        ("times", "0,0.005,-1", "need at least one time node: --times m must be >= 0, got -1",
+         "0,0.005,1.5"),
+        ("times", "0,0.005,-3", "need at least one time node: --times m must be >= 0, got -3",
+         "0,0.005,-3.0"),
     ],
 )
 def test_simulate_reports_why_a_grid_or_times_value_is_rejected(

@@ -1,10 +1,12 @@
 """Property tests: the array-level recursion against a per-row reference.
 
-The reference below is the row-by-row form of the recursion step: one
-``scipy.integrate.cumulative_trapezoid`` call per row and one public
-``potential_derivative`` call per (order, node), for every odd order, zero or
-not.  The library integrates whole ``(m+1, n_x)`` arrays at once and skips
-derivatives above the potential's degree; the two must agree bitwise.
+The reference below is the row-by-row form of the recursion step: each level
+is one running integral of one combined integrand, the time derivative plus
+every force term, built node by node with one public ``potential_derivative``
+call per (order, node), for every odd order, zero or not, and integrated with
+one ``scipy.integrate.cumulative_trapezoid`` call per row.  The library
+integrates one whole ``(m+1, n_x)`` array per level and skips derivatives
+above the potential's degree; the two must agree bitwise.
 The y resample of ``compare``, which keeps the reference's x grid, is checked
 against scipy's ``RegularGridInterpolator`` to one ulp, and every lattice
 ``offdiagonal_lattice`` builds against the y-lattice rule of ``DensityMatrixGrid``.
@@ -50,22 +52,21 @@ positive = st.floats(0.5, 2.0)
 
 
 def reference_levels(base, grid, nodes, model, constants, order_max):
-    """Levels 0..order_max from ``base``, one row and one node at a time."""
+    """Levels 0..order_max from ``base``, one node and one row at a time."""
     mass, hbar = constants.mass, constants.hbar
     diff = differentiation_matrix(nodes) if order_max else None
     levels = [base]
     for n in range(order_max):
-        cumulative = np.stack(
-            [cumulative_trapezoid(row, dx=grid.dx, initial=0.0) for row in levels[n]]
-        )
-        out = -mass * (diff @ cumulative)
-        for k in range((n - 1) // 2 + 1) if n >= 1 else []:
-            coef = mass * (-1.0) ** k * (hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
+        integrand = diff @ levels[n]
+        for k in range((n + 1) // 2):
+            coef = (-1.0) ** k * (hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
             lower = levels[n - 2 * k - 1]
             for j, t in enumerate(nodes.points):
                 dv = potential_derivative(model, 2 * k + 1, grid.points, float(t))
-                out[j] -= coef * cumulative_trapezoid(dv * lower[j], dx=grid.dx, initial=0.0)
-        levels.append(out)
+                integrand[j] += coef * dv * lower[j]
+        levels.append(
+            np.stack([-mass * cumulative_trapezoid(row, dx=grid.dx, initial=0.0) for row in integrand])
+        )
     return levels
 
 

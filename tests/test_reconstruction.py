@@ -315,15 +315,16 @@ def test_central_slice_and_the_assembled_f0_are_the_central_pyramid_rows_bitwise
 
 
 @pytest.mark.parametrize(
-    "model, order_max, calls",
+    "model, order_max",
     [
-        (free_potential(), 4, 4),
-        (free_potential(), 12, 12),
-        # level n integrates f_n, and from n = 1 on also V' f_(n-1)
-        (paul_trap_potential(1.0, 0.5, 6.28), 12, 23),
+        (free_potential(), 4),
+        (free_potential(), 12),
+        # the force terms join the time derivative in one integrand per level
+        (paul_trap_potential(1.0, 0.5, 6.28), 12),
+        (quartic_potential(c2=0.5, c4=0.1), 12),
     ],
 )
-def test_one_cumulative_integral_call_per_integrand(monkeypatch, model, order_max, calls):
+def test_one_cumulative_integral_call_per_level(monkeypatch, model, order_max):
     # the benchmark's tracer times the recursion's integrals through this name
     shapes = []
 
@@ -338,4 +339,22 @@ def test_one_cumulative_integral_call_per_integrand(monkeypatch, model, order_ma
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DecayAssumptionWarning)
         build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=order_max)
-    assert shapes == [(13, 64)] * calls  # one whole level per call
+    assert shapes == [(13, 64)] * order_max  # one whole level per call
+
+
+def test_one_decay_warning_per_pyramid_naming_the_lowest_order():
+    # growing records do not conserve probability, so f_1 is the lowest order left
+    # hot at the edges
+    grid = SpatialGrid(-10.0, 10.0, 256)
+    nodes = TimeNodes(0.0, 0.02, 6)
+    records = [np.exp(-grid.points**2) * (1 + 0.01 * j) for j in range(6)]
+    with pytest.warns(DecayAssumptionWarning) as record:
+        build_pyramid(records, grid, nodes, quartic_potential(c4=0.1), CONSTANTS, order_max=5)
+    assert len(record) == 1
+    assert str(record[0].message).startswith("f_1 has edge amplitude ")
+    assert record[0].filename == __file__
+    # with f_0 hot as well, the warning names f_0
+    records[0] = records[0] + 1e-3
+    with pytest.warns(DecayAssumptionWarning, match=r"^f_0 has edge amplitude ") as record:
+        build_pyramid(records, grid, nodes, quartic_potential(c4=0.1), CONSTANTS, order_max=5)
+    assert len(record) == 1
