@@ -416,7 +416,7 @@ def cmd_reconstruct(args) -> int:
         data["records"], data["grid"], nodes, data["model"], data["constants"], args.order
     )
     path = write_moment_set(
-        Path(args.out), data["manifest"], pyramid.levels[:, node],
+        Path(args.out), data["manifest"], pyramid.central_slice(node).values,
         float(nodes.t_0 + node * nodes.dt), node, dataset_path=str(args.dataset),
     )
     print(path)

@@ -25,6 +25,10 @@ __all__ = [
 #: at the grid edges.  Gaussian-type packets on a grid padded to >= 6 sigma
 #: sit far below this, so a triggered warning indicates a mis-sized grid.
 EDGE_TOLERANCE = 1e-8
+#: Relative amplitude above which a grid column holds the measured density:
+#: the moment recursion runs on the columns where f_0 exceeds this fraction
+#: of its peak at some node, plus one on each side.
+SUPPORT_THRESHOLD = 1e-14
 #: Bytes of one block of lattice rows: a kernel that sweeps an (x, y) lattice
 #: holds its temporaries for one block at a time.
 LATTICE_BLOCK_BYTES = 1 << 18
@@ -70,6 +74,17 @@ def _read_only_array(values, dtype, shape=None, finite=False) -> np.ndarray:
         raise ValueError("array contains non-finite values")
     array.setflags(write=False)
     return array
+
+
+def _support_window(colmax: np.ndarray, threshold: float) -> slice:
+    """The columns where ``colmax`` exceeds ``threshold`` of its peak, plus one on each side.
+
+    All columns when none does, as when ``colmax`` is all zero.
+    """
+    live = np.flatnonzero(colmax > threshold * colmax.max())
+    if live.size == 0:
+        return slice(0, colmax.size)
+    return slice(max(int(live[0]) - 1, 0), min(int(live[-1]) + 2, colmax.size))
 
 
 def _row_blocks(n_rows: int, row_bytes: int):

@@ -6,17 +6,21 @@ momentum moment follows from the ones below it:
     f_{n+1} = -mass * CumInt(d/dt f_n + sum_k (-1)^k (hbar/2)^(2k) C(n, 2k+1)
                                         d^(2k+1)V/dx^(2k+1) * f_{n-2k-1})
 
-where ``CumInt`` is the running integral from the left grid edge and the time
-derivative is the uniform-node collocation derivative.  The recursion is
+where ``CumInt`` is the paper's running integral from -inf, taken from the
+left edge of the packet's support window: the grid columns where f_0 exceeds
+:data:`~hydrec.numerics.SUPPORT_THRESHOLD` of its peak at some node, plus one
+on each side (the whole grid when no column does, as for noisy records).  The
+time derivative is the uniform-node collocation derivative.  The recursion is
 linear and d/dt commutes with ``CumInt``, so each level is one running
-integral of one combined integrand.  Producing order ``N`` therefore consumes
-``N + 1`` time samples; requesting more is rejected.
+integral of one combined integrand; f_1 .. f_N are exactly 0 outside the
+window.  Producing order ``N`` therefore consumes ``N + 1`` time samples;
+requesting more is rejected.
 
-``CumInt`` assumes its integrand decays at the grid edges.  That is checked
-once per pyramid on the integrated f_0 .. f_(N-1), at every node, with at most
-one :class:`~hydrec.numerics.DecayAssumptionWarning` naming the lowest order
-that has not decayed; the force integrands d^(2k+1)V/dx^(2k+1) * f are not
-checked.
+``CumInt`` assumes its integrand decays at the window's edges.  That is
+checked once per pyramid on the integrated f_0 .. f_(N-1), at every node,
+with at most one :class:`~hydrec.numerics.DecayAssumptionWarning` naming the
+lowest order that has not decayed; the force integrands
+d^(2k+1)V/dx^(2k+1) * f are not checked.
 
 Every moment is computed at all nodes so that repeated application of the
 same differentiation matrix realizes the nested time derivatives; the central
@@ -37,12 +41,14 @@ import numpy as np
 
 from .numerics import (
     EDGE_TOLERANCE,
+    SUPPORT_THRESHOLD,
     DecayAssumptionWarning,
     GridField,
     PhysicalConstants,
     SpatialGrid,
     TimeNodes,
     _read_only_array,
+    _support_window,
     cumulative_integral,
     differentiation_matrix,
 )
@@ -63,22 +69,41 @@ class InsufficientTimeSamplesError(ValueError):
 class MomentPyramid:
     """All moments up to order N at all time nodes.
 
-    ``levels`` is one read-only ``(N+1, m+1, n_points)`` array: ``levels[n]``
-    holds f_n at every node.  Order 0 is the input density; each higher level
-    derives only from the levels below it.
+    ``records`` is the read-only ``(m+1, n_points)`` f_0 matrix on the whole
+    grid.  ``window`` is the slice of grid columns the recursion ran on, and
+    ``window_levels`` is one read-only ``(N+1, m+1, window width)`` array:
+    ``window_levels[n]`` holds f_n there at every node.  f_1 .. f_N are 0
+    outside the window.  Each level derives only from the levels below it.
     """
 
     grid: SpatialGrid
     nodes: TimeNodes
-    levels: np.ndarray = field(repr=False)
+    records: np.ndarray = field(repr=False)
+    window: slice
+    window_levels: np.ndarray = field(repr=False)
 
     @property
     def order_max(self) -> int:
-        return len(self.levels) - 1
+        return len(self.window_levels) - 1
 
-    def central_slice(self) -> GridField:
-        """All orders at the central node, as one ``(N+1, n_points)`` field."""
-        return GridField(self.grid, self.levels[:, self.nodes.central_index])
+    @property
+    def levels(self) -> np.ndarray:
+        """f_0 .. f_N at every node on the whole grid, one read-only
+        ``(N+1, m+1, n_points)`` array built on each read."""
+        return self._on_grid(slice(None))
+
+    def central_slice(self, node: int | None = None) -> GridField:
+        """All orders at one node, the central one by default, as one ``(N+1, n_points)`` field."""
+        node = self.nodes.central_index if node is None else node
+        return GridField(self.grid, self._on_grid(node))
+
+    def _on_grid(self, node) -> np.ndarray:
+        inner = self.window_levels[:, node]
+        out = np.zeros(inner.shape[:-1] + (self.grid.n_points,))
+        out[..., self.window] = inner
+        out[0] = self.records[node]
+        out.setflags(write=False)
+        return out
 
 
 def _as_record_matrix(f0_records, grid: SpatialGrid, nodes: TimeNodes) -> np.ndarray:
@@ -92,12 +117,11 @@ def _as_record_matrix(f0_records, grid: SpatialGrid, nodes: TimeNodes) -> np.nda
     return _read_only_array(records, float, (nodes.m_plus_1, grid.n_points), finite=True)
 
 
-def _force_table(model: PotentialModel, grid: SpatialGrid, nodes: TimeNodes, n_max: int) -> list:
-    """Entry k: d^(2k+1)V/dx^(2k+1) at every node, for 2k+1 <= min(n_max, degree).
+def _force_table(model: PotentialModel, x: np.ndarray, nodes: TimeNodes, n_max: int) -> list:
+    """Entry k: d^(2k+1)V/dx^(2k+1) at ``x`` at every node, for 2k+1 <= min(n_max, degree).
 
     Higher odd derivatives vanish identically, so their terms are skipped.
     """
-    x = grid.points
     return [
         np.stack([potential_derivative(model, order, x, float(t)) for t in nodes.points])
         for order in range(1, min(n_max, model.degree) + 1, 2)
@@ -142,8 +166,11 @@ def build_pyramid(
             f"(an order-n moment requires the density at n+1 times); got {m + 1}"
         )
     check_mass(model, constants.mass)
-    levels = np.empty((order_max + 1, nodes.m_plus_1, grid.n_points))
-    levels[0] = _as_record_matrix(f0_records, grid, nodes)
+    records = _as_record_matrix(f0_records, grid, nodes)
+    colmax = np.maximum(records.max(axis=0), -records.min(axis=0))  # max |f_0| over the nodes
+    window = _support_window(colmax, SUPPORT_THRESHOLD)
+    levels = np.empty((order_max + 1, nodes.m_plus_1, window.stop - window.start))
+    levels[0] = records[:, window]
     if order_max >= 1:
         if m > 12:
             warnings.warn(
@@ -153,14 +180,14 @@ def build_pyramid(
                 stacklevel=2,
             )
         diff = differentiation_matrix(nodes)
-        forces = _force_table(model, grid, nodes, order_max - 1)
+        forces = _force_table(model, grid.points[window], nodes, order_max - 1)
         for n in range(order_max):
             integrand = diff @ levels[n]  # d/dt and the running integral commute
             for k, dv in enumerate(forces[: (n + 1) // 2]):
                 coef = (-1.0) ** k * (constants.hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
                 integrand += coef * dv * levels[n - 2 * k - 1]
             np.multiply(cumulative_integral(integrand, grid.dx), -constants.mass, out=levels[n + 1])
-        # CumInt assumed that the integrated f_0 .. f_(N-1) decay at the edges
+        # CumInt assumed that the integrated f_0 .. f_(N-1) decay at the window's edges
         peak = np.maximum(levels[:-1].max(axis=-1), -levels[:-1].min(axis=-1))  # no |f| copy
         edge = np.maximum(np.abs(levels[:-1, :, 0]), np.abs(levels[:-1, :, -1]))
         hot = np.argwhere((peak > 0.0) & (edge > EDGE_TOLERANCE * peak))  # lowest order first
@@ -173,4 +200,4 @@ def build_pyramid(
                 stacklevel=2,
             )
     levels.setflags(write=False)
-    return MomentPyramid(grid=grid, nodes=nodes, levels=levels)
+    return MomentPyramid(grid, nodes, records, window, levels)

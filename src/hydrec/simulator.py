@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes
-from .numerics import _check_numbers, _is_number, _read_only_array, _row_blocks
+from .numerics import _check_numbers, _is_number, _read_only_array, _row_blocks, _support_window
 
 __all__ = [
     "SimulationQualityError",
@@ -555,15 +555,9 @@ def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> Wi
 def _decayed_p_window(w: WignerGrid, threshold: float) -> slice:
     # max |W| per column without an |W| lattice; a NaN still propagates
     colmax = np.maximum(np.max(w.values, axis=0), -np.min(w.values, axis=0))
-    peak = colmax.max()
-    if not np.isfinite(peak):
+    if not np.isfinite(colmax.max()):
         raise ValueError("quasi-probability distribution holds non-finite values")
-    if peak == 0.0:
-        return slice(0, w.p.size)
-    idx = np.nonzero(colmax > threshold * peak)[0]
-    lo = max(int(idx[0]) - 1, 0)
-    hi = min(int(idx[-1]) + 1, w.p.size - 1)
-    return slice(lo, hi + 1)
+    return _support_window(colmax, threshold)
 
 
 def _as_wigner(state, constants: PhysicalConstants) -> WignerGrid:

@@ -4,9 +4,10 @@ The reference below is the row-by-row form of the recursion step: each level
 is one running integral of one combined integrand, the time derivative plus
 every force term, built node by node with one public ``potential_derivative``
 call per (order, node), for every odd order, zero or not, and integrated with
-one ``scipy.integrate.cumulative_trapezoid`` call per row.  The library
-integrates one whole ``(m+1, n_x)`` array per level and skips derivatives
-above the potential's degree; the two must agree bitwise.
+one ``scipy.integrate.cumulative_trapezoid`` call per row.  It runs on the
+support window, found column by column, and pads with zeros.  The library
+integrates one whole ``(m+1, window width)`` array per level and skips
+derivatives above the potential's degree; the two must agree bitwise.
 The y resample of ``compare``, which keeps the reference's x grid, is checked
 against scipy's ``RegularGridInterpolator`` to one ulp, and every lattice
 ``offdiagonal_lattice`` builds against the y-lattice rule of ``DensityMatrixGrid``.
@@ -19,7 +20,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RegularGridInterpolator
@@ -51,23 +52,48 @@ coefficient = st.floats(-2.0, 2.0, allow_nan=False)
 positive = st.floats(0.5, 2.0)
 
 
-def reference_levels(base, grid, nodes, model, constants, order_max):
-    """Levels 0..order_max from ``base``, one node and one row at a time."""
+def reference_window(base):
+    """The columns where some row of ``base`` exceeds 1e-14 of its peak, plus one each side."""
+    n_x = base.shape[1]
+    peak = np.max(np.abs(base))
+    live = [i for i in range(n_x) if np.max(np.abs(base[:, i])) > 1e-14 * peak]
+    if not live:
+        return slice(0, n_x)
+    return slice(max(live[0] - 1, 0), min(live[-1] + 2, n_x))
+
+
+def reference_levels(base, grid, nodes, model, constants, order_max, window):
+    """Levels 0..order_max from ``base`` on ``window``, one node and one row at a time.
+
+    Levels 1..order_max are zero outside ``window``.
+    """
     mass, hbar = constants.mass, constants.hbar
     diff = differentiation_matrix(nodes) if order_max else None
-    levels = [base]
+    x = grid.points[window]
+    levels = [np.ascontiguousarray(base[:, window])]
     for n in range(order_max):
         integrand = diff @ levels[n]
         for k in range((n + 1) // 2):
             coef = (-1.0) ** k * (hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
             lower = levels[n - 2 * k - 1]
             for j, t in enumerate(nodes.points):
-                dv = potential_derivative(model, 2 * k + 1, grid.points, float(t))
+                dv = potential_derivative(model, 2 * k + 1, x, float(t))
                 integrand[j] += coef * dv * lower[j]
         levels.append(
             np.stack([-mass * cumulative_trapezoid(row, dx=grid.dx, initial=0.0) for row in integrand])
         )
-    return levels
+    padded = [base]
+    for level in levels[1:]:
+        full = np.zeros_like(base)
+        full[:, window] = level
+        padded.append(full)
+    return padded
+
+
+def drifting_packets(grid, nodes, packets):
+    """Records of Gaussian packets ``(amp, width, center, speed)``, one row per node."""
+    x, t = grid.points, nodes.points[:, None]
+    return sum(a * np.exp(-(((x - c - v * t) / w) ** 2)) for a, w, c, v in packets)
 
 
 @st.composite
@@ -91,30 +117,69 @@ def cases(draw):
     nodes = TimeNodes(draw(st.floats(-0.5, 0.5)), draw(st.floats(1e-3, 5e-2)), m_plus_1)
     grid = SpatialGrid(-8.0, 8.0, draw(st.integers(32, 256)))
     # a few drifting Gaussian packets: a density that decays at both edges
-    x, t = grid.points, nodes.points[:, None]
-    records = np.zeros((m_plus_1, grid.n_points))
-    for _ in range(draw(st.integers(1, 3))):
-        amp, width = draw(positive), draw(st.floats(0.4, 1.0))
-        center, speed = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.0, 1.0))
-        records += amp * np.exp(-(((x - center - speed * t) / width) ** 2))
+    packet = st.tuples(positive, st.floats(0.4, 1.0), st.floats(-1.5, 1.5), st.floats(-1.0, 1.0))
+    records = drifting_packets(grid, nodes, draw(st.lists(packet, min_size=1, max_size=3)))
     order_max = draw(st.integers(0, nodes.m))
     return records, grid, nodes, model, constants, order_max
 
 
+#: a quartic potential at order 6: the (hbar/2)^2 term of the third derivative
+#: of V enters levels 4..6
+QUARTIC_GRID, QUARTIC_NODES = SpatialGrid(-8.0, 8.0, 128), TimeNodes(0.0, 0.02, 7)
+QUARTIC_CASE = (
+    drifting_packets(QUARTIC_GRID, QUARTIC_NODES, [(1.0, 0.7, 0.4, 0.5), (0.6, 0.9, -1.0, -0.3)]),
+    QUARTIC_GRID,
+    QUARTIC_NODES,
+    quartic_potential(c2=0.5, c4=0.3),
+    PhysicalConstants(hbar=1.3, mass=0.8),
+    6,
+)
+
+
+def build_quietly(records, grid, nodes, model, constants, order_max):
+    with warnings.catch_warnings():
+        # the top levels carry a rounding residue at the window's edges
+        warnings.simplefilter("ignore", DecayAssumptionWarning)
+        return build_pyramid(list(records), grid, nodes, model, constants, order_max)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cases())
+@example(QUARTIC_CASE)
 def test_pyramid_matches_per_row_recursion(case):
     records, grid, nodes, model, constants, order_max = case
-    with warnings.catch_warnings():
-        # the top levels carry a rounding residue at the grid edges
-        warnings.simplefilter("ignore", DecayAssumptionWarning)
-        pyramid = build_pyramid(list(records), grid, nodes, model, constants, order_max)
+    pyramid = build_quietly(*case)
     base = pyramid.levels[0]
     assert np.array_equal(base, records)
-    expected = reference_levels(base, grid, nodes, model, constants, order_max)
+    window = reference_window(base)
+    assert pyramid.window == window
+    expected = reference_levels(base, grid, nodes, model, constants, order_max, window)
     assert len(pyramid.levels) == order_max + 1
     for n, (got, want) in enumerate(zip(pyramid.levels, expected)):
         assert np.array_equal(got, want), f"level {n}"
+
+
+def test_noisy_records_run_on_the_whole_grid_bitwise():
+    # additive noise keeps every column above the support threshold, so the
+    # pyramid of the noise alone is the unwindowed recursion's
+    records, grid, nodes, model, constants, order_max = QUARTIC_CASE
+    noisy = records + 1e-6 * np.random.default_rng(0).normal(size=records.shape)
+    pyramid = build_quietly(noisy, grid, nodes, model, constants, order_max)
+    assert pyramid.window == slice(0, grid.n_points)
+    expected = reference_levels(noisy, grid, nodes, model, constants, order_max, slice(None))
+    for n, (got, want) in enumerate(zip(pyramid.levels, expected)):
+        assert np.array_equal(got, want), f"level {n}"
+
+
+def test_all_zero_records_give_zero_levels_and_no_warning():
+    _, grid, nodes, model, constants, order_max = QUARTIC_CASE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pyramid = build_pyramid(
+            np.zeros((nodes.m_plus_1, grid.n_points)), grid, nodes, model, constants, order_max
+        )
+    assert pyramid.window == slice(0, grid.n_points)
+    assert not np.any(pyramid.levels)
 
 
 models = st.one_of(
