@@ -10,7 +10,13 @@ time arrive as one ``(N+1, n_points)`` :class:`~hydrec.numerics.GridField`,
 and the sum is one contraction of that matrix with the table of ``z_n``.
 Real moments make the real part of the sum carry only even orders and the
 imaginary part only odd orders, so the y < 0 half is the conjugate of the
-y >= 0 half; only that half is summed.
+y >= 0 half; only that half is summed.  Past a pyramid's support window
+f_1 .. f_N are 0, so the sum runs only on the rows from the first to the
+last x where one of them is not; every other row is f_0 plus one row of
+zero products, bit for bit the same sum.
+
+:func:`compare` reads both lattices only inside its region, one block of
+rows at a time, and holds one region-sized array, the errors ``|a - b|``.
 """
 
 from __future__ import annotations
@@ -133,7 +139,9 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
     -------
     TaylorReconstruction
         With ``values[x, y=0]`` equal to f_0 exactly (only the n = 0 term
-        survives on the diagonal).
+        survives on the diagonal).  ``values`` is the order-by-order sum of
+        the outer products ``f_n z_n`` bit for bit, on the rows where
+        f_1 .. f_N are all 0 as well, which the sum does not run on.
     """
     f = moments.values
     if f.ndim != 2 or not len(f):
@@ -147,26 +155,41 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
     # a NaN z_n comes only from an overflow (0 * inf), so its magnitude is inf
     abs_z = np.abs(z)
     abs_z[np.isnan(abs_z)] = np.inf
-    f_peaks = np.max(np.abs(f), axis=1)
+    f_peaks = np.abs(np.maximum(f.max(axis=1), -f.min(axis=1)))  # max |f_n|, no |f| copy
     values = np.empty((f.shape[1], y.size), dtype=complex)
-    blocks = list(_row_blocks(f.shape[1], values.itemsize * z.shape[1]))
+    # the span of rows from the first to the last x where some f_1 .. f_N is not 0; past a
+    # pyramid's support window they all are, and only the span runs the Taylor sum
+    reached = np.flatnonzero(np.any(f[1:] != 0, axis=0))
+    span = slice(reached[0], reached[-1] + 1) if reached.size else slice(0, 0)
+    f_in, v_in = f[:, span], values[span]
+    blocks = list(_row_blocks(f_in.shape[1], values.itemsize * z.shape[1]))
     # a block's y >= 0 half is summed y-major, so that each multiply and add runs along x
-    sums = np.empty((z.shape[1], f[:, blocks[0]].shape[1]), dtype=complex)  # the largest block
+    sums = np.empty((z.shape[1], f_in[:, blocks[0]].shape[1] if blocks else 0), dtype=complex)
     term = np.empty_like(sums)
     with np.errstate(over="ignore", invalid="ignore"):  # reported per order below
         # summed from +0.0, orders in sequence, so a -0.0 moment gives +0.0 (a start from
         # the n = 0 term would keep -0.0); one block of rows at a time, reused buffers
         for blk in blocks:
-            f_blk = f[:, blk]
+            f_blk = f_in[:, blk]
             acc = sums[:, : f_blk.shape[1]]
             acc.fill(0.0)
             for f_n, z_n in zip(f_blk, z):
                 acc += np.multiply(f_n, z_n[:, None], out=term[:, : acc.shape[1]])
-            values[blk, c:] = acc.T
+            v_in[blk, c:] = acc.T
             # column M-1-j holds (re, 0.0 - im) of column j: 0.0 - 0.0 is +0.0, as the sum gives
-            mirror, upper = values[blk, :c], acc[:0:-1].T
+            mirror, upper = v_in[blk, :c], acc[:0:-1].T
             mirror.real = upper.real
             np.subtract(0.0, upper.imag, out=mirror.imag)
+        # outside the span f_1 .. f_N are ±0.0, so each f_n z_n is ±0.0, or NaN in both parts
+        # where z_n overflowed: the sum from +0.0 is f_0 plus the same sum of 0.0 * z_n, one
+        # row for every x, bit for bit (that row is +0.0 or NaN, and turns a -0.0 f_0 into
+        # +0.0 as the span's sum does; its mirror is itself, as 0.0 - im gives im)
+        zero = np.zeros(z.shape[1], dtype=complex)
+        for z_n in z[1:]:
+            zero += 0.0 * z_n
+        row = np.concatenate((zero[:0:-1], zero))
+        for rows in (slice(0, span.start), slice(span.stop, None)):
+            np.add(f[0, rows, None], row, out=values[rows])
         values.setflags(write=False)  # DensityMatrixGrid adopts it
         # each z_n is purely real or purely imaginary, so this is max |f_n z_n| exactly
         term_peaks = f_peaks * np.max(abs_z, axis=1)
@@ -197,27 +220,31 @@ def _axis_weights(grid: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.
     return i, (points - grid[i]) / (grid[i + 1] - grid[i])
 
 
-def _resample_onto(b: DensityMatrixGrid, y: np.ndarray) -> np.ndarray:
-    """b's values interpolated linearly in y onto ``y``; points outside b's y range get 0."""
-    j, ty = _axis_weights(b.y, y)
-    v = b.values
+def _resample_onto(v: np.ndarray, b_y: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows ``v`` on the y lattice ``b_y``, interpolated linearly in y onto ``y``.
+
+    Points outside ``b_y``'s range get 0.
+    """
+    j, ty = _axis_weights(b_y, y)
     vals = np.empty((v.shape[0], y.size), dtype=complex)
     for blk in _row_blocks(v.shape[0], vals.itemsize * y.size):
-        vals[blk] = v[blk, j] * (1 - ty) + v[blk, j + 1] * ty
-    vals[:, (y < b.y[0]) | (y > b.y[-1])] = 0.0
+        np.multiply(v[blk, j], 1 - ty, out=vals[blk])
+        vals[blk] += v[blk, j + 1] * ty
+    vals[:, (y < b_y[0]) | (y > b_y[-1])] = 0.0
     return vals
 
 
-def _region_masks(
+def _region_slices(
     grid: SpatialGrid, y: np.ndarray, region: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``|x| <= x_max`` and ``|y| <= y_max`` masks of ``region``; an empty region is refused."""
-    x_max, y_max = region
-    mask_x = np.abs(grid.points) <= x_max
-    mask_y = np.abs(y) <= y_max
-    if not (mask_x.any() and mask_y.any()):
+) -> tuple[slice, slice]:
+    """The rows ``|x| <= x_max`` and the columns ``|y| <= y_max`` of ``region``.
+
+    Both axes ascend, so each is one run of indices; an empty region is refused.
+    """
+    runs = [np.flatnonzero(np.abs(p) <= bound) for p, bound in zip((grid.points, y), region)]
+    if not all(run.size for run in runs):
         raise ValueError("comparison region contains no lattice points")
-    return mask_x, mask_y
+    return tuple(slice(run[0], run[-1] + 1) for run in runs)
 
 
 def compare(
@@ -229,22 +256,33 @@ def compare(
     ``a``'s y lattice when the two differ (recorded in the report).  Traces
     come from trapezoidal quadrature along the diagonal; the diagonal
     mismatch is measured against ``f0``, one field on ``a``'s x grid.
+
+    Both lattices are read only inside the region, one block of rows at a
+    time, and ``b`` is resampled there block by block (and on the diagonal
+    for its trace): the one region-sized array is ``|a - b|``, so the
+    report is bitwise the one from whole-lattice copies of the region.
     """
     if f0.values.ndim != 1 or f0.grid != a.x_grid:
         raise ValueError(f"f0 must be one field on {a.x_grid}, not {f0.values.shape} on {f0.grid}")
     if b.x_grid != a.x_grid:
         raise ValueError(f"the reference must lie on the compared x grid {a.x_grid}, not {b.x_grid}")
     resampled = not np.array_equal(a.y, b.y)
-    b_vals = _resample_onto(b, a.y) if resampled else b.values
-
-    ix = np.ix_(*_region_masks(a.x_grid, a.y, region))
-    err = np.abs(a.values[ix] - b_vals[ix])  # cropped first: only the region is subtracted
-    sup_error = float(np.max(err))
-    l2_error = float(np.sqrt(np.sum(err**2) * a.x_grid.dx * a.dy))
-
-    diag_a = a.values[:, a.y.size // 2]
+    c = a.y.size // 2
+    diag_a = a.values[:, c]
+    diag_b = _resample_onto(b.values, b.y, a.y[c : c + 1])[:, 0] if resampled else b.values[:, c]
     trace_a = float(np.trapezoid(diag_a.real, dx=a.x_grid.dx))
-    trace_b = float(np.trapezoid(b_vals[:, a.y.size // 2].real, dx=a.x_grid.dx))
+    trace_b = float(np.trapezoid(diag_b.real, dx=a.x_grid.dx))
+    del diag_b  # not held beside the region's errors
+
+    rows, cols = _region_slices(a.x_grid, a.y, region)
+    a_in, b_in, y_in = a.values[rows, cols], b.values[rows], a.y[cols]
+    err = np.empty(a_in.shape)
+    for blk in _row_blocks(len(err), a_in.itemsize * y_in.size):
+        b_blk = _resample_onto(b_in[blk], b.y, y_in) if resampled else b_in[blk, cols]
+        np.abs(a_in[blk] - b_blk, out=err[blk])
+    sup_error = float(np.max(err))
+    # squared in place: the same values summed in the same order as a fresh err**2
+    l2_error = float(np.sqrt(np.sum(np.square(err, out=err)) * a.x_grid.dx * a.dy))
 
     return ComparisonReport(
         sup_error=sup_error,

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import TaylorReconstruction, _region_masks, assemble, compare
+from .assembly import TaylorReconstruction, _region_slices, assemble, compare
 from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes, _is_number, _row_blocks
 from .potentials import PARAMETERS, PotentialModel, check_parameters, model_from_dict, model_to_dict
 from .reconstruction import InsufficientTimeSamplesError, build_pyramid
@@ -502,7 +502,7 @@ def cmd_assemble_compare(args, with_reference: bool) -> int:
     y = offdiagonal_lattice(args.y_max, args.n_y)
     if with_reference:  # an empty region is refused before any work
         region = (args.region_x, args.region_y)
-        _region_masks(mset["grid"], y, region)
+        _region_slices(mset["grid"], y, region)
     rec = assemble(GridField(mset["grid"], mset["moments"]), y, mset["constants"].hbar)
     report = None
     if with_reference:  # before any file is written
@@ -557,8 +557,8 @@ def cmd_demo_cat(args) -> int:
 
     x = grid.points
     region = (3.0, 1.5)
-    in_y = _region_masks(grid, y, region)[1]  # an empty region is refused before any work
-    if np.count_nonzero(in_y) == 1:  # the diagonal alone, where rho_N = f_0 by construction
+    in_y = _region_slices(grid, y, region)[1]  # an empty region is refused before any work
+    if in_y.stop - in_y.start == 1:  # the diagonal alone, where rho_N = f_0 by construction
         raise ValueError(f"region |y| <= 1.5 holds only y = 0 at dy = {y[1] - y[0]:g}")
     # row n holds f_n; each order assembles the rows up to it
     moments = np.array(

@@ -47,6 +47,7 @@ from .numerics import (
     PhysicalConstants,
     SpatialGrid,
     TimeNodes,
+    _is_number,
     _read_only_array,
     _support_window,
     cumulative_integral,
@@ -93,8 +94,16 @@ class MomentPyramid:
         return self._on_grid(slice(None))
 
     def central_slice(self, node: int | None = None) -> GridField:
-        """All orders at one node, the central one by default, as one ``(N+1, n_points)`` field."""
-        node = self.nodes.central_index if node is None else node
+        """All orders at one node, the central one by default, as one ``(N+1, n_points)`` field.
+
+        ``node`` is an integer in ``0..m`` (numpy integers too; not a bool).
+        """
+        if node is None:
+            node = self.nodes.central_index
+        elif not _is_number(node, integer=True):
+            raise TypeError(f"node must be an integer in 0..{self.nodes.m}, got {node!r}")
+        elif not 0 <= node <= self.nodes.m:
+            raise ValueError(f"node {node} outside 0..{self.nodes.m}")
         return GridField(self.grid, self._on_grid(node))
 
     def _on_grid(self, node) -> np.ndarray:

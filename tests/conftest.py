@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hydrec.assembly import TaylorReconstruction, assemble
+from hydrec.assembly import ComparisonReport, TaylorReconstruction, _axis_weights, assemble
 from hydrec.numerics import PhysicalConstants
 from hydrec.simulator import GridCoverageWarning
 
@@ -73,6 +73,43 @@ def full_spectrum_wigner(rho, constants=CONSTANTS):
     pref = np.exp(2j * np.pi * j * c / m) * np.exp(-2j * np.pi * c * c / m)
     transformed = np.fft.fft(rho.values * phase[None, :], axis=1)
     return (rho.dy / (np.pi * constants.hbar)) * pref[None, :] * transformed
+
+
+def one_shot_resample(b, y):
+    """Linear resample of b onto the y lattice ``y`` in one expression of whole-lattice terms."""
+    j, ty = _axis_weights(b.y, y)
+    vals = b.values[:, j] * (1 - ty) + b.values[:, j + 1] * ty
+    vals[:, (y < b.y[0]) | (y > b.y[-1])] = 0.0
+    return vals
+
+
+def whole_lattice_compare(a, b, region, f0):
+    """``compare`` as whole-lattice expressions: the reference is resampled onto every
+    point of ``a``'s lattice, and the region is copied out of both by fancy indexing
+    before it is subtracted.  Arguments are not checked."""
+    resampled = not np.array_equal(a.y, b.y)
+    b_vals = one_shot_resample(b, a.y) if resampled else b.values
+
+    x_max, y_max = region
+    ix = np.ix_(np.abs(a.x_grid.points) <= x_max, np.abs(a.y) <= y_max)
+    err = np.abs(a.values[ix] - b_vals[ix])  # cropped first: only the region is subtracted
+    sup_error = float(np.max(err))
+    l2_error = float(np.sqrt(np.sum(err**2) * a.x_grid.dx * a.dy))
+
+    diag_a = a.values[:, a.y.size // 2]
+    trace_a = float(np.trapezoid(diag_a.real, dx=a.x_grid.dx))
+    trace_b = float(np.trapezoid(b_vals[:, a.y.size // 2].real, dx=a.x_grid.dx))
+
+    return ComparisonReport(
+        sup_error=sup_error,
+        l2_error=l2_error,
+        region=tuple(region),
+        trace_a=trace_a,
+        trace_b=trace_b,
+        diagonal_mismatch=float(np.max(np.abs(diag_a - f0.values))),
+        hermiticity_defect=a.hermiticity_defect(),
+        resampled=resampled,
+    )
 
 
 def traced_peak(call):

@@ -11,13 +11,23 @@ from conftest import (
     assert_bytes_equal,
     derivative_stencil,
     hbar_rescaling_check,
+    one_shot_resample,
     real_imag_split,
     traced_peak,
+    whole_lattice_compare,
 )
 from hydrec import assembly
-from hydrec.assembly import _axis_weights, _resample_onto, _taylor_terms, assemble, compare
+from hydrec.assembly import _resample_onto, _taylor_terms, assemble, compare
 from hydrec.cli import main, read_dataset
-from hydrec.numerics import LATTICE_BLOCK_BYTES, DecayAssumptionWarning, GridField, SpatialGrid
+from hydrec.numerics import (
+    LATTICE_BLOCK_BYTES,
+    DecayAssumptionWarning,
+    GridField,
+    PhysicalConstants,
+    SpatialGrid,
+    TimeNodes,
+)
+from hydrec.potentials import harmonic_potential
 from hydrec.reconstruction import build_pyramid
 from hydrec.simulator import (
     CatStateParams,
@@ -26,11 +36,14 @@ from hydrec.simulator import (
     cat_state_density_matrix,
     cat_state_moment,
     exact_density_matrix,
+    gaussian_packet,
     gaussian_packet_moment,
     offdiagonal_lattice,
+    sample_densities,
 )
 
 CAT = CatStateParams()
+CONSTANTS = PhysicalConstants()
 HBAR = 1.0
 
 
@@ -362,12 +375,41 @@ def huge_moments(rng, n_x, order):
     return f
 
 
+def margin_moments(rng, n_x, order, left=150, right=420):
+    """Signed-zero moments with f_1 .. f_N zero on ``left`` and ``right`` edge rows, as past
+    a pyramid's support window; f_0 there is tiny, -0.0, 0.0 or negative."""
+    f = signed_zero_moments(rng, n_x, order)
+    for margin in (slice(0, left), slice(n_x - right, n_x)):
+        f[1:, margin] = np.where(rng.random(size=f[1:, margin].shape) < 0.5, 0.0, -0.0)
+        f[0, margin] = rng.choice([5e-324, 1e-300, -0.0, 0.0, -1.0], size=f[0, margin].shape)
+    return f
+
+
+def pyramid_moments(rng, n_x, order):
+    """The central slice of a real pyramid: its support window ends short of both grid
+    edges, so f_1 .. f_N are 0 on both margins."""
+    grid, nodes = SpatialGrid(-12.0, 12.0, n_x), TimeNodes(0.05, 0.01, order + 1)
+    psi = gaussian_packet(grid, 0.8, center=0.5, momentum=1.0)
+    records, _ = sample_densities(psi, harmonic_potential(1.0), CONSTANTS, nodes)
+    pyramid = build_pyramid(records, grid, nodes, harmonic_potential(1.0), CONSTANTS, order)
+    assert 0 < pyramid.window.start and pyramid.window.stop < n_x
+    return pyramid.central_slice().values
+
+
 ASSEMBLY_CASES = {
     # name: (moments, order, y_max, overflows)
     "signed zeros": (signed_zero_moments, 12, 1.5, False),
     "an inf term": (huge_moments, 12, 1.5, True),
     "an overflowing y lattice": (signed_zero_moments, 36, 1e10, True),
     "order 0": (signed_zero_moments, 0, 1.5, False),
+    # f_1 .. f_N zero on margins: only the rows between run the Taylor sum
+    "zero margins": (margin_moments, 12, 1.5, False),
+    "zero margins on an overflowing y lattice": (margin_moments, 36, 1e10, True),  # NaN there
+    "one zero margin": (lambda rng, n_x, n: margin_moments(rng, n_x, n, right=0), 12, 1.5, False),
+    "every higher row zero": (
+        lambda rng, n_x, n: margin_moments(rng, n_x, n, left=n_x, right=0), 4, 1.5, False
+    ),
+    "a pyramid's central slice": (pyramid_moments, 2, 1.5, False),
 }
 
 
@@ -388,11 +430,14 @@ def test_assemble_equals_the_einsum_contraction_bitwise(case):
 
 @st.composite
 def moment_matrices(draw):
-    """Real f_0 .. f_N, N = 0..14, some rows all zero, magnitudes up to 1e300."""
+    """Real f_0 .. f_N, N = 0..14, some rows all zero, magnitudes up to 1e300; f_1 .. f_N
+    are 0.0 on a left and -0.0 on a right margin of columns, each possibly empty."""
     order = draw(st.integers(0, 14))
     shape = (order + 1, draw(st.integers(8, 24)))
     f = draw(arrays(np.float64, shape, elements=st.floats(-1e300, 1e300)))
     f[draw(st.lists(st.integers(0, order), max_size=order + 1))] = 0.0
+    f[1:, : draw(st.integers(0, shape[1]))] = 0.0
+    f[1:, shape[1] - draw(st.integers(0, shape[1])) :] = -0.0
     return f
 
 
@@ -422,14 +467,6 @@ def test_assemble_writes_the_y_below_0_half_as_the_mirror_of_the_upper_half(f, n
     assert_bytes_equal(values, direct)
 
 
-def one_shot_resample(b, y):
-    """Linear resample of b onto the y lattice ``y`` in one expression of whole-lattice terms."""
-    j, ty = _axis_weights(b.y, y)
-    vals = b.values[:, j] * (1 - ty) + b.values[:, j + 1] * ty
-    vals[:, (y < b.y[0]) | (y > b.y[-1])] = 0.0
-    return vals
-
-
 def test_resample_equals_the_one_shot_expression_and_holds_one_block():
     rng = np.random.default_rng(3)
     grid = SpatialGrid(-6.0, 6.0, 8192)
@@ -438,6 +475,54 @@ def test_resample_equals_the_one_shot_expression_and_holds_one_block():
     b = DensityMatrixGrid(grid, b_y, b_values)
     # a's y lattice reaches past b's, so some points fall outside
     y = offdiagonal_lattice(1.0, 101)
-    resampled, peak = traced_peak(lambda: _resample_onto(b, y))
+    resampled, peak = traced_peak(lambda: _resample_onto(b.values, b.y, y))
     assert_bytes_equal(resampled, one_shot_resample(b, y))
     assert peak <= 1.5 * resampled.nbytes
+
+
+def random_lattice(rng, grid, y):
+    """A complex lattice with independent entries, neither Hermitian nor smooth."""
+    shape = (grid.n_points, y.size)
+    return DensityMatrixGrid(grid, y, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+COMPARE_REGIONS = {
+    # name: (x_max, y_max) on a grid over [-6, 6] and a y lattice over [-1, 1]
+    "inside": (2.0, 0.5),
+    "the grid edge": (6.0, 0.5),
+    "the whole lattice": (np.inf, np.inf),
+    "one row": (0.004, 0.5),  # dx = 0.012: only x = 0
+    "one column": (2.0, 0.0),  # only y = 0
+    "one point": (0.004, 0.0),
+}
+
+
+@pytest.mark.parametrize("resampled", [False, True], ids=["native", "resampled"])
+@pytest.mark.parametrize("region", COMPARE_REGIONS)
+def test_compare_equals_the_whole_lattice_comparison_bitwise(region, resampled):
+    rng = np.random.default_rng(17)
+    grid = SpatialGrid(-6.0, 6.0, 1001)  # the regions at the grid edge span 2 and 3 row blocks
+    a = random_lattice(rng, grid, offdiagonal_lattice(1.0, 41))
+    # a's y lattice reaches past b's, so some of its points fall outside
+    b = random_lattice(rng, grid, 0.0093 * np.arange(-90, 91) if resampled else a.y)
+    f0 = GridField(grid, a.values[:, 20].real + 1e-3 * rng.normal(size=grid.n_points))
+    report = compare(a, b, COMPARE_REGIONS[region], f0)
+    assert report.resampled == resampled
+    assert repr(report) == repr(whole_lattice_compare(a, b, COMPARE_REGIONS[region], f0))
+
+
+@pytest.mark.parametrize("resampled", [False, True], ids=["native", "resampled"])
+def test_compare_holds_only_the_region_errors_and_a_few_blocks(resampled):
+    rng = np.random.default_rng(4)
+    grid = SpatialGrid(-20.0, 20.0, 16384)
+    y = grid.dx * np.arange(-50, 51)
+    a = random_lattice(rng, grid, y)
+    b = random_lattice(rng, grid, 1.01 * y if resampled else y)
+    region = (10.0, 40 * grid.dx)
+    f0 = GridField(grid, a.values[:, 50].real)
+    report, peak = traced_peak(lambda: compare(a, b, region, f0))
+    assert report.resampled == resampled
+    # |a - b| over the region, plus one block of rows of a, of b, of the resample and of
+    # their difference: well below one region-sized complex copy (16 bytes a point)
+    region_float_bytes = np.count_nonzero(np.abs(grid.points) <= 10.0) * 81 * 8
+    assert peak <= region_float_bytes + 6 * LATTICE_BLOCK_BYTES

@@ -267,6 +267,6 @@ def test_resample_matches_regular_grid_interpolator(b_grid, b_y, a_y, seed):
         )(points).reshape(xx.shape)
         for part in (b.values.real, b.values.imag)
     ]
-    ours = _resample_onto(b, a_y)
+    ours = _resample_onto(b.values, b.y, a_y)
     for mine, ref in zip((ours.real, ours.imag), reference):
         assert np.all(np.abs(mine - ref) <= np.spacing(np.abs(ref)))

@@ -317,6 +317,22 @@ def test_central_slice_and_the_assembled_f0_are_the_central_pyramid_rows_bitwise
     assert current.levels[1, c].tobytes() == pyramid.levels[1][c].tobytes()
 
 
+def test_central_slice_takes_only_an_integer_node_in_range():
+    grid = SpatialGrid(-8.0, 8.0, 256)
+    nodes = TimeNodes(0.0, 0.01, 5)
+    records = [np.exp(-((grid.points - 0.1 * j) ** 2)) for j in range(5)]
+    pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=2)
+    levels = pyramid.levels
+    for node in (0, np.int64(4), np.uint8(2)):
+        assert pyramid.central_slice(node).values.tobytes() == levels[:, int(node)].tobytes()
+    for node in (-1, 5, np.int64(-5)):
+        with pytest.raises(ValueError, match=rf"^node {node} outside 0\.\.4$"):
+            pyramid.central_slice(node)
+    for node in (True, np.True_, 2.0, "2", [2], slice(0, 2)):
+        with pytest.raises(TypeError, match=r"^node must be an integer in 0\.\.4, got "):
+            pyramid.central_slice(node)
+
+
 @pytest.mark.parametrize(
     "model, order_max",
     [
