@@ -81,10 +81,6 @@ class TaylorReconstruction:
     term_peaks: np.ndarray = field(repr=False)
     trust_radius: float
 
-    @property
-    def y(self) -> np.ndarray:
-        return self.values.y
-
 
 @dataclass(frozen=True)
 class ComparisonReport:

@@ -70,6 +70,13 @@ FORMAT_VERSION = 2
 PAYLOAD_KEYS = {"data": ("data_path", "checksum"), "psi": ("psi_path", "psi_checksum")}
 
 CAT_DEFAULTS = CatStateParams()
+#: Per ``--state``, the flags it reads and their defaults (omega sets a coherent state's width).
+STATE_FLAGS = {
+    "cat": {"sigma": CAT_DEFAULTS.sigma, "k0": CAT_DEFAULTS.k0},
+    "gaussian": {"sigma": CAT_DEFAULTS.sigma, "center": 0.0, "momentum": 0.0},
+    "coherent": {"center": 0.0, "momentum": 0.0},
+}
+STATE_FLAG_NAMES = ("sigma", "k0", "center", "momentum")
 
 
 class MissingReferenceError(ValueError):
@@ -355,22 +362,22 @@ def _parse_potential(text: str, mass: float) -> PotentialModel:
 
 
 def _prepare_state(args, grid: SpatialGrid, constants: PhysicalConstants, model) -> tuple:
+    reads = STATE_FLAGS[args.state]
+    for name in STATE_FLAG_NAMES:
+        if getattr(args, name) is not None and name not in reads:
+            raise ValueError(f"--state {args.state} does not read --{name}")
+    flags = {name: default if getattr(args, name) is None else getattr(args, name)
+             for name, default in reads.items()}
     if args.state == "cat":
-        params = CatStateParams(sigma=args.sigma, k0=args.k0)
-        return make_cat_state(params, grid), {"kind": "cat", "sigma": params.sigma, "k0": params.k0}
-    sigma = args.sigma
+        return make_cat_state(CatStateParams(**flags), grid), {"kind": "cat", **flags}
     if args.state == "coherent":
         if model.kind != "harmonic":
             raise ValueError("the coherent state needs a harmonic potential (its width is set by omega)")
         omega = float(model.params["omega"])
         if not omega > 0.0:
             raise ValueError(f"the coherent state needs omega > 0, got {omega}")
-        sigma = float(np.sqrt(constants.hbar / (2.0 * constants.mass * omega)))
-    psi = gaussian_packet(
-        grid, sigma, center=args.center, momentum=args.momentum, hbar=constants.hbar
-    )
-    state = {"kind": args.state, "sigma": sigma, "center": args.center, "momentum": args.momentum}
-    return psi, state
+        flags["sigma"] = float(np.sqrt(constants.hbar / (2.0 * constants.mass * omega)))
+    return gaussian_packet(grid, hbar=constants.hbar, **flags), {"kind": args.state, **flags}
 
 
 def cmd_simulate(args) -> int:
@@ -410,14 +417,12 @@ def cmd_reconstruct(args) -> int:
     data = read_dataset(Path(args.dataset))
     nodes: TimeNodes = data["nodes"]
     node = nodes.central_index if args.node is None else args.node
-    if not (0 <= node <= nodes.m):
-        raise ValueError(f"node {node} outside 0..{nodes.m}")
     pyramid = build_pyramid(
         data["records"], data["grid"], nodes, data["model"], data["constants"], args.order
     )
-    path = write_moment_set(
+    path = write_moment_set(  # central_slice rejects a node outside 0..m
         Path(args.out), data["manifest"], pyramid.central_slice(node).values,
-        float(nodes.t_0 + node * nodes.dt), node, dataset_path=str(args.dataset),
+        float(nodes.points[node]), node, dataset_path=str(args.dataset),
     )
     print(path)
     return 0
@@ -506,7 +511,7 @@ def cmd_assemble_compare(args, with_reference: bool) -> int:
     rec = assemble(GridField(mset["grid"], mset["moments"]), y, mset["constants"].hbar)
     report = None
     if with_reference:  # before any file is written
-        reference = _resolve_reference(args, mset, rec.y)
+        reference = _resolve_reference(args, mset, rec.values.y)
         report = compare(rec.values, reference, region, rec.moments[0].field)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -624,10 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="-10,10,1024", help="xmin,xmax,n")
     p.add_argument("--times", default="0,0.005,4", help="t0,dt,m (m+1 nodes)")
     p.add_argument("--potential", default="free", help="kind:key=value,... e.g. harmonic:omega=1")
-    p.add_argument("--sigma", type=float, default=CAT_DEFAULTS.sigma)
-    p.add_argument("--k0", type=float, default=CAT_DEFAULTS.k0)
-    p.add_argument("--center", type=float, default=0.0)
-    p.add_argument("--momentum", type=float, default=0.0)
+    for name in STATE_FLAG_NAMES:
+        readers = ", ".join(state for state, reads in STATE_FLAGS.items() if name in reads)
+        p.add_argument(f"--{name}", type=float, help=f"read by --state {readers}")
     p.add_argument("--noise", type=float, default=0.0, help="additive Gaussian noise on f0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--substeps", type=int, default=None, help="internal steps per node interval; "

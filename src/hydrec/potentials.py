@@ -119,26 +119,27 @@ class PotentialModel:
         return len(self.coeffs) - 1
 
 
-def x_coefficients(model: PotentialModel, t: float) -> np.ndarray:
-    """Coefficients c_k(t) of x^k at a given time, lowest power first."""
+def x_coefficients(model: PotentialModel, t) -> np.ndarray:
+    """Coefficients c_k(t) of x^k, lowest power first; row k holds c_k at each time in ``t``."""
     if model.kind == "paul_trap":
         p = model.params
         basis = [float(p["a"]) + float(p["b"]) * np.cos(float(p["big_omega"]) * t)]
     else:
-        basis = [t**j for j in range(len(model.coeffs[0]))]
-    c = np.zeros(len(model.coeffs))
+        # libm's pow, as a float's t**j; an array's t**j may take a SIMD pow off in the last bit
+        basis = [np.float_power(t, j) for j in range(len(model.coeffs[0]))]
+    c = np.zeros((len(model.coeffs),) + np.shape(t))
     for column, b in zip(np.transpose(model.coeffs), basis):
-        c += column * b
+        c += np.multiply.outer(column, b)
     return c
 
 
-def potential_value(model: PotentialModel, x, t: float):
-    """Evaluate V(x, t); ``x`` may be a scalar or an array."""
+def potential_value(model: PotentialModel, x, t):
+    """Evaluate V(x, t), of shape ``t.shape + x.shape``; ``x`` and ``t`` may be arrays."""
     return polyval(x, x_coefficients(model, t))
 
 
-def potential_derivative(model: PotentialModel, order: int, x, t: float):
-    """Exact d^order V / dx^order at (x, t); exactly zero above the polynomial degree."""
+def potential_derivative(model: PotentialModel, order: int, x, t):
+    """Exact d^order V / dx^order at (x, t), shape ``t.shape + x.shape``; 0 past the degree."""
     if order < 1:
         raise ValueError(f"derivative order must be >= 1, got {order}")
     return polyval(x, polyder(x_coefficients(model, t), order))

@@ -131,10 +131,8 @@ def _force_table(model: PotentialModel, x: np.ndarray, nodes: TimeNodes, n_max: 
 
     Higher odd derivatives vanish identically, so their terms are skipped.
     """
-    return [
-        np.stack([potential_derivative(model, order, x, float(t)) for t in nodes.points])
-        for order in range(1, min(n_max, model.degree) + 1, 2)
-    ]
+    orders = range(1, min(n_max, model.degree) + 1, 2)
+    return [potential_derivative(model, order, x, nodes.points) for order in orders]
 
 
 def build_pyramid(

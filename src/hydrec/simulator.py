@@ -263,14 +263,7 @@ def cat_state_moment(
     # |d^(2m) exp(-a y^2)|_0 = (2m)!/m! a^m with sign (-1)^m; the sign cancels
     # against (hbar/2i)^(2m), leaving positive-sum arithmetic throughout.
     g_n = factorial(2 * m) / factorial(m) * a**m
-    c_n = sum(
-        comb(order, 2 * l)
-        * factorial(2 * l)
-        / factorial(l)
-        * a**l
-        * (2.0 * k0) ** (order - 2 * l)
-        for l in range(m + 1)
-    )
+    c_n = _gaussian_moment_sum(order, a, 2.0 * k0)
     envelope = 2.0 * np.exp(-(x**2) / (2.0 * s**2))
     return (hbar / 2.0) ** order * envelope * (np.cos(2.0 * k0 * x) * g_n + c_n)
 
@@ -291,15 +284,16 @@ def gaussian_packet_moment(
     x = np.asarray(x, dtype=float)
     a = 1.0 / (2.0 * sigma**2)
     f0 = np.exp(-((x - center) ** 2) * a) / (sigma * np.sqrt(2.0 * np.pi))
-    s = sum(
-        comb(order, 2 * l)
-        * factorial(2 * l)
-        / factorial(l)
-        * (hbar**2 * a / 4.0) ** l
-        * momentum ** (order - 2 * l)
+    return f0 * _gaussian_moment_sum(order, hbar**2 * a / 4.0, momentum)
+
+
+def _gaussian_moment_sum(order: int, a: float, q: float) -> float:
+    """``sum_l C(n, 2l) (2l)!/l! a^l q^(n-2l)`` over ascending ``l``: a Gaussian's
+    order-n moment over its f_0, with ``q`` the momentum (the cat's 2 k0 for its cross term)."""
+    return sum(
+        comb(order, 2 * l) * factorial(2 * l) / factorial(l) * a**l * q ** (order - 2 * l)
         for l in range(order // 2 + 1)
     )
-    return f0 * s
 
 
 def probability_density(psi: WaveFunction) -> GridField:

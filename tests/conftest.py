@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -112,6 +113,43 @@ def whole_lattice_compare(a, b, region, f0):
     )
 
 
+def per_term_cat_moment(params, order, x, hbar=1.0):
+    """``cat_state_moment`` with its cross-term sum written out term by term."""
+    x = np.asarray(x, dtype=float)
+    if order % 2 == 1:
+        return np.zeros_like(x)
+    s, k0 = params.sigma, params.k0
+    m = order // 2
+    a = 1.0 / (2.0 * s**2)
+    g_n = factorial(2 * m) / factorial(m) * a**m
+    c_n = sum(
+        comb(order, 2 * l)
+        * factorial(2 * l)
+        / factorial(l)
+        * a**l
+        * (2.0 * k0) ** (order - 2 * l)
+        for l in range(m + 1)
+    )
+    envelope = 2.0 * np.exp(-(x**2) / (2.0 * s**2))
+    return (hbar / 2.0) ** order * envelope * (np.cos(2.0 * k0 * x) * g_n + c_n)
+
+
+def per_term_gaussian_moment(order, x, sigma, center=0.0, momentum=0.0, hbar=1.0):
+    """``gaussian_packet_moment`` with its sum written out term by term."""
+    x = np.asarray(x, dtype=float)
+    a = 1.0 / (2.0 * sigma**2)
+    f0 = np.exp(-((x - center) ** 2) * a) / (sigma * np.sqrt(2.0 * np.pi))
+    s = sum(
+        comb(order, 2 * l)
+        * factorial(2 * l)
+        / factorial(l)
+        * (hbar**2 * a / 4.0) ** l
+        * momentum ** (order - 2 * l)
+        for l in range(order // 2 + 1)
+    )
+    return f0 * s
+
+
 def traced_peak(call):
     """``call()`` and the most bytes it held allocated at once (tracemalloc)."""
     tracemalloc.start()
@@ -169,7 +207,7 @@ def real_imag_split(rec: TaylorReconstruction) -> tuple[np.ndarray, np.ndarray]:
     Returns the two real arrays whose combination ``real + 1j * imag``
     reproduces the assembled values to machine precision.
     """
-    y = rec.y
+    y = rec.values.y
     hbar = rec.hbar
     grid_n = rec.values.x_grid.n_points
     real_part = np.zeros((grid_n, y.size))

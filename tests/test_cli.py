@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -74,6 +75,16 @@ def test_import_loads_no_scipy(tmp_path):
     )
     assert (tmp_path / "report" / "report_N4.json").exists()
     assert (tmp_path / "figure" / "rho_N4.bin").exists()
+    # what the README says those commands report
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Quick start (command line)\n", 1)[1].split("\n## ", 1)[0]
+    sup_error = re.search(r"sup error of\s+(\S+)\s+over", quick_start).group(1)
+    radius = re.search(r"trust radius reads\s+(\S+)\s+here", quick_start).group(1)
+    report = json.loads((tmp_path / "report" / "report_N4.json").read_text())
+    assert float(f"{report['sup_error']:.3e}") == float(sup_error)
+    assert float(radius) == 0.0
+    for verb in ("rho", "report"):
+        assert "trust radius     0\n" in (tmp_path / verb / "summary_N4.txt").read_text()
 
 
 def small_dataset_args(out, **overrides):
@@ -86,6 +97,10 @@ def small_dataset_args(out, **overrides):
         "momentum": "0.5",
         "out": out,
     }
+    # a state is given only the default flags it reads: a cat has no momentum,
+    # and omega sets a coherent state's width
+    for key in {"cat": ("momentum",), "coherent": ("sigma",)}.get(overrides.get("state"), ()):
+        del base[key]
     base.update(overrides)
     # values like "-10,10,256" must use the --key=value form, or argparse
     # reads them as option strings
@@ -197,8 +212,15 @@ def test_simulate_rejects_substeps_below_1(capsys, monkeypatch, tmp_path, subste
         ({"noise": "1e-6", "seed": "-1"}, "--seed must be >= 0, got -1"),
         ({"potential": "harmonic:omega=1,omega=2"},
          "--potential harmonic: omega is given more than once"),
+        # a state flag that the state does not read
+        ({"state": "cat", "momentum": "2"}, "--state cat does not read --momentum"),
+        ({"state": "cat", "center": "1.5"}, "--state cat does not read --center"),
+        ({"state": "coherent", "potential": "harmonic:omega=1", "sigma": "3"},
+         "--state coherent does not read --sigma"),
+        ({"state": "gaussian", "k0": "5"}, "--state gaussian does not read --k0"),
     ],
-    ids=["center inf", "sigma nan", "momentum nan", "coherent omega -1", "seed -1", "omega twice"],
+    ids=["center inf", "sigma nan", "momentum nan", "coherent omega -1", "seed -1", "omega twice",
+         "cat momentum", "cat center", "coherent sigma", "gaussian k0"],
 )
 def test_simulate_rejects_a_state_a_seed_or_a_potential_key_naming_it(
     capsys, monkeypatch, tmp_path, overrides, message
@@ -290,6 +312,17 @@ def test_reconstruct_insufficient_samples_exits_3(tmp_path, capsys):
     assert run("reconstruct", ds / "dataset.json", "--order", "3", "--out", tmp_path / "x") == 3
     err = capsys.readouterr().err
     assert "time samples" in err and "4" in err
+
+
+@pytest.mark.parametrize("node", ["3", "-1"])
+def test_reconstruct_node_outside_the_nodes_exits_1(tmp_path, capsys, node):
+    ds = tmp_path / "ds"
+    run(*small_dataset_args(ds))  # nodes 0..2
+    capsys.readouterr()
+    argv = ("reconstruct", ds / "dataset.json", "--order", "1", f"--node={node}")
+    assert run(*argv, "--out", tmp_path / "m") == 1
+    assert capsys.readouterr().err.splitlines() == [f"hydrec: error: node {node} outside 0..2"]
+    assert not (tmp_path / "m").exists()
 
 
 def test_reconstruct_smooth_is_an_unrecognized_argument(tmp_path, capsys):

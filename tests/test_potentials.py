@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import assert_bytes_equal
+from hydrec.numerics import SpatialGrid, TimeNodes
 from hydrec.potentials import (
     PotentialModel,
     free_potential,
@@ -169,3 +171,26 @@ def test_a_model_fills_its_own_defaults():
     assert PotentialModel("quartic", {"c2": 0.5}) == quartic_potential(0.5)
     assert dict(PotentialModel("quartic").params) == {"c2": 0.0, "c4": 0.0}
     assert PotentialModel("paul_trap", {"a": 1, "b": 0.5, "big_omega": 6}).params["mass"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        free_potential(),
+        harmonic_potential(omega=1.3, mass=0.7),
+        quartic_potential(c2=0.5, c4=0.1),
+        # powers of t up to t^4, where numpy's SIMD pow and libm's pow can differ in the last bit
+        polynomial_potential([[0.1, 0.2, 0.3], [0, 1.1, 0, 0.3], [0.5, 0.1], [0, 0, 0, 0, 1.7]]),
+        paul_trap_potential(a=1.0, b=0.5, big_omega=6.28),
+    ],
+    ids=lambda m: m.kind,
+)
+@pytest.mark.parametrize("nodes", [TimeNodes(0.09, 0.005, 13), TimeNodes(-1.37, 0.71, 9)])
+def test_an_array_of_times_gives_the_per_time_stack_bitwise(model, nodes):
+    # the result has shape t.shape + x.shape, entry by entry the scalar call's
+    x = SpatialGrid(-8.0, 8.0, 301).points
+    per_time = [potential_value(model, x, float(t)) for t in nodes.points]
+    assert_bytes_equal(potential_value(model, x, nodes.points), np.stack(per_time))
+    for order in range(1, model.degree + 3):
+        per_time = [potential_derivative(model, order, x, float(t)) for t in nodes.points]
+        assert_bytes_equal(potential_derivative(model, order, x, nodes.points), np.stack(per_time))

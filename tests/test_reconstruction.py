@@ -18,6 +18,8 @@ from hydrec.potentials import (
     free_potential,
     harmonic_potential,
     paul_trap_potential,
+    polynomial_potential,
+    potential_derivative,
     quartic_potential,
 )
 from hydrec.reconstruction import InsufficientTimeSamplesError, build_pyramid
@@ -362,6 +364,33 @@ def test_one_cumulative_integral_call_per_level(monkeypatch, model, order_max):
     # and the window adds one on each side
     assert pyramid.window == slice(9, 56)
     assert shapes == [(13, 47)] * order_max  # one whole level of the window per call
+
+
+@pytest.mark.parametrize(
+    "model, orders",
+    [
+        (free_potential(), []),
+        (paul_trap_potential(1.0, 0.5, 6.28), [1]),
+        (quartic_potential(c2=0.5, c4=0.1), [1, 3]),
+        (polynomial_potential([[0], [0, 0.2], [0.5], [0], [0, 0.1], [0.01]]), [1, 3, 5]),
+    ],
+)
+def test_one_potential_derivative_call_per_odd_force_order(monkeypatch, model, orders):
+    # the force table takes every node in one call: the benchmark's tracer counts these calls
+    calls = []
+
+    def counting(model, order, x, t):
+        calls.append((order, np.shape(x), np.shape(t)))
+        return potential_derivative(model, order, x, t)
+
+    monkeypatch.setattr(reconstruction_module, "potential_derivative", counting)
+    grid = SpatialGrid(-8.0, 8.0, 64)
+    nodes = TimeNodes(0.0, 0.01, 13)
+    records = [np.exp(-((grid.points - 0.01 * j) ** 2)) for j in range(13)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DecayAssumptionWarning)
+        build_pyramid(records, grid, nodes, model, CONSTANTS, order_max=12)
+    assert calls == [(order, (47,), (13,)) for order in orders]  # the window's 47 columns
 
 
 def test_one_decay_warning_per_pyramid_naming_the_lowest_order():

@@ -10,6 +10,8 @@ from conftest import (
     derivative_stencil,
     full_spectrum_wigner,
     merged_split_operator_reference,
+    per_term_cat_moment,
+    per_term_gaussian_moment,
     split_operator_reference,
     traced_peak,
 )
@@ -437,6 +439,25 @@ def test_cat_symbolic_moment_formula():
     expected = 0.5 * ((1.0 + 1.0) / s**2 + 4.0 * k0**2)
     assert cat_state_moment(CAT, 2, x)[0] == pytest.approx(expected, rel=1e-14)
     assert np.array_equal(cat_state_moment(CAT, 5, np.linspace(-1, 1, 5)), np.zeros(5))
+
+
+@pytest.mark.parametrize(
+    "params, sigma, center, momentum, hbar",
+    [(CAT, 0.9, 0.0, 1.5, 1.0), (CatStateParams(1.3, -0.7), 0.35, -0.4, -2.2, 0.37)],
+)
+def test_both_closed_forms_equal_their_per_term_sums_bitwise(
+    params, sigma, center, momentum, hbar
+):
+    # the cat's cross term and the Gaussian's factor are one sum in two parameterisations
+    x = np.linspace(-4.0, 4.0, 81)
+    for n in range(41):
+        assert_bytes_equal(
+            cat_state_moment(params, n, x, hbar=hbar), per_term_cat_moment(params, n, x, hbar)
+        )
+        assert_bytes_equal(
+            gaussian_packet_moment(n, x, sigma, center, momentum, hbar),
+            per_term_gaussian_moment(n, x, sigma, center, momentum, hbar),
+        )
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
