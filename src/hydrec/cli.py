@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
@@ -87,7 +88,7 @@ class DataFormatError(ValueError):
     """A manifest or payload is malformed or fails its checksum."""
 
 
-def payload_checksum(data: bytes) -> str:
+def payload_checksum(data: bytes | memoryview) -> str:
     """BLAKE2b digest of a payload with an 8-byte output, as 16 hex digits."""
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
@@ -120,27 +121,38 @@ def _payload_path(manifest_path: Path, name) -> Path:
     return path
 
 
+def _bytes_of(array: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous ``array``'s own buffer, with no copy."""
+    return memoryview(array.reshape(-1)).cast("B")
+
+
 def _write_payload(path: Path, array: np.ndarray) -> str:
-    data = np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<"), copy=False).tobytes()
+    """Write ``array`` as little-endian C-ordered bytes; a copy is made only to get that layout."""
+    data = _bytes_of(np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<"), copy=False))
     path.write_bytes(data)
     return payload_checksum(data)
 
 
 def _read_payload(manifest_path: Path, name, checksum, dtype, shape) -> np.ndarray:
-    """A manifest's payload, checked against the manifest's size and checksum, and finite."""
+    """A manifest's payload, checked against the manifest's size and checksum, and finite.
+
+    The file is read straight into the array returned.
+    """
     path = _payload_path(manifest_path, name)
-    data = path.read_bytes()
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    if len(data) != expected:
-        raise DataFormatError(
-            f"{path} holds {len(data)} bytes, expected {expected} for shape {shape}"
-        )
+    with path.open("rb") as stream:
+        size = os.fstat(stream.fileno()).st_size
+        if size == expected:
+            array = np.empty(shape, dtype=np.dtype(dtype).newbyteorder("<"))
+            data = _bytes_of(array)
+            size = stream.readinto(data)
+    if size != expected:
+        raise DataFormatError(f"{path} holds {size} bytes, expected {expected} for shape {shape}")
     actual = payload_checksum(data)
     if actual != checksum:
         raise DataFormatError(
             f"{manifest_path}: {path.name} checksum {actual} does not match {checksum!r}"
         )
-    array = np.frombuffer(data, dtype=np.dtype(dtype).newbyteorder("<")).reshape(shape).copy()
     if not np.all(np.isfinite(array)):
         raise DataFormatError(f"{manifest_path}: {path.name} holds non-finite values")
     return array

@@ -230,14 +230,16 @@ def cat_state_density_matrix(
 ) -> DensityMatrixGrid:
     """Closed-form rho(x+y, x-y) of the unnormalized superposition state.
 
-    ``2 exp(-(x^2+y^2)/2 sigma^2) (cos 2 k0 x + cos 2 k0 y)``; real.
+    ``2 exp(-(x^2+y^2)/2 sigma^2) (cos 2 k0 x + cos 2 k0 y)``; real.  The
+    complex lattice is filled one block of rows at a time.
     """
     s, k0 = params.sigma, params.k0
-    xx, yy = grid.points[:, None], np.asarray(y, float)[None, :]
-    vals = 2.0 * np.exp(-(xx**2 + yy**2) / (2.0 * s**2)) * (
-        np.cos(2.0 * k0 * xx) + np.cos(2.0 * k0 * yy)
-    )
-    vals = vals.astype(complex)
+    y = _offdiagonal_axis(y)
+    y2, cos_y = y**2, np.cos(2.0 * k0 * y)
+    vals = np.empty((grid.n_points, y.size), dtype=complex)
+    for blk in _row_blocks(grid.n_points, vals.itemsize * y.size):
+        xx = grid.points[blk, None]
+        vals[blk] = 2.0 * np.exp(-(xx**2 + y2) / (2.0 * s**2)) * (np.cos(2.0 * k0 * xx) + cos_y)
     vals.setflags(write=False)
     return DensityMatrixGrid(grid, y, vals)
 
@@ -449,8 +451,8 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
     With the default lattice (``y`` at integer multiples of the grid spacing,
     spanning half the grid), the shifted samples are exact.  Arbitrary ``y``
     lattices fall back to linear interpolation of the amplitudes, which is
-    flagged.  Evaluations past the grid edge use zero (and are flagged when
-    the wavefunction has not decayed there).
+    flagged and runs one block of rows at a time.  Evaluations past the grid
+    edge use zero (and are flagged when the wavefunction has not decayed there).
     """
     grid, amp = psi.grid, psi.amplitudes
     n, dx = grid.n_points, grid.dx
@@ -467,6 +469,7 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
             stacklevel=2,
         )
 
+    values = np.empty((n, y.size), dtype=complex)
     shifts = np.rint(y / dx).astype(int)
     # a lattice within rounding of y = 0 has no whole-step stride: it is interpolated
     if shifts[1] != shifts[0] and np.allclose(y / dx, shifts, rtol=0.0, atol=1e-9):
@@ -475,7 +478,12 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
         padded = np.zeros(n + 2 * reach, dtype=complex)
         padded[reach : reach + n] = amp
         plus = sliding_window_view(padded, 2 * reach + 1)[:n, :: shifts[1] - shifts[0]]
-        minus = plus[:, ::-1]  # the lattice is symmetric, so shifts[-1 - j] == -shifts[j]
+        blocks = [slice(None)]  # the factors are views, so the lattice is one block
+
+        def shifted(blk, sign):
+            # the lattice is symmetric, so shifts[-1 - j] == -shifts[j]: psi(x-y) is plus reversed
+            return plus[blk, ::sign]
+
     else:
         warnings.warn(
             "y lattice is not commensurate with the grid spacing; amplitudes are "
@@ -484,15 +492,21 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
             stacklevel=2,
         )
         x = grid.points
-        plus, minus = (
-            np.interp(t, x, amp.real, left=0.0, right=0.0)
-            + 1j * np.interp(t, x, amp.imag, left=0.0, right=0.0)
-            for t in (x[:, None] + y, x[:, None] - y)
-        )
-    # into a C-ordered buffer: a strided window's conjugate may come out Fortran-ordered
-    values = np.conjugate(minus, out=np.empty((n, y.size), dtype=complex))
-    # plus first: numpy's fused complex multiply rounds differently with the operands swapped
-    np.multiply(plus, values, out=values)
+        re, im = np.ascontiguousarray(amp.real), np.ascontiguousarray(amp.imag)
+        blocks = _row_blocks(n, values.itemsize * y.size)
+
+        def shifted(blk, sign):
+            # each part interpolated linearly on its own, zero past the grid
+            t = x[blk, None] + y if sign > 0 else x[blk, None] - y
+            return np.interp(t, x, re, left=0.0, right=0.0) + 1j * np.interp(
+                t, x, im, left=0.0, right=0.0
+            )
+
+    for blk in blocks:
+        # into a C-ordered buffer: a strided window's conjugate may come out Fortran-ordered
+        np.conjugate(shifted(blk, -1), out=values[blk])
+        # plus first: numpy's fused complex multiply rounds differently with the operands swapped
+        np.multiply(shifted(blk, 1), values[blk], out=values[blk])
     values.setflags(write=False)
     return DensityMatrixGrid(grid, y, values)
 

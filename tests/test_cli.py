@@ -14,8 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hydrec
+from conftest import traced_peak
 from hydrec.cli import (
     DataFormatError,
+    _read_payload,
+    _write_payload,
     main,
     payload_checksum,
     read_dataset,
@@ -37,6 +40,50 @@ def test_payload_checksum_known_vectors():
     assert payload_checksum(b"") == "e4a6a0577479b2b4"
     assert payload_checksum(b"a") == "40f89e395b66422f"
     assert payload_checksum(b"foobar") == "9d212f7f254a51f9"
+
+
+def read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.arange(12.0).reshape(3, 4).astype(">f8"),
+        lambda: (np.arange(12.0) - 1j * np.arange(12.0)[::-1]).reshape(3, 4).astype(">c16"),
+        lambda: np.arange(12.0).reshape(3, 4).T,
+        lambda: (np.arange(24.0) + 0.5j).reshape(4, 6)[:, ::2],
+        lambda: np.arange(24.0).reshape(4, 6).astype(">f8")[::2],
+        lambda: read_only(np.arange(12.0).reshape(3, 4)),
+    ],
+    ids=[
+        "big-endian", "big-endian-complex", "transposed", "strided", "big-endian-strided",
+        "read-only",
+    ],
+)
+def test_a_payload_is_written_as_its_little_endian_c_ordered_bytes(tmp_path, make):
+    array = make()
+    expected = np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<")).tobytes()
+    checksum = _write_payload(tmp_path / "p.bin", array)
+    assert (tmp_path / "p.bin").read_bytes() == expected
+    assert checksum == payload_checksum(expected)
+    dtype = array.dtype.str[1:]
+    back = _read_payload(tmp_path / "manifest.json", "p.bin", checksum, dtype, array.shape)
+    assert back.dtype == np.dtype("<" + dtype) and back.flags.c_contiguous
+    assert back.flags.writeable and back.flags.owndata
+    assert np.array_equal(back, array)
+
+
+def test_payload_io_holds_no_copy_of_the_payload(tmp_path):
+    array = np.random.default_rng(3).normal(size=(64, 8192))  # 4 MiB
+    checksum, write_peak = traced_peak(lambda: _write_payload(tmp_path / "p.bin", array))
+    assert write_peak <= 0.05 * array.nbytes
+    back, read_peak = traced_peak(
+        lambda: _read_payload(tmp_path / "manifest.json", "p.bin", checksum, "f8", array.shape)
+    )
+    assert back.tobytes() == array.tobytes()
+    assert read_peak <= 1.2 * array.nbytes  # the array read, and its finiteness mask (1/8)
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -983,6 +1030,34 @@ def test_non_finite_payload_exits_1_naming_the_file(tmp_path, capsys, which, pay
     assert str(manifest) in err[0] and payload in err[0]
     with pytest.raises(DataFormatError, match=f"{payload} holds non-finite values"):
         read()
+
+
+@pytest.mark.parametrize("change", [-8, 16], ids=["truncated", "oversized"])
+@pytest.mark.parametrize(
+    "which, payload, itemsize",
+    [("dataset", "f0.bin", 8), ("dataset", "psi.bin", 16), ("moments", "moments.bin", 8)],
+)
+def test_a_payload_of_the_wrong_size_exits_1_naming_both_sizes(
+    tmp_path, capsys, which, payload, itemsize, change
+):
+    home = tmp_path / ("ds" if which == "dataset" else "m")
+    sizes = []
+
+    def resize(manifest):
+        data = (home / payload).read_bytes()
+        sizes.append(len(data))
+        (home / payload).write_bytes(data[:change] if change < 0 else data + bytes(change))
+
+    status, err, read = edited_manifest_run(tmp_path, capsys, which, resize)
+    size = sizes[0]
+    shape = (size // (256 * itemsize), 256)
+    path = (home / payload).resolve()
+    message = f"{path} holds {size + change} bytes, expected {size} for shape {shape}"
+    assert status == 1
+    assert len(err) == 1 and message in err[0]
+    with pytest.raises(DataFormatError) as raised:
+        read()
+    assert str(raised.value) == message
 
 
 # Keys each reader needs, as paths into the manifest; the nested entries are

@@ -557,6 +557,7 @@ def per_column_density_matrix(psi, y):
         (16, np.arange(-1, 2)),  # the smallest lattice, three points
         (17, np.arange(-20, 21)),  # one cell per step, past the edge on both sides
         (16, 0.37 * np.arange(-6, 7)),  # not commensurate: interpolated
+        (3000, 0.37 * np.arange(-6, 7)),  # interpolated in three row blocks, the last one short
     ],
 )
 def test_exact_density_matrix_equals_the_per_column_product_bitwise(n_points, y_steps):
@@ -682,6 +683,43 @@ def test_exact_density_matrix_holds_its_lattice_once():
     rho, peak = traced_peak(lambda: exact_density_matrix(psi, y))
     assert rho.values.shape == LATTICE_SHAPE
     assert peak <= 1.1 * rho.values.nbytes
+
+
+def test_exact_density_matrix_interpolates_one_block_of_rows_at_a_time():
+    grid = SpatialGrid(-20.0, 20.0, LATTICE_SHAPE[0])
+    psi = make_cat_state(CAT, grid)
+    y = 0.37 * grid.dx * np.arange(-50, 51)
+    with pytest.warns(GridCoverageWarning, match="not commensurate"):
+        rho, peak = traced_peak(lambda: exact_density_matrix(psi, y))
+    assert rho.values.shape == LATTICE_SHAPE
+    assert peak <= 1.1 * rho.values.nbytes + 4 * LATTICE_BLOCK_BYTES
+
+
+def test_cat_state_density_matrix_holds_its_lattice_once():
+    grid = SpatialGrid(-20.0, 20.0, LATTICE_SHAPE[0])
+    rho, peak = traced_peak(
+        lambda: cat_state_density_matrix(CAT, grid, 0.37 * grid.dx * np.arange(-50, 51))
+    )
+    assert rho.values.shape == LATTICE_SHAPE
+    assert peak <= 1.1 * rho.values.nbytes + 4 * LATTICE_BLOCK_BYTES
+
+
+def whole_lattice_cat_density_matrix(params, x, y):
+    """The closed form of ``cat_state_density_matrix`` on the whole (x, y) lattice at once."""
+    s, k0 = params.sigma, params.k0
+    xx, yy = x[:, None], y[None, :]
+    vals = 2.0 * np.exp(-(xx**2 + yy**2) / (2.0 * s**2)) * (
+        np.cos(2.0 * k0 * xx) + np.cos(2.0 * k0 * yy)
+    )
+    return vals.astype(complex)
+
+
+@pytest.mark.parametrize("n_x", [9, BLOCKS_OF_7])
+def test_cat_state_density_matrix_equals_the_whole_lattice_formula_bitwise(n_x):
+    grid, y = SpatialGrid(-8.0, 8.0, n_x), offdiagonal_lattice(2.1, 7)
+    rho = cat_state_density_matrix(CAT, grid, y)
+    assert_bytes_equal(rho.values, whole_lattice_cat_density_matrix(CAT, grid.points, y))
+    assert not rho.values.flags.writeable
 
 
 def test_hermiticity_defect_reads_the_lattice_in_blocks():
