@@ -68,9 +68,10 @@ class TaylorReconstruction:
     at -y bit for bit, ``+0.0`` imaginary parts included; on one symmetric
     only to rounding, the y < 0 columns hold the values at the mirrored points.
 
-    ``moments`` holds one :class:`MomentField` per row of the assembled matrix,
-    because the benchmark reads ``rec.moments[0].field`` (``perfbench/worker.py``
-    lines 126, 133 and 186).
+    ``moments`` holds one :class:`MomentField` per row of the assembled matrix.
+    Only the benchmark (``rec.moments[0].field`` in ``perfbench/worker.py``)
+    and the tests read it; the library, the CLI and the demos pass
+    :func:`compare` its ``f0`` from the matrix they hold.
     """
 
     order_max: int

@@ -24,11 +24,12 @@ samples, 4 missing reference, 1 anything else.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
+from _blake2 import blake2b  # hashlib.blake2b itself, without loading OpenSSL
 from dataclasses import asdict, fields, is_dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,7 @@ class DataFormatError(ValueError):
 
 def payload_checksum(data: bytes | memoryview) -> str:
     """BLAKE2b digest of a payload with an 8-byte output, as 16 hex digits."""
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
+    return blake2b(data, digest_size=8).hexdigest()
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -240,7 +241,10 @@ def write_dataset(
         raise ValueError("records shape must be (m+1, n_points)")
     payloads = {"data": ("f0.bin", records)}
     if psis is not None:
-        payloads["psi"] = ("psi.bin", np.asarray(psis, dtype="<c16"))
+        psis = np.asarray(psis, dtype="<c16")
+        if psis.shape != records.shape:
+            raise ValueError("psis shape must be (m+1, n_points), as records")
+        payloads["psi"] = ("psi.bin", psis)
     return _write_artifact(
         out_dir / "dataset.json", "hydrec-dataset", "time_major_rows", payloads,
         constants=constants, grid=grid, times=nodes, potential=model_to_dict(model),
@@ -280,6 +284,8 @@ def write_moment_set(
 ) -> Path:
     """Write the ``(N+1, n_points)`` matrix of f_0 .. f_N at ``node`` plus its manifest."""
     array = np.asarray(moments, dtype="<f8")
+    if array.ndim != 2 or len(array) == 0 or array.shape[1] != dataset_manifest["grid"]["n_points"]:
+        raise ValueError("moments shape must be (N+1, n_points) on the manifest's grid")
     state = {"state": dataset_manifest["state"]} if "state" in dataset_manifest else {}
     return _write_artifact(
         out_dir / "moments.json", "hydrec-moments", "order_major_rows",
@@ -455,26 +461,20 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
     )
     # shortest round-trip decimal of every value, x-major like the payload, formatted from
     # the y >= 0 half: assemble writes column M-1-j as (re, 0.0 - im) of column j
-    m, c = y.size, y.size // 2
-    h = m - c  # the y >= 0 half
+    c = y.size // 2
     ys = list(map(repr, y.tolist()))
-    # a row's format fields: {0} is x, then the half's h re, h im and h mirrored im texts;
-    # column k reads half column |k - c|
-    row = "".join(
-        f"{{0}} {ys[k]} {{{1 + abs(k - c)}}} {{{1 + (h if k >= c else 2 * h) + abs(k - c)}}}\n"
-        for k in range(m)
-    )
     points = grid.points
     with (out_dir / f"rho_{tag}.dat").open("w") as table:
         table.write("# x y re im\n")
-        for blk in _row_blocks(grid.n_points, vals.itemsize * m):
+        for blk in _row_blocks(grid.n_points, vals.itemsize * y.size):
             half = vals[blk, c:]
             xs = map(repr, points[blk].tolist())
             for x, re, im in zip(xs, half.real.tolist(), half.imag.tolist()):
-                im = list(map(repr, im))
+                re, im = list(map(repr, re)), list(map(repr, im))
                 # the text of 0.0 - v: +0.0 and nan stay, any other sign flips
                 flip = [t[1:] if t[0] == "-" else t if t in ("0.0", "nan") else "-" + t for t in im]
-                table.write(row.format(x, *map(repr, re), *im, *flip))
+                lines = zip(repeat(x), ys, re[:0:-1] + re, flip[:0:-1] + im)
+                table.write("\n".join(map(" ".join, lines)) + "\n")
 
 
 def _resolve_reference(args, mset: dict, y: np.ndarray):
@@ -524,7 +524,7 @@ def cmd_assemble_compare(args, with_reference: bool) -> int:
     report = None
     if with_reference:  # before any file is written
         reference = _resolve_reference(args, mset, rec.values.y)
-        report = compare(rec.values, reference, region, rec.moments[0].field)
+        report = compare(rec.values, reference, region, GridField(mset["grid"], mset["moments"][0]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"N{rec.order_max}"
@@ -590,7 +590,7 @@ def cmd_demo_cat(args) -> int:
     for order in orders:
         rec = assemble(GridField(grid, moments[: order + 1]), y, constants.hbar)
         # the cat's rho and moments are real, so |rho_N - rho| is |Re rho_N - Re rho|
-        err = compare(rec.values, exact, region, rec.moments[0].field).sup_error
+        err = compare(rec.values, exact, region, GridField(grid, moments[0])).sup_error
         _emit_density_grid(out_dir, f"N{order}", rec)
         results.append((order, err, rec.trust_radius))
 

@@ -23,14 +23,8 @@ __all__ = [
     "quartic_potential",
     "polynomial_potential",
     "paul_trap_potential",
-    "PARAMETERS",
-    "check_parameters",
-    "x_coefficients",
     "potential_value",
     "potential_derivative",
-    "check_mass",
-    "model_to_dict",
-    "model_from_dict",
 ]
 
 #: Per kind, the parameters it takes and their defaults; None marks a required one.

@@ -23,6 +23,8 @@ from hydrec.cli import (
     payload_checksum,
     read_dataset,
     read_moment_set,
+    write_dataset,
+    write_moment_set,
 )
 from hydrec.assembly import assemble
 from hydrec.numerics import DecayAssumptionWarning, GridField
@@ -84,6 +86,20 @@ def test_payload_io_holds_no_copy_of_the_payload(tmp_path):
     )
     assert back.tobytes() == array.tobytes()
     assert read_peak <= 1.2 * array.nbytes  # the array read, and its finiteness mask (1/8)
+
+
+def test_import_loads_neither_openssl_nor_the_cli_with_the_package():
+    # payload_checksum takes BLAKE2b from CPython's built-in _blake2, not through hashlib
+    src = str(Path(hydrec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = """if True:
+        import sys
+        import hydrec
+        assert "hydrec.cli" not in sys.modules
+        import hydrec.cli
+        assert "_hashlib" not in sys.modules, "hydrec.cli loads OpenSSL"
+    """
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -312,6 +328,20 @@ def test_dataset_checksum_detects_corruption(tmp_path):
         read_dataset(out / "dataset.json")
     # through the CLI this is exit status 1
     assert run("reconstruct", out / "dataset.json", "--order", "1", "--out", tmp_path / "m") == 1
+
+
+@pytest.mark.parametrize("shape", [(3, 64), (2, 256), (3, 256, 1), (256,)])
+def test_writers_refuse_payloads_their_readers_reject_before_writing(tmp_path, shape):
+    run(*small_dataset_args(tmp_path / "ds"))  # 3 nodes on 256 points
+    data = read_dataset(tmp_path / "ds" / "dataset.json")
+    typed = [data[key] for key in ("constants", "grid", "nodes", "model", "records")]
+    with pytest.raises(ValueError, match="psis shape"):
+        write_dataset(tmp_path / "bad", *typed, {}, "", psis=np.zeros(shape, complex))
+    with pytest.raises(ValueError, match="moments shape"):
+        write_moment_set(tmp_path / "bad", data["manifest"], np.zeros(shape[:-1] + (64,)), 0.0, 1)
+    with pytest.raises(ValueError, match="moments shape"):
+        write_moment_set(tmp_path / "bad", data["manifest"], np.zeros((0, 256)), 0.0, 1)
+    assert not (tmp_path / "bad").exists()
 
 
 def test_reconstruct_writes_moment_set(tmp_path):
