@@ -17,6 +17,7 @@ zero products, bit for bit the same sum.
 
 :func:`compare` reads both lattices only inside its region, one block of
 rows at a time, and holds one region-sized array, the errors ``|a - b|``.
+Its reference need hold only the region's rows, with its diagonal.
 """
 
 from __future__ import annotations
@@ -249,30 +250,40 @@ def compare(
 ) -> ComparisonReport:
     """Error metrics of ``a`` against reference ``b`` over ``|x|, |y|`` bounds.
 
-    ``b`` must lie on ``a``'s x grid; it is interpolated linearly in y onto
-    ``a``'s y lattice when the two differ (recorded in the report).  Traces
-    come from trapezoidal quadrature along the diagonal; the diagonal
+    ``a`` holds every row of its x grid.  ``b`` must lie on that grid and
+    hold the region's rows: all rows, or a row window (``b.rows``) that
+    covers them.  It is interpolated linearly in y onto ``a``'s y lattice
+    when the two differ (recorded in the report).  Traces come from
+    trapezoidal quadrature along the diagonals, ``b``'s being its
+    ``diagonal`` (the y = 0 column of its whole lattice); the diagonal
     mismatch is measured against ``f0``, one field on ``a``'s x grid.
 
     Both lattices are read only inside the region, one block of rows at a
-    time, and ``b`` is resampled there block by block (and on the diagonal
-    for its trace): the one region-sized array is ``|a - b|``, so the
-    report is bitwise the one from whole-lattice copies of the region.
+    time, and ``b`` is resampled there block by block: the one region-sized
+    array is ``|a - b|``, so the report is bitwise the one from
+    whole-lattice copies of the region, and the same for a window of ``b``
+    as for its whole lattice.
     """
     if f0.values.ndim != 1 or f0.grid != a.x_grid:
         raise ValueError(f"f0 must be one field on {a.x_grid}, not {f0.values.shape} on {f0.grid}")
     if b.x_grid != a.x_grid:
         raise ValueError(f"the reference must lie on the compared x grid {a.x_grid}, not {b.x_grid}")
-    resampled = not np.array_equal(a.y, b.y)
-    c = a.y.size // 2
-    diag_a = a.values[:, c]
-    diag_b = _resample_onto(b.values, b.y, a.y[c : c + 1])[:, 0] if resampled else b.values[:, c]
-    trace_a = float(np.trapezoid(diag_a.real, dx=a.x_grid.dx))
-    trace_b = float(np.trapezoid(diag_b.real, dx=a.x_grid.dx))
-    del diag_b  # not held beside the region's errors
-
+    if a.rows != slice(0, a.x_grid.n_points):
+        raise ValueError(f"the compared lattice holds only rows {a.rows.start}..{a.rows.stop - 1}")
     rows, cols = _region_slices(a.x_grid, a.y, region)
-    a_in, b_in, y_in = a.values[rows, cols], b.values[rows], a.y[cols]
+    if not b.rows.start <= rows.start < rows.stop <= b.rows.stop:
+        raise ValueError(
+            f"the reference holds rows {b.rows.start}..{b.rows.stop - 1}, which miss rows of the "
+            f"region |x| <= {region[0]}, |y| <= {region[1]} (rows {rows.start}..{rows.stop - 1})"
+        )
+    resampled = not np.array_equal(a.y, b.y)
+    diag_a = a.values[:, a.y.size // 2]
+    trace_a = float(np.trapezoid(diag_a.real, dx=a.x_grid.dx))
+    trace_b = float(np.trapezoid(b.diagonal.real, dx=a.x_grid.dx))
+
+    start = rows.start - b.rows.start  # the region's first row in b
+    a_in, y_in = a.values[rows, cols], a.y[cols]
+    b_in = b.values[start : start + rows.stop - rows.start]
     err = np.empty(a_in.shape)
     for blk in _row_blocks(len(err), a_in.itemsize * y_in.size):
         b_blk = _resample_onto(b_in[blk], b.y, y_in) if resampled else b_in[blk, cols]

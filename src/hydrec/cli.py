@@ -477,10 +477,10 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
                 table.write("\n".join(map(" ".join, lines)) + "\n")
 
 
-def _resolve_reference(args, mset: dict, y: np.ndarray):
-    """Reference density matrix for comparison, on the reconstruction's x grid and ``y``."""
+def _resolve_reference(args, mset: dict, y: np.ndarray, rows: slice):
+    """Reference density matrix for comparison on the grid ``rows`` of the reconstruction's
+    x grid, and ``y``."""
     manifest = mset["manifest"]
-    grid: SpatialGrid = mset["grid"]
     if args.reference == "analytic-cat":
         if mset["cat_state"] is None:
             raise MissingReferenceError(
@@ -492,7 +492,13 @@ def _resolve_reference(args, mset: dict, y: np.ndarray):
                 f"{args.moments} holds the moments at t = {manifest['central_time']:g}; "
                 "'analytic-cat' describes the state at t = 0 only"
             )
-        return cat_state_density_matrix(mset["cat_state"], grid, y)
+        return cat_state_density_matrix(mset["cat_state"], mset["grid"], y, rows)
+    return exact_density_matrix(_stored_psi(args, manifest), y, rows)
+
+
+def _stored_psi(args, manifest: dict) -> WaveFunction:
+    """The wavefunction the moment set was reconstructed at, from ``--dataset``; the rest
+    of the dataset is not held beside the reference built from it."""
     dataset_path = Path(args.dataset) if args.dataset else None
     if dataset_path is None or not dataset_path.exists():
         raise MissingReferenceError(
@@ -510,8 +516,7 @@ def _resolve_reference(args, mset: dict, y: np.ndarray):
             f"{args.moments} (node {node}, dataset checksum {recorded!r}) was not "
             f"reconstructed from {dataset_path} (checksum {checksum}, nodes 0..{last})"
         )
-    psi = WaveFunction(data["grid"], data["psis"][node])
-    return exact_density_matrix(psi, y=y)
+    return WaveFunction(data["grid"], data["psis"][node])
 
 
 def cmd_assemble_compare(args, with_reference: bool) -> int:
@@ -519,11 +524,11 @@ def cmd_assemble_compare(args, with_reference: bool) -> int:
     y = offdiagonal_lattice(args.y_max, args.n_y)
     if with_reference:  # an empty region is refused before any work
         region = (args.region_x, args.region_y)
-        _region_slices(mset["grid"], y, region)
+        rows = _region_slices(mset["grid"], y, region)[0]
     rec = assemble(GridField(mset["grid"], mset["moments"]), y, mset["constants"].hbar)
     report = None
-    if with_reference:  # before any file is written
-        reference = _resolve_reference(args, mset, rec.values.y)
+    if with_reference:  # before any file is written; the reference holds the region's rows
+        reference = _resolve_reference(args, mset, rec.values.y, rows)
         report = compare(rec.values, reference, region, GridField(mset["grid"], mset["moments"][0]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -574,14 +579,14 @@ def cmd_demo_cat(args) -> int:
 
     x = grid.points
     region = (3.0, 1.5)
-    in_y = _region_slices(grid, y, region)[1]  # an empty region is refused before any work
+    in_x, in_y = _region_slices(grid, y, region)  # an empty region is refused before any work
     if in_y.stop - in_y.start == 1:  # the diagonal alone, where rho_N = f_0 by construction
         raise ValueError(f"region |y| <= 1.5 holds only y = 0 at dy = {y[1] - y[0]:g}")
     # row n holds f_n; each order assembles the rows up to it
     moments = np.array(
         [cat_state_moment(params, n, x, hbar=constants.hbar) for n in range(orders[-1] + 1)]
     )
-    exact = cat_state_density_matrix(params, grid, y)
+    exact = cat_state_density_matrix(params, grid, y, in_x)  # the region's rows only
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -593,6 +598,7 @@ def cmd_demo_cat(args) -> int:
         err = compare(rec.values, exact, region, GridField(grid, moments[0])).sup_error
         _emit_density_grid(out_dir, f"N{order}", rec)
         results.append((order, err, rec.trust_radius))
+        del rec  # not held while the next order is assembled
 
     summary = {
         "state": {"kind": "cat", "sigma": params.sigma, "k0": params.k0},

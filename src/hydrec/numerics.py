@@ -87,10 +87,11 @@ def _support_window(colmax: np.ndarray, threshold: float) -> slice:
     return slice(max(int(live[0]) - 1, 0), min(int(live[-1]) + 2, colmax.size))
 
 
-def _row_blocks(n_rows: int, row_bytes: int):
-    """Slices of consecutive rows, each block within ``LATTICE_BLOCK_BYTES`` (at least one row)."""
+def _row_blocks(stop: int, row_bytes: int, start: int = 0):
+    """Slices of the consecutive rows ``start .. stop - 1``, each block within
+    ``LATTICE_BLOCK_BYTES`` (at least one row)."""
     step = max(1, LATTICE_BLOCK_BYTES // row_bytes)
-    return (slice(start, start + step) for start in range(0, n_rows, step))
+    return (slice(first, min(first + step, stop)) for first in range(start, stop, step))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from itertools import zip_longest
 from types import MappingProxyType
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .numerics import _is_number
 
@@ -127,16 +126,36 @@ def x_coefficients(model: PotentialModel, t) -> np.ndarray:
     return c
 
 
+def _horner(x, c: np.ndarray):
+    """The polynomial with coefficient rows ``c`` (lowest power first) at every ``x``, in the
+    operations and order of numpy.polynomial's ``polyval(x, c)``: bitwise its values."""
+    x = np.asarray(x)
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    value = c[-1] + x * 0
+    for row in c[-2::-1]:
+        value = row + value * x
+    return value
+
+
 def potential_value(model: PotentialModel, x, t):
     """Evaluate V(x, t), of shape ``t.shape + x.shape``; ``x`` and ``t`` may be arrays."""
-    return polyval(x, x_coefficients(model, t))
+    return _horner(x, x_coefficients(model, t))
 
 
 def potential_derivative(model: PotentialModel, order: int, x, t):
-    """Exact d^order V / dx^order at (x, t), shape ``t.shape + x.shape``; 0 past the degree."""
+    """Exact d^order V / dx^order at (x, t), shape ``t.shape + x.shape``; 0 past the degree.
+
+    The coefficients are differentiated one order at a time, row k - 1 becoming
+    ``k * c_k``, as numpy.polynomial's ``polyder`` does: bitwise its values.
+    """
     if order < 1:
         raise ValueError(f"derivative order must be >= 1, got {order}")
-    return polyval(x, polyder(x_coefficients(model, t), order))
+    c = x_coefficients(model, t)
+    if order >= len(c):
+        return _horner(x, c[:1] * 0)
+    for _ in range(order):
+        c = np.arange(1.0, len(c)).reshape((-1,) + (1,) * (c.ndim - 1)) * c[1:]
+    return _horner(x, c)
 
 
 def check_mass(model: PotentialModel, mass: float) -> None:

@@ -18,8 +18,9 @@ requesting more is rejected.
 
 ``CumInt`` assumes its integrand decays at the window's edges.  That is
 checked once per pyramid on the integrated f_0 .. f_(N-1), at every node,
-with at most one :class:`~hydrec.numerics.DecayAssumptionWarning` naming the
-lowest order that has not decayed; the force integrands
+against each order's peak over all nodes, with at most one
+:class:`~hydrec.numerics.DecayAssumptionWarning` naming the lowest order that
+has not decayed; the force integrands
 d^(2k+1)V/dx^(2k+1) * f are not checked.
 
 Every moment is computed at all nodes so that repeated application of the
@@ -194,15 +195,18 @@ def build_pyramid(
                 coef = (-1.0) ** k * (constants.hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
                 integrand += coef * dv * levels[n - 2 * k - 1]
             np.multiply(cumulative_integral(integrand, grid.dx), -constants.mass, out=levels[n + 1])
-        # CumInt assumed that the integrated f_0 .. f_(N-1) decay at the window's edges
-        peak = np.maximum(levels[:-1].max(axis=-1), -levels[:-1].min(axis=-1))  # no |f| copy
+        # CumInt assumed that the integrated f_0 .. f_(N-1) decay at the window's edges,
+        # against each order's peak over all nodes: a node where the order vanishes, as a
+        # real state's odd orders do at t = 0, holds only rounding, edges included
+        peak = np.maximum(levels[:-1].max(axis=(1, 2)), -levels[:-1].min(axis=(1, 2)))[:, None]
         edge = np.maximum(np.abs(levels[:-1, :, 0]), np.abs(levels[:-1, :, -1]))
         hot = np.argwhere((peak > 0.0) & (edge > EDGE_TOLERANCE * peak))  # lowest order first
         if hot.size:
             n, j = hot[0]
             warnings.warn(
                 f"f_{n} has edge amplitude {edge[n, j]:.3e} (> {EDGE_TOLERANCE:.0e} of max "
-                f"{peak[n, j]:.3e}) at node {j}; the half-line integral is not well approximated",
+                f"{peak[n, 0]:.3e} over the nodes) at node {j}; the half-line integral is not "
+                "well approximated",
                 DecayAssumptionWarning,
                 stacklevel=2,
             )

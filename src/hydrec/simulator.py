@@ -100,6 +100,19 @@ def _offdiagonal_axis(y) -> np.ndarray:
     return y
 
 
+def _row_window(rows, n_points: int) -> slice:
+    """``rows`` as ``slice(start, stop)``, a non-empty run of rows of ``0 .. n_points - 1``;
+    None is every row."""
+    if rows is None:
+        return slice(0, n_points)
+    run = range(n_points)[rows] if isinstance(rows, slice) else None
+    if run is None or run.step != 1 or not run:
+        raise ValueError(
+            f"rows must be a non-empty slice of consecutive rows of 0..{n_points - 1}, got {rows!r}"
+        )
+    return slice(run.start, run.stop)
+
+
 @dataclass(frozen=True)
 class DensityMatrixGrid:
     """rho(x+y, x-y) sampled on a rectangular (x, y) lattice.
@@ -107,18 +120,35 @@ class DensityMatrixGrid:
     ``y`` is the off-diagonal variable; it must be odd, ascending, uniform and
     symmetric about zero so that the centre column ``y.size // 2`` is the
     probability density and the Hermiticity relation pairs lattice points exactly.
+
+    ``values`` holds the x-grid rows ``rows``, every row by default; a row
+    window holds grid row i at ``values[i - rows.start]``.  ``diagonal`` is
+    the centre column of the whole lattice, rho(x, x) on every grid row: a
+    view of ``values`` when they hold every row, and given with a window.
     """
 
     x_grid: SpatialGrid
     y: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    rows: slice | None = None
+    diagonal: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         y = _offdiagonal_axis(self.y)
+        rows = _row_window(self.rows, self.x_grid.n_points)
         # not checked for finiteness: a high-order assembly may overflow (assemble warns)
-        values = _read_only_array(self.values, complex, (self.x_grid.n_points, y.size))
+        values = _read_only_array(self.values, complex, (rows.stop - rows.start, y.size))
+        if self.diagonal is not None:
+            diagonal = _read_only_array(self.diagonal, complex, (self.x_grid.n_points,))
+        elif rows == slice(0, self.x_grid.n_points):
+            diagonal = values[:, y.size // 2]
+        else:
+            raise ValueError(f"a window of rows {rows.start}..{rows.stop - 1} needs the diagonal "
+                             "of the whole lattice")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "diagonal", diagonal)
 
     @property
     def dy(self) -> float:
@@ -132,7 +162,7 @@ class DensityMatrixGrid:
         """
         half = self.y.size // 2 + 1
         peaks = []
-        for blk in _row_blocks(self.x_grid.n_points, self.values.itemsize * self.y.size):
+        for blk in _row_blocks(len(self.values), self.values.itemsize * self.y.size):
             block = self.values[blk]
             peaks.append(np.max(np.abs(block[:, :half] - np.conj(block[:, ::-1][:, :half]))))
         return float(np.max(peaks))
@@ -226,22 +256,34 @@ def cat_state_norm(params: CatStateParams) -> float:
 
 
 def cat_state_density_matrix(
-    params: CatStateParams, grid: SpatialGrid, y: np.ndarray
+    params: CatStateParams, grid: SpatialGrid, y: np.ndarray, rows: slice | None = None
 ) -> DensityMatrixGrid:
     """Closed-form rho(x+y, x-y) of the unnormalized superposition state.
 
     ``2 exp(-(x^2+y^2)/2 sigma^2) (cos 2 k0 x + cos 2 k0 y)``; real.  The
-    complex lattice is filled one block of rows at a time.
+    complex lattice is filled one block of rows at a time.  With ``rows``, a
+    slice of consecutive grid rows, only those rows are filled, each bitwise
+    the row of the whole lattice, and the window carries the whole lattice's
+    centre column as its diagonal.
     """
     s, k0 = params.sigma, params.k0
     y = _offdiagonal_axis(y)
+    window = _row_window(rows, grid.n_points)
+    x, c = grid.points, y.size // 2
     y2, cos_y = y**2, np.cos(2.0 * k0 * y)
-    vals = np.empty((grid.n_points, y.size), dtype=complex)
-    for blk in _row_blocks(grid.n_points, vals.itemsize * y.size):
-        xx = grid.points[blk, None]
-        vals[blk] = 2.0 * np.exp(-(xx**2 + y2) / (2.0 * s**2)) * (np.cos(2.0 * k0 * xx) + cos_y)
+
+    def closed_form(blk, cols):
+        xx = x[blk, None]
+        envelope = np.exp(-(xx**2 + y2[cols]) / (2.0 * s**2))
+        return 2.0 * envelope * (np.cos(2.0 * k0 * xx) + cos_y[cols])
+
+    vals = np.empty((window.stop - window.start, y.size), dtype=complex)
+    for blk in _row_blocks(window.stop, vals.itemsize * y.size, window.start):
+        vals[blk.start - window.start : blk.stop - window.start] = closed_form(blk, slice(None))
     vals.setflags(write=False)
-    return DensityMatrixGrid(grid, y, vals)
+    if window == slice(0, grid.n_points):
+        return DensityMatrixGrid(grid, y, vals)
+    return DensityMatrixGrid(grid, y, vals, window, closed_form(slice(None), slice(c, c + 1))[:, 0])
 
 
 def cat_state_moment(
@@ -445,7 +487,7 @@ def _half_kinetic_step(amp: np.ndarray, half_kinetic: np.ndarray) -> None:
     np.fft.ifft(amp, out=amp)
 
 
-def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
+def exact_density_matrix(psi: WaveFunction, y=None, rows: slice | None = None) -> DensityMatrixGrid:
     """rho(x+y, x-y) = psi(x+y) conj(psi(x-y)) on an (x, y) lattice.
 
     With the default lattice (``y`` at integer multiples of the grid spacing,
@@ -453,11 +495,16 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
     lattices fall back to linear interpolation of the amplitudes, which is
     flagged and runs one block of rows at a time.  Evaluations past the grid
     edge use zero (and are flagged when the wavefunction has not decayed there).
+
+    With ``rows``, a slice of consecutive grid rows, only those rows are
+    filled, each bitwise the row of the whole lattice, and the window carries
+    the whole lattice's centre column, psi(x) conj(psi(x)), as its diagonal.
     """
     grid, amp = psi.grid, psi.amplitudes
     n, dx = grid.n_points, grid.dx
     half = (n - 1) // 2
     y = _offdiagonal_axis(dx * np.arange(-half, half + 1) if y is None else y)
+    window = _row_window(rows, n)
 
     peak = float(np.max(np.abs(amp)))
     edge = max(abs(amp[0]), abs(amp[-1]))
@@ -469,7 +516,7 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
             stacklevel=2,
         )
 
-    values = np.empty((n, y.size), dtype=complex)
+    values = np.empty((window.stop - window.start, y.size), dtype=complex)
     shifts = np.rint(y / dx).astype(int)
     # a lattice within rounding of y = 0 has no whole-step stride: it is interpolated
     if shifts[1] != shifts[0] and np.allclose(y / dx, shifts, rtol=0.0, atol=1e-9):
@@ -478,11 +525,11 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
         padded = np.zeros(n + 2 * reach, dtype=complex)
         padded[reach : reach + n] = amp
         plus = sliding_window_view(padded, 2 * reach + 1)[:n, :: shifts[1] - shifts[0]]
-        blocks = [slice(None)]  # the factors are views, so the lattice is one block
+        one_block = True  # the factors are views, so the lattice is one block
 
-        def shifted(blk, sign):
+        def shifted(blk, sign, cols):
             # the lattice is symmetric, so shifts[-1 - j] == -shifts[j]: psi(x-y) is plus reversed
-            return plus[blk, ::sign]
+            return plus[blk, ::sign][:, cols]
 
     else:
         warnings.warn(
@@ -493,22 +540,38 @@ def exact_density_matrix(psi: WaveFunction, y=None) -> DensityMatrixGrid:
         )
         x = grid.points
         re, im = np.ascontiguousarray(amp.real), np.ascontiguousarray(amp.imag)
-        blocks = _row_blocks(n, values.itemsize * y.size)
+        one_block = False
 
-        def shifted(blk, sign):
-            # each part interpolated linearly on its own, zero past the grid
-            t = x[blk, None] + y if sign > 0 else x[blk, None] - y
-            return np.interp(t, x, re, left=0.0, right=0.0) + 1j * np.interp(
-                t, x, im, left=0.0, right=0.0
-            )
+        def shifted(blk, sign, cols):
+            # each part interpolated linearly on its own, zero past the grid; the real part is
+            # added in place, which is re + 1j * im bit for bit, with one temporary fewer
+            t = x[blk, None] + y[cols] if sign > 0 else x[blk, None] - y[cols]
+            z = 1j * np.interp(t, x, im, left=0.0, right=0.0)
+            z += np.interp(t, x, re, left=0.0, right=0.0)
+            return z
 
-    for blk in blocks:
-        # into a C-ordered buffer: a strided window's conjugate may come out Fortran-ordered
-        np.conjugate(shifted(blk, -1), out=values[blk])
-        # plus first: numpy's fused complex multiply rounds differently with the operands swapped
-        np.multiply(shifted(blk, 1), values[blk], out=values[blk])
+    def fill(out, start, stop, cols):
+        """Grid rows ``start .. stop - 1`` of the columns ``cols`` into ``out``."""
+        if one_block:
+            blocks = [slice(start, stop)]
+        else:
+            blocks = _row_blocks(stop, out.itemsize * out.shape[1], start)
+        for blk in blocks:
+            o = out[blk.start - start : blk.stop - start]
+            # into a C-ordered buffer: a strided window's conjugate may come out Fortran-ordered
+            np.conjugate(shifted(blk, -1, cols), out=o)
+            # plus first: numpy's fused complex multiply rounds differently with operands swapped
+            np.multiply(shifted(blk, 1, cols), o, out=o)
+
+    fill(values, window.start, window.stop, slice(None))
     values.setflags(write=False)
-    return DensityMatrixGrid(grid, y, values)
+    if window == slice(0, n):
+        return DensityMatrixGrid(grid, y, values)
+    c = y.size // 2
+    diagonal = np.empty(n, dtype=complex)
+    fill(diagonal[:, None], 0, n, slice(c, c + 1))
+    diagonal.setflags(write=False)  # DensityMatrixGrid adopts it
+    return DensityMatrixGrid(grid, y, values, window, diagonal)
 
 
 def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> WignerGrid:

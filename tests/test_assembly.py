@@ -17,7 +17,7 @@ from conftest import (
     whole_lattice_compare,
 )
 from hydrec import assembly
-from hydrec.assembly import _resample_onto, _taylor_terms, assemble, compare
+from hydrec.assembly import _region_slices, _resample_onto, _taylor_terms, assemble, compare
 from hydrec.cli import main, read_dataset
 from hydrec.numerics import (
     LATTICE_BLOCK_BYTES,
@@ -32,12 +32,14 @@ from hydrec.reconstruction import build_pyramid
 from hydrec.simulator import (
     CatStateParams,
     DensityMatrixGrid,
+    GridCoverageWarning,
     WaveFunction,
     cat_state_density_matrix,
     cat_state_moment,
     exact_density_matrix,
     gaussian_packet,
     gaussian_packet_moment,
+    make_cat_state,
     offdiagonal_lattice,
     sample_densities,
 )
@@ -526,3 +528,57 @@ def test_compare_holds_only_the_region_errors_and_a_few_blocks(resampled):
     # their difference: well below one region-sized complex copy (16 bytes a point)
     region_float_bytes = np.count_nonzero(np.abs(grid.points) <= 10.0) * 81 * 8
     assert peak <= region_float_bytes + 6 * LATTICE_BLOCK_BYTES
+
+
+def region_references(kind, grid, y, rows):
+    """The whole reference of ``kind`` on ``y`` and its windows of grid ``rows``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridCoverageWarning)  # an interpolated stored psi
+        if kind == "stored psi":
+            psi = make_cat_state(CAT, grid)
+            return exact_density_matrix(psi, y), [exact_density_matrix(psi, y, r) for r in rows]
+        return cat_state_density_matrix(CAT, grid, y), [
+            cat_state_density_matrix(CAT, grid, y, r) for r in rows
+        ]
+
+
+@pytest.mark.parametrize("resampled", [False, True], ids=["same y", "resampled"])
+@pytest.mark.parametrize("kind", ["stored psi", "closed form"])
+def test_compare_with_a_row_window_reports_bitwise_what_the_whole_reference_does(kind, resampled):
+    grid = SpatialGrid(-6.0, 6.0, 1001)  # dx = 0.012
+    y_a = offdiagonal_lattice(0.6, 41)  # dy = 0.03: the stored psi is interpolated
+    y_b = grid.dx * np.arange(-60, 61) if resampled else y_a  # whole steps, past y_a
+    a = assemble(cat_moments(grid, 12), y_a, HBAR).values
+    region = (2.0, 0.5)
+    rows = _region_slices(grid, y_a, region)[0]
+    windows = [rows, slice(rows.start - 3, rows.stop + 5), slice(0, rows.stop)]
+    whole, parts = region_references(kind, grid, y_b, windows)
+    f0 = GridField(grid, cat_moments(grid, 0).values[0])
+    expected = compare(a, whole, region, f0)
+    assert expected.resampled == resampled
+    for part in parts:
+        assert repr(compare(a, part, region, f0)) == repr(expected)
+
+
+@pytest.mark.parametrize("miss", ["first", "last"])
+def test_compare_refuses_a_row_window_that_misses_a_region_row(miss):
+    grid = SpatialGrid(-6.0, 6.0, 1001)
+    y = offdiagonal_lattice(0.6, 41)
+    a = assemble(cat_moments(grid, 2), y, HBAR).values
+    rows = _region_slices(grid, y, (2.0, 0.5))[0]  # rows 334..666
+    window = slice(rows.start + 1, rows.stop) if miss == "first" else slice(rows.start, rows.stop - 1)
+    b = cat_state_density_matrix(CAT, grid, y, window)
+    message = (
+        rf"^the reference holds rows {window.start}\.\.{window.stop - 1}, which miss rows of "
+        rf"the region \|x\| <= 2\.0, \|y\| <= 0\.5 \(rows 334\.\.666\)$"
+    )
+    with pytest.raises(ValueError, match=message):
+        compare(a, b, (2.0, 0.5), GridField(grid, cat_moments(grid, 0).values[0]))
+
+
+def test_compare_refuses_a_row_window_as_the_compared_lattice():
+    grid = SpatialGrid(-6.0, 6.0, 1001)
+    y = offdiagonal_lattice(0.6, 41)
+    a = cat_state_density_matrix(CAT, grid, y, slice(300, 700))
+    with pytest.raises(ValueError, match=r"^the compared lattice holds only rows 300\.\.699$"):
+        compare(a, a, (2.0, 0.5), GridField(grid, cat_moments(grid, 0).values[0]))

@@ -27,7 +27,7 @@ from hydrec.cli import (
     write_moment_set,
 )
 from hydrec.assembly import assemble
-from hydrec.numerics import DecayAssumptionWarning, GridField
+from hydrec.numerics import LATTICE_BLOCK_BYTES, DecayAssumptionWarning, GridField, SpatialGrid
 from hydrec.potentials import x_coefficients
 from hydrec.reconstruction import build_pyramid
 from hydrec.simulator import DensityMatrixGrid, GridCoverageWarning
@@ -99,6 +99,14 @@ def test_import_loads_neither_openssl_nor_the_cli_with_the_package():
         import hydrec.cli
         assert "_hashlib" not in sys.modules, "hydrec.cli loads OpenSSL"
     """
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_import_loads_no_numpy_polynomial():
+    # potentials evaluates V and its x-derivatives with its own Horner loop
+    src = str(Path(hydrec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, hydrec.cli; sys.exit('numpy.polynomial' in sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
@@ -578,7 +586,7 @@ def test_compare_analytic_cat_reference(tmp_path):
     )
     assert status == 0  # central node sits exactly at t = 0
     mdir = tmp_path / "m"
-    # f_1 and f_3 vanish at t = 0: their central rows are rounding residue, which does not decay
+    # f_3's edges at node 0 hold amplified rounding, about 1e-7 of its peak over the nodes
     with pytest.warns(DecayAssumptionWarning):
         assert run("reconstruct", ds / "dataset.json", "--order", "4", "--out", mdir) == 0
     out = tmp_path / "cmp"
@@ -742,6 +750,49 @@ def test_compare_refuses_an_empty_region_before_it_builds_its_reference(
         "hydrec: error: comparison region contains no lattice points"
     ]
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def benchmark_moments(tmp_path_factory):
+    """The full-size benchmark pipeline's dataset and order-12 moment set (nominal cat)."""
+    out = tmp_path_factory.mktemp("benchmark")
+    assert run(
+        "simulate", "--state", "cat", "--grid=-10,10,1024", "--times", "0.09,0.005,12",
+        "--potential", "quartic:c2=0.5,c4=0.1", "--store-psi", "--out", out / "ds",
+    ) == 0
+    with pytest.warns(DecayAssumptionWarning):
+        assert run("reconstruct", out / "ds" / "dataset.json", "--order", "12",
+                   "--out", out / "m") == 0
+    return out / "ds" / "dataset.json", out / "m" / "moments.json"
+
+
+def lattice_bytes(grid, n_y, x_max=np.inf):
+    """Bytes of the complex (x, y) lattice rows at |x| <= x_max of ``grid``."""
+    return np.count_nonzero(np.abs(grid.points) <= x_max) * n_y * 16
+
+
+def test_the_benchmark_compare_holds_one_lattice_and_the_region_reference(
+    benchmark_moments, tmp_path
+):
+    dataset, moments = benchmark_moments
+    argv = ["compare", moments, "--reference", "stored-psi", "--dataset", dataset,
+            "--y-max", "1.5", "--n-y", "201", "--region-y", "0.1", "--out", tmp_path]
+    with pytest.warns(GridCoverageWarning, match="not commensurate"):  # dy = 0.015
+        status, peak = traced_peak(lambda: run(*argv))
+    assert status == 0
+    # rho_N on the whole lattice and the reference on the region's rows, |x| <= 3, only
+    grid = SpatialGrid(-10.0, 10.0, 1024)
+    assert peak <= lattice_bytes(grid, 201) + lattice_bytes(grid, 201, 3.0) + 2**20
+
+
+def test_demo_cat_holds_one_order_and_the_region_reference(tmp_path):
+    status, peak = traced_peak(lambda: run("demo-cat", "--out", tmp_path))
+    assert status == 0
+    # one order's rho_N and the closed form on the region's rows, |x| <= 3, only; the
+    # assembly's two block buffers come on top of the 1 MiB
+    grid = SpatialGrid(-6.0, 6.0, 481)
+    region = lattice_bytes(grid, 201, 3.0)
+    assert peak <= lattice_bytes(grid, 201) + region + 2 * LATTICE_BLOCK_BYTES + 2**20
 
 
 def test_demo_cat_on_a_grid_without_the_region_exits_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyder, polyval
 
 from conftest import assert_bytes_equal
 from hydrec.numerics import SpatialGrid, TimeNodes
@@ -14,6 +15,7 @@ from hydrec.potentials import (
     potential_derivative,
     potential_value,
     quartic_potential,
+    x_coefficients,
 )
 
 
@@ -194,3 +196,24 @@ def test_an_array_of_times_gives_the_per_time_stack_bitwise(model, nodes):
     for order in range(1, model.degree + 3):
         per_time = [potential_derivative(model, order, x, float(t)) for t in nodes.points]
         assert_bytes_equal(potential_derivative(model, order, x, nodes.points), np.stack(per_time))
+
+
+ONE_OF_EACH_KIND = [
+    free_potential(),
+    harmonic_potential(omega=1.3, mass=0.7),
+    quartic_potential(c2=0.5, c4=0.1),
+    polynomial_potential([[0.1, -0.3], [1.1], [0.0, 0.2, 0.05], [-0.7, 0.3], [0.01]]),
+    paul_trap_potential(a=0.3, b=0.8, big_omega=2.1),
+]
+
+
+@pytest.mark.parametrize("model", ONE_OF_EACH_KIND, ids=lambda m: m.kind)
+@pytest.mark.parametrize("x", [-2.5, np.linspace(-10.0, 10.0, 101)], ids=["scalar x", "array x"])
+@pytest.mark.parametrize("t", [0.41, np.linspace(-1.0, 1.0, 13)], ids=["scalar t", "array t"])
+def test_values_and_derivatives_are_numpy_polynomial_s_bitwise(model, x, t):
+    c = x_coefficients(model, t)
+    pairs = [(potential_value(model, x, t), polyval(x, c))]
+    pairs += [(potential_derivative(model, n, x, t), polyval(x, polyder(c, n))) for n in range(1, 7)]
+    for ours, theirs in pairs:
+        assert type(ours) is type(theirs)
+        assert_bytes_equal(ours, theirs)

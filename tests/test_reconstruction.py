@@ -24,8 +24,10 @@ from hydrec.potentials import (
 )
 from hydrec.reconstruction import InsufficientTimeSamplesError, build_pyramid
 from hydrec.simulator import (
+    CatStateParams,
     gaussian_packet,
     gaussian_packet_moment,
+    make_cat_state,
     offdiagonal_lattice,
     oracle_moment_set,
     propagate,
@@ -409,6 +411,36 @@ def test_one_decay_warning_per_pyramid_naming_the_lowest_order():
     with pytest.warns(DecayAssumptionWarning, match=r"^f_0 has edge amplitude ") as record:
         build_pyramid(records, grid, nodes, quartic_potential(c4=0.1), CONSTANTS, order_max=5)
     assert len(record) == 1
+
+
+@pytest.fixture(scope="module")
+def cat_around_t_0():
+    """The README cat state at the nodes -0.02, 0, 0.02, sampled as ``simulate`` samples it."""
+    grid = SpatialGrid(-10.0, 10.0, 1001)
+    nodes = TimeNodes(-0.02, 0.02, 3)
+    records, _ = sample_densities(
+        make_cat_state(CatStateParams(), grid), free_potential(), CONSTANTS, nodes
+    )
+    return records, grid, nodes
+
+
+def test_a_vanishing_odd_order_draws_no_decay_warning(cat_around_t_0):
+    # f_1 of a real state vanishes at t = 0: at the central node it is rounding alone, whose
+    # edge stands at 0.99 of that node's own peak, but at about 1e-11 of f_1's peak over the nodes
+    records, grid, nodes = cat_around_t_0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pyramid = build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=2)
+    f1 = pyramid.window_levels[1]
+    assert 0.0 < np.max(np.abs(f1[1])) < 1e-9 * np.max(np.abs(f1))
+
+
+def test_an_order_hot_at_one_node_still_warns(cat_around_t_0):
+    records, grid, nodes = cat_around_t_0
+    records = records.copy()
+    records[2, [0, -1]] += 1e-6 * records.max()  # a density that has not decayed at node 2 only
+    with pytest.warns(DecayAssumptionWarning, match=r"^f_0 has edge amplitude .* at node 2;"):
+        build_pyramid(records, grid, nodes, free_potential(), CONSTANTS, order_max=2)
 
 
 def test_high_orders_hold_no_plateau_past_the_support():

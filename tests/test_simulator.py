@@ -864,3 +864,67 @@ def test_oracle_moment_set_holds_no_lattice_of_the_distribution(packet_wigner_in
     moments, peak = traced_peak(lambda: oracle_moment_set(w, range(5), CONSTANTS))
     assert len(moments) == 5
     assert peak <= 0.25 * w.values.nbytes
+
+
+ROW_WINDOWS = {
+    # name: (grid points, y in grid cells, or None for the default lattice, grid rows)
+    "whole steps, at the left edge": (64, 3 * np.arange(-7, 8), slice(0, 9)),
+    "whole steps, at the right edge": (64, 3 * np.arange(-7, 8), slice(50, 64)),
+    "whole steps, one row": (64, np.arange(-20, 21), slice(31, 32)),
+    "the default lattice": (65, None, slice(10, 40)),
+    # blocks of 1260 rows from row 100: the last is short, and no block starts where one
+    # of the whole lattice's does
+    "interpolated, a short last block": (3000, 0.37 * np.arange(-6, 7), slice(100, 2900)),
+    "interpolated, one row at the edge": (3000, 0.37 * np.arange(-6, 7), slice(2999, 3000)),
+}
+
+
+@pytest.mark.parametrize("case", ROW_WINDOWS)
+def test_a_row_window_of_exact_density_matrix_is_those_rows_of_the_lattice_bitwise(case):
+    n_points, y_steps, rows = ROW_WINDOWS[case]
+    grid = SpatialGrid(-2.0, 2.0, n_points)
+    rng = np.random.default_rng(n_points)
+    # undecayed random amplitudes: windows at an edge reach into the zero padding
+    psi = WaveFunction(grid, rng.normal(size=n_points) + 1j * rng.normal(size=n_points))
+    y = None if y_steps is None else grid.dx * y_steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridCoverageWarning)
+        whole = exact_density_matrix(psi, y)
+        window = exact_density_matrix(psi, y, rows)
+    assert window.rows == rows and whole.rows == slice(0, n_points)
+    assert_bytes_equal(window.values, whole.values[rows])
+    assert_bytes_equal(window.diagonal, whole.values[:, whole.y.size // 2])
+    assert_bytes_equal(window.y, whole.y)
+
+
+@pytest.mark.parametrize(
+    "rows", [slice(0, 5), slice(BLOCKS_OF_7 - 40, None), slice(400, 401), slice(3, -2)]
+)
+def test_a_row_window_of_cat_state_density_matrix_is_those_rows_bitwise(rows):
+    grid, y = SpatialGrid(-8.0, 8.0, BLOCKS_OF_7), offdiagonal_lattice(2.1, 7)
+    whole = cat_state_density_matrix(CAT, grid, y)
+    window = cat_state_density_matrix(CAT, grid, y, rows)
+    assert window.rows == slice(*rows.indices(BLOCKS_OF_7)[:2])
+    assert_bytes_equal(window.values, whole.values[rows])
+    assert_bytes_equal(window.diagonal, whole.values[:, 3])
+
+
+@pytest.mark.parametrize(
+    "rows", [slice(5, 5), slice(0, 9, 2), slice(9, 0, -1), slice(20, 30), 3, [1, 2]],
+    ids=["empty", "strided", "reversed", "past the grid", "an index", "a list"],
+)
+def test_a_row_window_must_be_a_run_of_grid_rows(rows):
+    grid, y = SpatialGrid(-8.0, 8.0, 16), offdiagonal_lattice(2.1, 7)
+    with pytest.raises(ValueError, match=r"^rows must be a non-empty slice of consecutive rows"):
+        cat_state_density_matrix(CAT, grid, y, rows)
+    with pytest.raises(ValueError, match=r"^rows must be a non-empty slice"):
+        exact_density_matrix(make_cat_state(CAT, SpatialGrid(-8.0, 8.0, 16)), y, rows)
+
+
+def test_a_row_window_needs_the_diagonal_of_the_whole_lattice():
+    grid, y = SpatialGrid(-1.0, 1.0, 9), offdiagonal_lattice(0.5, 5)
+    with pytest.raises(ValueError, match=r"^a window of rows 2\.\.4 needs the diagonal"):
+        DensityMatrixGrid(grid, y, np.ones((3, 5)), slice(2, 5))
+    rho = DensityMatrixGrid(grid, y, np.ones((3, 5)), slice(2, 5), np.arange(9.0))
+    assert rho.rows == slice(2, 5) and not rho.diagonal.flags.writeable
+    assert_bytes_equal(rho.diagonal, np.arange(9.0).astype(complex))
