@@ -10,10 +10,10 @@ time arrive as one ``(N+1, n_points)`` :class:`~hydrec.numerics.GridField`,
 and the sum is one contraction of that matrix with the table of ``z_n``.
 Real moments make the real part of the sum carry only even orders and the
 imaginary part only odd orders, so the y < 0 half is the conjugate of the
-y >= 0 half; only that half is summed.  Past a pyramid's support window
-f_1 .. f_N are 0, so the sum runs only on the rows from the first to the
-last x where one of them is not; every other row is f_0 plus one row of
-zero products, bit for bit the same sum.
+y >= 0 half; only that half is summed.  The lattice is filled one block of
+rows at a time, and each block decides how: past a pyramid's support window
+f_1 .. f_N are 0, and a block where they all are is f_0 plus one row of
+zero products, bit for bit the same sum; every other block runs the sum.
 
 :func:`compare` reads both lattices only inside its region, one block of
 rows at a time, and holds one region-sized array, the errors ``|a - b|``.
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .numerics import GridField, SpatialGrid, _row_blocks
-from .simulator import DensityMatrixGrid, _offdiagonal_axis
+from .simulator import DensityMatrixGrid, _filled_lattice, _offdiagonal_axis
 
 __all__ = [
     "MomentField",
@@ -138,8 +138,9 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
     TaylorReconstruction
         With ``values[x, y=0]`` equal to f_0 exactly (only the n = 0 term
         survives on the diagonal).  ``values`` is the order-by-order sum of
-        the outer products ``f_n z_n`` bit for bit, on the rows where
-        f_1 .. f_N are all 0 as well, which the sum does not run on.
+        the outer products ``f_n z_n`` bit for bit, filled one block of rows
+        at a time; a block where f_1 .. f_N are all 0 is written as f_0
+        plus the zero row, without running the sum.
     """
     f = moments.values
     if f.ndim != 2 or not len(f):
@@ -154,41 +155,35 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
     abs_z = np.abs(z)
     abs_z[np.isnan(abs_z)] = np.inf
     f_peaks = np.abs(np.maximum(f.max(axis=1), -f.min(axis=1)))  # max |f_n|, no |f| copy
-    values = np.empty((f.shape[1], y.size), dtype=complex)
-    # the span of rows from the first to the last x where some f_1 .. f_N is not 0; past a
-    # pyramid's support window they all are, and only the span runs the Taylor sum
-    reached = np.flatnonzero(np.any(f[1:] != 0, axis=0))
-    span = slice(reached[0], reached[-1] + 1) if reached.size else slice(0, 0)
-    f_in, v_in = f[:, span], values[span]
-    blocks = list(_row_blocks(f_in.shape[1], values.itemsize * z.shape[1]))
-    # a block's y >= 0 half is summed y-major, so that each multiply and add runs along x
-    sums = np.empty((z.shape[1], f_in[:, blocks[0]].shape[1] if blocks else 0), dtype=complex)
-    term = np.empty_like(sums)
+
+    def fill(out, blk, cols):  # cols: every column, as the lattice holds every row
+        f_blk = f[:, blk]
+        if not f_blk[1:].any():  # f_1 .. f_N all ±0.0: the sum is f_0 plus the zero row
+            np.add(f_blk[0, :, None], row, out=out)
+            return
+        # the y >= 0 half is summed y-major, so that each multiply and add runs along x;
+        # from +0.0, orders in sequence, so a -0.0 moment gives +0.0 (a start from the
+        # n = 0 term would keep -0.0)
+        acc = np.zeros((z.shape[1], f_blk.shape[1]), dtype=complex)
+        term = np.empty_like(acc)
+        for f_n, z_n in zip(f_blk, z):
+            acc += np.multiply(f_n, z_n[:, None], out=term)
+        out[:, c:] = acc.T
+        # column M-1-j holds (re, 0.0 - im) of column j: 0.0 - 0.0 is +0.0, as the sum gives
+        mirror, upper = out[:, :c], acc[:0:-1].T
+        mirror.real = upper.real
+        np.subtract(0.0, upper.imag, out=mirror.imag)
+
     with np.errstate(over="ignore", invalid="ignore"):  # reported per order below
-        # summed from +0.0, orders in sequence, so a -0.0 moment gives +0.0 (a start from
-        # the n = 0 term would keep -0.0); one block of rows at a time, reused buffers
-        for blk in blocks:
-            f_blk = f_in[:, blk]
-            acc = sums[:, : f_blk.shape[1]]
-            acc.fill(0.0)
-            for f_n, z_n in zip(f_blk, z):
-                acc += np.multiply(f_n, z_n[:, None], out=term[:, : acc.shape[1]])
-            v_in[blk, c:] = acc.T
-            # column M-1-j holds (re, 0.0 - im) of column j: 0.0 - 0.0 is +0.0, as the sum gives
-            mirror, upper = v_in[blk, :c], acc[:0:-1].T
-            mirror.real = upper.real
-            np.subtract(0.0, upper.imag, out=mirror.imag)
-        # outside the span f_1 .. f_N are ±0.0, so each f_n z_n is ±0.0, or NaN in both parts
-        # where z_n overflowed: the sum from +0.0 is f_0 plus the same sum of 0.0 * z_n, one
-        # row for every x, bit for bit (that row is +0.0 or NaN, and turns a -0.0 f_0 into
-        # +0.0 as the span's sum does; its mirror is itself, as 0.0 - im gives im)
+        # where f_1 .. f_N are ±0.0 each f_n z_n is ±0.0, or NaN in both parts where z_n
+        # overflowed, so the sum from +0.0 is f_0 plus this row, bit for bit: the sum of
+        # 0.0 * z_n, +0.0 or NaN; its mirror is itself, as 0.0 - im gives im, and it turns
+        # a -0.0 f_0 into +0.0 as the sum does
         zero = np.zeros(z.shape[1], dtype=complex)
         for z_n in z[1:]:
             zero += 0.0 * z_n
         row = np.concatenate((zero[:0:-1], zero))
-        for rows in (slice(0, span.start), slice(span.stop, None)):
-            np.add(f[0, rows, None], row, out=values[rows])
-        values.setflags(write=False)  # DensityMatrixGrid adopts it
+        lattice = _filled_lattice(moments.grid, y, slice(0, f.shape[1]), fill)
         # each z_n is purely real or purely imaginary, so this is max |f_n z_n| exactly
         term_peaks = f_peaks * np.max(abs_z, axis=1)
         # an overflowed term is never trusted
@@ -206,7 +201,7 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
         order_max=len(f) - 1,
         moments=tuple(MomentField(n, GridField(moments.grid, f_n)) for n, f_n in enumerate(f)),
         hbar=float(hbar),
-        values=DensityMatrixGrid(moments.grid, y, values),
+        values=lattice,
         term_peaks=term_peaks,
         trust_radius=float(trusted.max()) if trusted.size else 0.0,
     )
@@ -262,7 +257,8 @@ def compare(
     time, and ``b`` is resampled there block by block: the one region-sized
     array is ``|a - b|``, so the report is bitwise the one from
     whole-lattice copies of the region, and the same for a window of ``b``
-    as for its whole lattice.
+    as for its whole lattice.  Errors that are not finite, or whose L2 sum
+    is not, raise ``ValueError`` naming the region.
     """
     if f0.values.ndim != 1 or f0.grid != a.x_grid:
         raise ValueError(f"f0 must be one field on {a.x_grid}, not {f0.values.shape} on {f0.grid}")
@@ -290,7 +286,11 @@ def compare(
         np.abs(a_in[blk] - b_blk, out=err[blk])
     sup_error = float(np.max(err))
     # squared in place: the same values summed in the same order as a fresh err**2
-    l2_error = float(np.sqrt(np.sum(np.square(err, out=err)) * a.x_grid.dx * a.dy))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        l2_error = float(np.sqrt(np.sum(np.square(err, out=err)) * a.x_grid.dx * a.dy))
+    if not np.isfinite(l2_error):  # a NaN or an infinite error makes the sum one too
+        raise ValueError(f"|a - b|, or its L2 sum, is not finite in the region |x| <= "
+                         f"{region[0]}, |y| <= {region[1]}")
 
     return ComparisonReport(
         sup_error=sup_error,

@@ -168,6 +168,26 @@ class DensityMatrixGrid:
         return float(np.max(peaks))
 
 
+def _filled_lattice(grid: SpatialGrid, y: np.ndarray, window: slice, fill) -> DensityMatrixGrid:
+    """The lattice of the grid rows ``window``, filled one block of rows at a time.
+
+    ``fill(out, blk, cols)`` writes the grid rows ``blk`` of the columns
+    ``cols`` into ``out``.  A row window also gets the centre column of
+    every grid row, filled the same way, as its diagonal.
+    """
+    values = np.empty((window.stop - window.start, y.size), dtype=complex)
+    for blk in _row_blocks(window.stop, values.itemsize * y.size, window.start):
+        fill(values[blk.start - window.start : blk.stop - window.start], blk, slice(None))
+    values.setflags(write=False)  # DensityMatrixGrid adopts it
+    if window == slice(0, grid.n_points):
+        return DensityMatrixGrid(grid, y, values)
+    centre, diagonal = slice(y.size // 2, y.size // 2 + 1), np.empty(grid.n_points, dtype=complex)
+    for blk in _row_blocks(grid.n_points, diagonal.itemsize):
+        fill(diagonal[blk, None], blk, centre)
+    diagonal.setflags(write=False)
+    return DensityMatrixGrid(grid, y, values, window, diagonal)
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """Real quasi-probability values on an (x, p) lattice."""
@@ -268,22 +288,14 @@ def cat_state_density_matrix(
     """
     s, k0 = params.sigma, params.k0
     y = _offdiagonal_axis(y)
-    window = _row_window(rows, grid.n_points)
-    x, c = grid.points, y.size // 2
     y2, cos_y = y**2, np.cos(2.0 * k0 * y)
 
-    def closed_form(blk, cols):
-        xx = x[blk, None]
+    def fill(out, blk, cols):
+        xx = grid.points[blk, None]
         envelope = np.exp(-(xx**2 + y2[cols]) / (2.0 * s**2))
-        return 2.0 * envelope * (np.cos(2.0 * k0 * xx) + cos_y[cols])
+        out[:] = 2.0 * envelope * (np.cos(2.0 * k0 * xx) + cos_y[cols])
 
-    vals = np.empty((window.stop - window.start, y.size), dtype=complex)
-    for blk in _row_blocks(window.stop, vals.itemsize * y.size, window.start):
-        vals[blk.start - window.start : blk.stop - window.start] = closed_form(blk, slice(None))
-    vals.setflags(write=False)
-    if window == slice(0, grid.n_points):
-        return DensityMatrixGrid(grid, y, vals)
-    return DensityMatrixGrid(grid, y, vals, window, closed_form(slice(None), slice(c, c + 1))[:, 0])
+    return _filled_lattice(grid, y, _row_window(rows, grid.n_points), fill)
 
 
 def cat_state_moment(
@@ -493,8 +505,9 @@ def exact_density_matrix(psi: WaveFunction, y=None, rows: slice | None = None) -
     With the default lattice (``y`` at integer multiples of the grid spacing,
     spanning half the grid), the shifted samples are exact.  Arbitrary ``y``
     lattices fall back to linear interpolation of the amplitudes, which is
-    flagged and runs one block of rows at a time.  Evaluations past the grid
-    edge use zero (and are flagged when the wavefunction has not decayed there).
+    flagged.  Either way the lattice is filled one block of rows at a time.
+    Evaluations past the grid edge use zero (and are flagged when the
+    wavefunction has not decayed there).
 
     With ``rows``, a slice of consecutive grid rows, only those rows are
     filled, each bitwise the row of the whole lattice, and the window carries
@@ -516,16 +529,15 @@ def exact_density_matrix(psi: WaveFunction, y=None, rows: slice | None = None) -
             stacklevel=2,
         )
 
-    values = np.empty((window.stop - window.start, y.size), dtype=complex)
-    shifts = np.rint(y / dx).astype(int)
-    # a lattice within rounding of y = 0 has no whole-step stride: it is interpolated
-    if shifts[1] != shifts[0] and np.allclose(y / dx, shifts, rtol=0.0, atol=1e-9):
+    shifts = np.rint(y / dx)
+    # a whole nonzero reach, cast only then: a lattice within rounding of y = 0 has none, and
+    # past 2**53 steps every float is whole, so the test tells nothing there
+    if 0 < shifts[-1] < 2**53 and np.allclose(y / dx, shifts, rtol=0.0, atol=1e-9):
         # windows[i, k] is padded[i + k], so column j below is amp shifted by shifts[j]
         reach = int(shifts[-1])  # the shifts run from -reach to reach
         padded = np.zeros(n + 2 * reach, dtype=complex)
         padded[reach : reach + n] = amp
-        plus = sliding_window_view(padded, 2 * reach + 1)[:n, :: shifts[1] - shifts[0]]
-        one_block = True  # the factors are views, so the lattice is one block
+        plus = sliding_window_view(padded, 2 * reach + 1)[:n, :: int(shifts[1] - shifts[0])]
 
         def shifted(blk, sign, cols):
             # the lattice is symmetric, so shifts[-1 - j] == -shifts[j]: psi(x-y) is plus reversed
@@ -540,7 +552,6 @@ def exact_density_matrix(psi: WaveFunction, y=None, rows: slice | None = None) -
         )
         x = grid.points
         re, im = np.ascontiguousarray(amp.real), np.ascontiguousarray(amp.imag)
-        one_block = False
 
         def shifted(blk, sign, cols):
             # each part interpolated linearly on its own, zero past the grid; the real part is
@@ -550,28 +561,13 @@ def exact_density_matrix(psi: WaveFunction, y=None, rows: slice | None = None) -
             z += np.interp(t, x, re, left=0.0, right=0.0)
             return z
 
-    def fill(out, start, stop, cols):
-        """Grid rows ``start .. stop - 1`` of the columns ``cols`` into ``out``."""
-        if one_block:
-            blocks = [slice(start, stop)]
-        else:
-            blocks = _row_blocks(stop, out.itemsize * out.shape[1], start)
-        for blk in blocks:
-            o = out[blk.start - start : blk.stop - start]
-            # into a C-ordered buffer: a strided window's conjugate may come out Fortran-ordered
-            np.conjugate(shifted(blk, -1, cols), out=o)
-            # plus first: numpy's fused complex multiply rounds differently with operands swapped
-            np.multiply(shifted(blk, 1, cols), o, out=o)
+    def fill(out, blk, cols):
+        # into a C-ordered buffer: a strided window's conjugate may come out Fortran-ordered
+        np.conjugate(shifted(blk, -1, cols), out=out)
+        # plus first: numpy's fused complex multiply rounds differently with operands swapped
+        np.multiply(shifted(blk, 1, cols), out, out=out)
 
-    fill(values, window.start, window.stop, slice(None))
-    values.setflags(write=False)
-    if window == slice(0, n):
-        return DensityMatrixGrid(grid, y, values)
-    c = y.size // 2
-    diagonal = np.empty(n, dtype=complex)
-    fill(diagonal[:, None], 0, n, slice(c, c + 1))
-    diagonal.setflags(write=False)  # DensityMatrixGrid adopts it
-    return DensityMatrixGrid(grid, y, values, window, diagonal)
+    return _filled_lattice(grid, y, window, fill)
 
 
 def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> WignerGrid:

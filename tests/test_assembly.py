@@ -387,6 +387,11 @@ def margin_moments(rng, n_x, order, left=150, right=420):
     return f
 
 
+def wide_margin_moments(rng, n_x, order):
+    """Zero margins whose left one passes the first row block of the 41-column lattice."""
+    return margin_moments(rng, n_x, order, left=LATTICE_BLOCK_BYTES // (16 * 41) + 50, right=100)
+
+
 def pyramid_moments(rng, n_x, order):
     """The central slice of a real pyramid: its support window ends short of both grid
     edges, so f_1 .. f_N are 0 on both margins."""
@@ -412,6 +417,11 @@ ASSEMBLY_CASES = {
         lambda rng, n_x, n: margin_moments(rng, n_x, n, left=n_x, right=0), 4, 1.5, False
     ),
     "a pyramid's central slice": (pyramid_moments, 2, 1.5, False),
+    # the first row block lies wholly past the support and the second straddles it
+    "a margin wider than a row block": (wide_margin_moments, 12, 1.5, False),
+    "a margin wider than a row block on an overflowing y lattice": (
+        wide_margin_moments, 36, 1e10, True
+    ),
 }
 
 
@@ -574,6 +584,20 @@ def test_compare_refuses_a_row_window_that_misses_a_region_row(miss):
     )
     with pytest.raises(ValueError, match=message):
         compare(a, b, (2.0, 0.5), GridField(grid, cat_moments(grid, 0).values[0]))
+
+
+@pytest.mark.parametrize("peak", [1e200, np.finfo(float).max], ids=["finite", "overflowed"])
+def test_compare_refuses_errors_whose_l2_sum_is_not_finite(grid, y_lattice, peak):
+    # f_2 = 1e200 gives finite errors whose squares overflow; finfo.max overflows rho_N itself
+    f = cat_moments(grid, 2).values.copy()
+    f[2, 120] = peak  # at x = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the overflowed order, reported
+        a = assemble(GridField(grid, f), y_lattice, HBAR).values
+    b = cat_state_density_matrix(CAT, grid, y_lattice)
+    message = r"^\|a - b\|, or its L2 sum, is not finite in the region \|x\| <= 3\.0, \|y\| <= 1\.0"
+    with pytest.raises(ValueError, match=message):
+        compare(a, b, (3.0, 1.0), GridField(grid, f[0]))
 
 
 def test_compare_refuses_a_row_window_as_the_compared_lattice():

@@ -147,6 +147,16 @@ def test_a_lattice_within_rounding_of_zero_is_interpolated():
     assert np.max(np.abs(rho.values - density)) <= 1e-10 * np.max(density)
 
 
+def test_a_lattice_past_the_integer_range_is_interpolated_with_no_cast_warning(cat_psi):
+    # 1e80 / dx grid steps is a whole float, but no integer: no cast may be tried
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rho = exact_density_matrix(cat_psi, offdiagonal_lattice(1e80, 3))
+    assert [w.category for w in caught] == [GridCoverageWarning]
+    assert "not commensurate" in str(caught[0].message)
+    assert not rho.values[:, [0, 2]].any()  # both shifts lie far past the grid
+
+
 def test_propagate_zero_steps_is_identity(cat_psi):
     out = propagate(cat_psi, free_potential(), CONSTANTS, dt=0.1, steps=0)
     assert out is cat_psi
@@ -558,6 +568,7 @@ def per_column_density_matrix(psi, y):
         (17, np.arange(-20, 21)),  # one cell per step, past the edge on both sides
         (16, 0.37 * np.arange(-6, 7)),  # not commensurate: interpolated
         (3000, 0.37 * np.arange(-6, 7)),  # interpolated in three row blocks, the last one short
+        (3000, 3 * np.arange(-7, 8)),  # whole steps in several row blocks, the last one short
     ],
 )
 def test_exact_density_matrix_equals_the_per_column_product_bitwise(n_points, y_steps):
@@ -876,6 +887,8 @@ ROW_WINDOWS = {
     # of the whole lattice's does
     "interpolated, a short last block": (3000, 0.37 * np.arange(-6, 7), slice(100, 2900)),
     "interpolated, one row at the edge": (3000, 0.37 * np.arange(-6, 7), slice(2999, 3000)),
+    # blocks of 1092 rows from row 500, none starting where one of the whole lattice's does
+    "whole steps, from inside a block": (3000, 3 * np.arange(-7, 8), slice(500, 2700)),
 }
 
 
