@@ -257,8 +257,9 @@ def compare(
     time, and ``b`` is resampled there block by block: the one region-sized
     array is ``|a - b|``, so the report is bitwise the one from
     whole-lattice copies of the region, and the same for a window of ``b``
-    as for its whole lattice.  Errors that are not finite, or whose L2 sum
-    is not, raise ``ValueError`` naming the region.
+    as for its whole lattice.  The same sweep takes ``a``'s Hermiticity
+    defect over the region, column j against column M-1-j.  Errors that are
+    not finite, or whose L2 sum is not, raise ``ValueError`` naming the region.
     """
     if f0.values.ndim != 1 or f0.grid != a.x_grid:
         raise ValueError(f"f0 must be one field on {a.x_grid}, not {f0.values.shape} on {f0.grid}")
@@ -279,11 +280,15 @@ def compare(
 
     start = rows.start - b.rows.start  # the region's first row in b
     a_in, y_in = a.values[rows, cols], a.y[cols]
+    a_mirror = a.values[rows, ::-1][:, cols]  # column M-1-j of each region column j
     b_in = b.values[start : start + rows.stop - rows.start]
     err = np.empty(a_in.shape)
+    defects = []
     for blk in _row_blocks(len(err), a_in.itemsize * y_in.size):
         b_blk = _resample_onto(b_in[blk], b.y, y_in) if resampled else b_in[blk, cols]
         np.abs(a_in[blk] - b_blk, out=err[blk])
+        with np.errstate(over="ignore", invalid="ignore"):  # a defect not finite is refused
+            defects.append(np.max(np.abs(a_in[blk] - np.conj(a_mirror[blk]))))
     sup_error = float(np.max(err))
     # squared in place: the same values summed in the same order as a fresh err**2
     with np.errstate(over="ignore"):  # an overflow is refused below
@@ -299,6 +304,6 @@ def compare(
         trace_a=trace_a,
         trace_b=trace_b,
         diagonal_mismatch=float(np.max(np.abs(diag_a - f0.values))),
-        hermiticity_defect=a.hermiticity_defect(),
+        hermiticity_defect=float(np.max(defects)),
         resampled=resampled,
     )

@@ -8,17 +8,18 @@ time-major (node j is row j); moment payloads are order-major (row n is f_n
 at the manifest's node); each reader returns a payload as one array.  Manifests
 (format version 2) carry a BLAKE2b-64 checksum of the payload (RFC 7693,
 8-byte digest, 16 hex digits), verified on every read, so a write/read round
-trip is bit-exact or fails loudly.  A reader rejects a manifest with another
-format version, a missing required key, or a payload path that leaves the
-manifest's directory.  Density grids are also written as ``rho_<tag>.dat``,
-one ``x y re im`` line per lattice point (x-major) in shortest round-trip
-decimal, after a ``# x y re im`` header.  The table is formatted from the
-y >= 0 half of each row, whose y < 0 mirror ``assemble`` guarantees, so only
-half of the values go through ``repr``; its bytes are those of formatting
-every value.
+trip is bit-exact or fails loudly.  Writers refuse, and readers reject, a
+payload that is not a finite ``(rows, n_points)`` matrix; a reader also
+rejects a manifest with another format version, a missing required key, or a
+payload path that leaves the manifest's directory.  Density grids are also
+written as ``rho_<tag>.dat``, one ``x y re im`` line per lattice point
+(x-major) in shortest round-trip decimal, after a ``# x y re im`` header.  The
+table is formatted from the y >= 0 half of each row, whose y < 0 mirror
+``assemble`` guarantees, so only half of the values go through ``repr``; its
+bytes are those of formatting every value.
 
-Exit codes: 0 success, 2 simulation-quality failure, 3 insufficient time
-samples, 4 missing reference, 1 anything else.
+Exit codes: 0 success, 2 simulation-quality failure (a non-finite state too),
+3 insufficient time samples, 4 missing reference, 1 anything else.
 """
 
 from __future__ import annotations
@@ -177,16 +178,27 @@ def _write_artifact(path: Path, kind: str, layout: str, payloads: dict, **entrie
     return path
 
 
-def _read_artifact(path: Path, kind: str, layout: str, keys, parse, payloads: dict) -> dict:
+def _stored(name: str, array, dtype: str, rows: int | None, n_points: int, form: str) -> np.ndarray:
+    """``array`` as the stored ``dtype``, refused unless its reader would take it back: a
+    finite ``(rows, n_points)`` matrix, where ``rows=None`` takes any count above 0."""
+    array = np.asarray(array, dtype=dtype)
+    if array.shape[1:] != (n_points,) or not (len(array) == rows if rows else len(array) > 0):
+        raise ValueError(f"{name} shape must be {form}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} holds non-finite values, which its reader would reject")
+    return array
+
+
+def _read_artifact(path: Path, kind: str, layout: str, keys, parse) -> dict:
     """Load and verify a manifest, its typed entries and its payloads.
 
     The manifest must have this ``kind``, format version and ``layout``, and
-    hold ``grid``, ``constants``, ``keys`` and the ``"data"`` payload's keys.
-    ``grid`` and ``constants`` are typed here; ``parse(m)`` types the rest and
-    gives the payloads' row count (a row spans the grid).  A KeyError,
-    TypeError or ValueError it raises reports a malformed entry.  ``payloads``
-    maps ``"data"`` (and ``"psi"``, read when the manifest names one) to the
-    result key and the dtype.
+    hold ``grid``, ``constants`` and ``keys``.  ``grid`` and ``constants`` are
+    typed here; ``parse(m)`` types the rest, and gives the payloads' row count
+    (a row spans the grid) and ``{result key: ("data" or "psi", dtype)}`` for
+    the payloads the manifest names, each read once both its ``PAYLOAD_KEYS``
+    are found.  A KeyError, TypeError or ValueError from ``parse`` reports a
+    malformed entry.
     """
     m = _load_json(path)
     if not isinstance(m, dict) or m.get("kind") != kind:
@@ -197,25 +209,22 @@ def _read_artifact(path: Path, kind: str, layout: str, keys, parse, payloads: di
         raise DataFormatError(f"{path} has {found}; this hydrec reads {FORMAT_VERSION}")
     if m.get("layout") != layout:
         raise DataFormatError(f"{path} has unsupported layout {m.get('layout')!r}")
-    missing = [k for k in ("constants", "grid", *keys, *PAYLOAD_KEYS["data"]) if k not in m]
+    missing = [k for k in ("constants", "grid", *keys) if k not in m]
     if missing:
         raise DataFormatError(f"{path} lacks required key(s) {', '.join(missing)}")
-    for payload in payloads:
-        path_key, checksum_key = PAYLOAD_KEYS[payload]
-        if path_key in m and checksum_key not in m:
-            raise DataFormatError(f"{path} lacks required key(s) {checksum_key}")
     try:
         grid = _entry(SpatialGrid, m["grid"])
         constants = _entry(PhysicalConstants, m["constants"])
-        typed, rows = parse(m)
+        typed, rows, payloads = parse(m)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path} has a malformed entry: {exc}") from exc
     out = {"manifest": m, "grid": grid, "constants": constants, **typed}
-    for payload, (key, dtype) in payloads.items():
+    for key, (payload, dtype) in payloads.items():
         path_key, checksum_key = PAYLOAD_KEYS[payload]
-        if path_key in m:
-            shape = (rows, grid.n_points)
-            out[key] = _read_payload(path, m[path_key], m[checksum_key], dtype, shape)
+        missing = [k for k in (path_key, checksum_key) if k not in m]
+        if missing:
+            raise DataFormatError(f"{path} lacks required key(s) {', '.join(missing)}")
+        out[key] = _read_payload(path, m[path_key], m[checksum_key], dtype, (rows, grid.n_points))
     return out
 
 
@@ -236,15 +245,11 @@ def write_dataset(
     psis: np.ndarray | None = None,
 ) -> Path:
     """Write f0 records (and optionally wavefunctions) plus their manifest."""
-    records = np.asarray(records, dtype="<f8")
-    if records.shape != (nodes.m_plus_1, grid.n_points):
-        raise ValueError("records shape must be (m+1, n_points)")
-    payloads = {"data": ("f0.bin", records)}
+    shape = (nodes.m_plus_1, grid.n_points)
+    payloads = {"data": ("f0.bin", _stored("records", records, "<f8", *shape, "(m+1, n_points)"))}
     if psis is not None:
-        psis = np.asarray(psis, dtype="<c16")
-        if psis.shape != records.shape:
-            raise ValueError("psis shape must be (m+1, n_points), as records")
-        payloads["psi"] = ("psi.bin", psis)
+        form = "(m+1, n_points), as records"
+        payloads["psi"] = ("psi.bin", _stored("psis", psis, "<c16", *shape, form))
     return _write_artifact(
         out_dir / "dataset.json", "hydrec-dataset", "time_major_rows", payloads,
         constants=constants, grid=grid, times=nodes, potential=model_to_dict(model),
@@ -257,15 +262,13 @@ def read_dataset(manifest_path: Path) -> dict:
 
     def parse(m):
         nodes = _entry(TimeNodes, m["times"])
-        return {"nodes": nodes, "model": model_from_dict(m["potential"])}, nodes.m_plus_1
+        payloads = {"records": ("data", "f8")}
+        if "psi_path" in m:
+            payloads["psis"] = ("psi", "c16")
+        return {"nodes": nodes, "model": model_from_dict(m["potential"])}, nodes.m_plus_1, payloads
 
     return _read_artifact(
-        Path(manifest_path),
-        "hydrec-dataset",
-        "time_major_rows",
-        ("times", "potential"),
-        parse,
-        {"data": ("records", "f8"), "psi": ("psis", "c16")},
+        Path(manifest_path), "hydrec-dataset", "time_major_rows", ("times", "potential"), parse
     )
 
 
@@ -283,9 +286,8 @@ def write_moment_set(
     dataset_path: str = "",
 ) -> Path:
     """Write the ``(N+1, n_points)`` matrix of f_0 .. f_N at ``node`` plus its manifest."""
-    array = np.asarray(moments, dtype="<f8")
-    if array.ndim != 2 or len(array) == 0 or array.shape[1] != dataset_manifest["grid"]["n_points"]:
-        raise ValueError("moments shape must be (N+1, n_points) on the manifest's grid")
+    form = "(N+1, n_points) on the manifest's grid"
+    array = _stored("moments", moments, "<f8", None, dataset_manifest["grid"]["n_points"], form)
     state = {"state": dataset_manifest["state"]} if "state" in dataset_manifest else {}
     return _write_artifact(
         out_dir / "moments.json", "hydrec-moments", "order_major_rows",
@@ -319,16 +321,10 @@ def read_moment_set(path: Path) -> dict:
                 raise ValueError(f"state must be an object with a string kind, got {state!r}")
             if state["kind"] == "cat":
                 cat_state = _entry(CatStateParams, {k: v for k, v in state.items() if k != "kind"})
-        return {"cat_state": cat_state}, order_max + 1
+        return {"cat_state": cat_state}, order_max + 1, {"moments": ("data", "f8")}
 
-    return _read_artifact(
-        Path(path),
-        "hydrec-moments",
-        "order_major_rows",
-        ("order_max", "node", "central_time"),
-        parse,
-        {"data": ("moments", "f8")},
-    )
+    keys = ("order_max", "node", "central_time")
+    return _read_artifact(Path(path), "hydrec-moments", "order_major_rows", keys, parse)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ MAX_INTERNAL_STEP = 1e-3
 
 
 class SimulationQualityError(RuntimeError):
-    """Propagation left its validity envelope (norm drift or wrap-around)."""
+    """Propagation left its validity envelope (norm drift, wrap-around or a non-finite state)."""
 
 
 class GridCoverageWarning(UserWarning):
@@ -388,8 +388,8 @@ def propagate(
         If ``dt`` or ``t_start`` is not finite, or the model carries a ``mass``
         that differs from ``constants.mass``.
     SimulationQualityError
-        If the per-step norm drift exceeds ``1e-10`` relative, or the edge
-        amplitude exceeds ``1e-8`` of the peak (periodic wrap-around).
+        If the state is not finite, the norm drift per step exceeds ``1e-10``
+        relative, or the edge amplitude ``1e-8`` of the peak (wrap-around).
     """
     from .potentials import check_mass, potential_value
 
@@ -478,6 +478,8 @@ def _checked_norm(amp: np.ndarray, magnitude: np.ndarray, norm_ref: float) -> fl
     peak = float(np.max(magnitude))
     edge = float(max(magnitude[0], magnitude[-1]))
     norm_now = float(np.sum(np.square(magnitude, out=magnitude)))
+    if not np.isfinite(norm_now):  # a NaN norm would pass the drift test below
+        raise SimulationQualityError(f"the state is not finite after a step (norm {norm_now})")
     if abs(norm_now - norm_ref) > NORM_DRIFT_TOLERANCE * norm_ref:
         raise SimulationQualityError(
             f"norm drifted by {abs(norm_now - norm_ref) / norm_ref:.3e} in one step "

@@ -92,8 +92,11 @@ def whole_lattice_compare(a, b, region, f0):
     b_vals = one_shot_resample(b, a.y) if resampled else b.values
 
     x_max, y_max = region
-    ix = np.ix_(np.abs(a.x_grid.points) <= x_max, np.abs(a.y) <= y_max)
+    in_x, in_y = np.abs(a.x_grid.points) <= x_max, np.abs(a.y) <= y_max
+    ix = np.ix_(in_x, in_y)
     err = np.abs(a.values[ix] - b_vals[ix])  # cropped first: only the region is subtracted
+    # each region column j against column M-1-j
+    mirror = a.values[np.ix_(in_x, a.y.size - 1 - np.flatnonzero(in_y))]
     sup_error = float(np.max(err))
     l2_error = float(np.sqrt(np.sum(err**2) * a.x_grid.dx * a.dy))
 
@@ -108,7 +111,7 @@ def whole_lattice_compare(a, b, region, f0):
         trace_a=trace_a,
         trace_b=trace_b,
         diagonal_mismatch=float(np.max(np.abs(diag_a - f0.values))),
-        hermiticity_defect=a.hermiticity_defect(),
+        hermiticity_defect=float(np.max(np.abs(a.values[ix] - np.conj(mirror)))),
         resampled=resampled,
     )
 

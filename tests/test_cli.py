@@ -352,6 +352,32 @@ def test_writers_refuse_payloads_their_readers_reject_before_writing(tmp_path, s
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["records", "psis", "moments"])
+def test_writers_refuse_non_finite_payloads_before_writing(tmp_path, name, value):
+    run(*small_dataset_args(tmp_path / "ds"))  # 3 nodes on 256 points
+    data = read_dataset(tmp_path / "ds" / "dataset.json")
+    typed = [data[key] for key in ("constants", "grid", "nodes", "model")]
+    payloads = {"records": data["records"].copy(), "psis": np.ones((3, 256), complex)}
+    payloads["moments"] = payloads["records"]
+    payloads[name][1, 128] = value
+    with pytest.raises(ValueError, match=f"^{name} holds non-finite values"):
+        if name == "moments":
+            write_moment_set(tmp_path / "bad", data["manifest"], payloads["moments"], 0.0, 1)
+        else:
+            write_dataset(tmp_path / "bad", *typed, payloads["records"], {}, "", payloads["psis"])
+    assert not (tmp_path / "bad").exists()
+
+
+def test_simulate_refuses_noise_that_overflows_the_records_before_writing(tmp_path, capsys):
+    out = tmp_path / "ds"
+    capsys.readouterr()
+    assert run(*small_dataset_args(out), "--noise", "1e308") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["hydrec: error: records holds non-finite values, which its reader would reject"]
+    assert not out.exists()
+
+
 def test_reconstruct_writes_moment_set(tmp_path):
     ds = tmp_path / "ds"
     run(*small_dataset_args(ds))
@@ -550,7 +576,9 @@ def test_compare_stored_psi_reference(tmp_path):
     assert report["hermiticity_defect"] < 1e-12
 
 
-def test_compare_sweeps_the_hermiticity_defect_once(tmp_path, monkeypatch):
+def test_only_assemble_sweeps_the_whole_lattice_for_its_hermiticity_defect(
+    tmp_path, monkeypatch
+):
     ds = tmp_path / "ds"
     assert run(*small_dataset_args(ds), "--store-psi") == 0
     mdir = tmp_path / "m"
@@ -569,13 +597,34 @@ def test_compare_sweeps_the_hermiticity_defect_once(tmp_path, monkeypatch):
             "compare", mdir / "moments.json", "--reference", "stored-psi",
             "--dataset", ds / "dataset.json", "--n-y", "21", "--out", out,
         ) == 0
-    assert len(calls) == 1
+    assert not calls  # compare takes the defect over its region, in its own sweep
     report = json.loads((out / "report_N2.json").read_text())
     summary = (out / "summary_N2.txt").read_text().splitlines()
     assert f"hermiticity      {report['hermiticity_defect']:.3e}" in summary
     calls.clear()
     assert run("assemble", mdir / "moments.json", "--n-y", "21", "--out", tmp_path / "rho") == 0
     assert len(calls) == 1
+
+
+def test_compare_reads_the_hermiticity_defect_inside_its_region_only(tmp_path):
+    # the README quick-start moments on y = -1e80, 0, 1e80: the outer columns overflow,
+    # and the region |y| <= 0.1 holds y = 0 alone, where the lattice is f_0
+    ds, mdir, out = tmp_path / "dataset", tmp_path / "moments", tmp_path / "report"
+    assert run(
+        "simulate", "--state", "cat", "--grid=-10,10,1001", "--times", "0.09,0.02,4",
+        "--potential", "free", "--store-psi", "--out", ds,
+    ) == 0
+    assert run("reconstruct", ds / "dataset.json", "--order", "4", "--out", mdir) == 0
+    with pytest.warns(UserWarning) as caught:
+        assert run(
+            "compare", mdir / "moments.json", "--reference", "stored-psi", "--dataset",
+            ds / "dataset.json", "--y-max", "1e80", "--n-y", "3", "--region-y", "0.1",
+            "--out", out,
+        ) == 0
+    assert any("left the floating-point range" in str(w.message) for w in caught)
+    report = json.loads((out / "report_N4.json").read_text())
+    assert report["hermiticity_defect"] == 0.0
+    assert report["diagonal_mismatch"] == 0.0
 
 
 def test_compare_analytic_cat_reference(tmp_path):
@@ -1046,12 +1095,21 @@ def test_manifest_format_version_1_exits_1(tmp_path, capsys, which):
         read()
 
 
-@pytest.mark.parametrize("which", ["dataset", "moments"])
-def test_manifest_missing_required_key_exits_1(tmp_path, capsys, which):
-    status, err, read = edited_manifest_run(tmp_path, capsys, which, lambda m: m.pop("grid"))
+@pytest.mark.parametrize(
+    "which, key",
+    [
+        pytest.param("dataset", "grid", id="dataset"),
+        pytest.param("moments", "grid", id="moments"),
+        pytest.param("dataset", "checksum", id="dataset-checksum"),
+        pytest.param("dataset", "psi_checksum", id="dataset-psi_checksum"),
+        pytest.param("moments", "checksum", id="moments-checksum"),
+    ],
+)
+def test_manifest_missing_required_key_exits_1(tmp_path, capsys, which, key):
+    status, err, read = edited_manifest_run(tmp_path, capsys, which, lambda m: m.pop(key))
     assert status == 1
-    assert len(err) == 1 and "required key(s) grid" in err[0]
-    with pytest.raises(DataFormatError, match="grid"):
+    assert len(err) == 1 and err[0].endswith(f" lacks required key(s) {key}")
+    with pytest.raises(DataFormatError, match=rf"lacks required key\(s\) {key}$"):
         read()
 
 

@@ -20,6 +20,8 @@ from hydrec.potentials import (
     free_potential,
     harmonic_potential,
     paul_trap_potential,
+    polynomial_potential,
+    potential_value,
     quartic_potential,
 )
 from hydrec.simulator import (
@@ -217,6 +219,20 @@ def test_propagate_detects_wraparound():
     psi = gaussian_packet(grid, 0.5, momentum=5.0)
     with pytest.raises(SimulationQualityError, match="wrap"):
         propagate(psi, free_potential(), CONSTANTS, dt=1e-3, steps=800)
+
+
+def test_propagate_refuses_a_state_that_is_not_finite_after_the_first_kick(monkeypatch):
+    # V = 1e307 x^2 overflows on the grid, so the first kick leaves the state NaN, and a
+    # NaN norm drift compares False with any tolerance
+    grid = SpatialGrid(-10.0, 10.0, 256)
+    calls = []
+    monkeypatch.setattr(
+        "hydrec.potentials.potential_value", lambda *a: calls.append(a) or potential_value(*a)
+    )
+    model = polynomial_potential([[0.0], [0.0], [1e307]])
+    with np.errstate(all="ignore"), pytest.raises(SimulationQualityError, match="not finite"):
+        propagate(gaussian_packet(grid, 1.0), model, CONSTANTS, dt=1e-3, steps=10)
+    assert len(calls) == 1
 
 
 def assert_walk_equals(records, psis, expected_psis):
