@@ -14,21 +14,25 @@ y >= 0 half; only that half is summed.  The lattice is filled one block of
 rows at a time, and each block decides how: past a pyramid's support window
 f_1 .. f_N are 0, and a block where they all are is f_0 plus one row of
 zero products, bit for bit the same sum; every other block runs the sum.
+:func:`assemble` fills every row, or a window of rows (``rows=``), each row
+bitwise the whole lattice's; the command line drives the same fill one row
+block at a time to write a lattice it never holds whole.
 
 :func:`compare` reads both lattices only inside its region, one block of
 rows at a time, and holds one region-sized array, the errors ``|a - b|``.
-Its reference need hold only the region's rows, with its diagonal.
+Either lattice need hold only the region's rows, with its diagonal.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .numerics import GridField, SpatialGrid, _row_blocks
-from .simulator import DensityMatrixGrid, _filled_lattice, _offdiagonal_axis
+from .simulator import DensityMatrixGrid, _filled_lattice, _offdiagonal_axis, _row_window
 
 __all__ = [
     "MomentField",
@@ -68,6 +72,10 @@ class TaylorReconstruction:
     are exact negatives (as ``offdiagonal_lattice`` builds it) that is the sum
     at -y bit for bit, ``+0.0`` imaginary parts included; on one symmetric
     only to rounding, the y < 0 columns hold the values at the mirrored points.
+
+    ``values`` holds every grid row, or the row window that :func:`assemble`
+    was given, with the whole lattice's diagonal; ``term_peaks`` and
+    ``trust_radius`` are those of the whole lattice either way.
 
     ``moments`` holds one :class:`MomentField` per row of the assembled matrix.
     Only the benchmark (``rec.moments[0].field`` in ``perfbench/worker.py``)
@@ -119,28 +127,33 @@ def _taylor_terms(y: np.ndarray, hbar: float, order_max: int) -> np.ndarray:
     return z
 
 
-def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruction:
-    """Build rho_N(x, y) from moments f_0 .. f_N.
+class _TaylorFill(NamedTuple):
+    """What every lattice of one moment matrix is filled from, rows or blocks alike.
 
-    Parameters
-    ----------
-    moments : GridField
-        The ``(N+1, n_points)`` matrix of f_0 .. f_N at one time, row n
-        holding f_n, as :meth:`~hydrec.reconstruction.MomentPyramid.central_slice`
-        returns it.
-    y : array
-        Off-diagonal lattice: odd, ascending, uniform and symmetric about 0.
-    hbar : float
-        Sets the off-diagonal length scale; positive and finite.
+    ``fill(out, blk, cols)`` writes the grid rows ``blk`` into ``out``: every
+    column, or the centre column alone (``cols`` is the y = 0 slice), each
+    entry bitwise the whole lattice's.  ``term_peaks`` and ``trust_radius``
+    are taken from the whole moment matrix.
+    """
 
-    Returns
-    -------
-    TaylorReconstruction
-        With ``values[x, y=0]`` equal to f_0 exactly (only the n = 0 term
-        survives on the diagonal).  ``values`` is the order-by-order sum of
-        the outer products ``f_n z_n`` bit for bit, filled one block of rows
-        at a time; a block where f_1 .. f_N are all 0 is written as f_0
-        plus the zero row, without running the sum.
+    grid: SpatialGrid
+    y: np.ndarray
+    order_max: int
+    hbar: float
+    term_peaks: np.ndarray
+    trust_radius: float
+    fill: Callable
+
+    def lattice(self, rows: slice | None = None) -> DensityMatrixGrid:
+        """The lattice of the grid rows ``rows``, every row by default, as :func:`assemble`."""
+        return _filled_lattice(self.grid, self.y, _row_window(rows, self.grid.n_points), self.fill)
+
+
+def _taylor_fill(moments: GridField, y: np.ndarray, hbar: float, stacklevel=2) -> _TaylorFill:
+    """The Taylor fill of :func:`assemble`, with its diagnostics.
+
+    Warns of each overflowed order at the frame ``stacklevel`` of ``warnings.warn``: the
+    caller's line by default.
     """
     f = moments.values
     if f.ndim != 2 or not len(f):
@@ -156,18 +169,23 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
     abs_z[np.isnan(abs_z)] = np.inf
     f_peaks = np.abs(np.maximum(f.max(axis=1), -f.min(axis=1)))  # max |f_n|, no |f| copy
 
-    def fill(out, blk, cols):  # cols: every column, as the lattice holds every row
+    def fill(out, blk, cols):
         f_blk = f[:, blk]
-        if not f_blk[1:].any():  # f_1 .. f_N all ±0.0: the sum is f_0 plus the zero row
-            np.add(f_blk[0, :, None], row, out=out)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed orders are reported
+            if not f_blk[1:].any():  # f_1 .. f_N all ±0.0: the sum is f_0 plus the zero row
+                np.add(f_blk[0, :, None], row[cols], out=out)
+                return
+            # the y >= 0 half (y = 0 alone for the centre column) is summed y-major, so that
+            # each multiply and add runs along x; from +0.0, orders in sequence, so a -0.0
+            # moment gives +0.0 (a start from the n = 0 term would keep -0.0)
+            half = z if cols == slice(None) else z[:, :1]
+            acc = np.zeros((half.shape[1], f_blk.shape[1]), dtype=complex)
+            term = np.empty_like(acc)
+            for f_n, z_n in zip(f_blk, half):
+                acc += np.multiply(f_n, z_n[:, None], out=term)
+        if cols != slice(None):
+            out[:] = acc.T
             return
-        # the y >= 0 half is summed y-major, so that each multiply and add runs along x;
-        # from +0.0, orders in sequence, so a -0.0 moment gives +0.0 (a start from the
-        # n = 0 term would keep -0.0)
-        acc = np.zeros((z.shape[1], f_blk.shape[1]), dtype=complex)
-        term = np.empty_like(acc)
-        for f_n, z_n in zip(f_blk, z):
-            acc += np.multiply(f_n, z_n[:, None], out=term)
         out[:, c:] = acc.T
         # column M-1-j holds (re, 0.0 - im) of column j: 0.0 - 0.0 is +0.0, as the sum gives
         mirror, upper = out[:, :c], acc[:0:-1].T
@@ -183,7 +201,6 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
         for z_n in z[1:]:
             zero += 0.0 * z_n
         row = np.concatenate((zero[:0:-1], zero))
-        lattice = _filled_lattice(moments.grid, y, slice(0, f.shape[1]), fill)
         # each z_n is purely real or purely imaginary, so this is max |f_n z_n| exactly
         term_peaks = f_peaks * np.max(abs_z, axis=1)
         # an overflowed term is never trusted
@@ -194,16 +211,53 @@ def assemble(moments: GridField, y: np.ndarray, hbar: float) -> TaylorReconstruc
             f"order-{n} term reaches magnitude {term_peaks[n]:.3e}; the expansion has "
             "left the floating-point range on this lattice",
             UserWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     term_peaks.setflags(write=False)
+    trust_radius = float(trusted.max()) if trusted.size else 0.0
+    return _TaylorFill(moments.grid, y, len(f) - 1, float(hbar), term_peaks, trust_radius, fill)
+
+
+def assemble(
+    moments: GridField, y: np.ndarray, hbar: float, rows: slice | None = None
+) -> TaylorReconstruction:
+    """Build rho_N(x, y) from moments f_0 .. f_N.
+
+    Parameters
+    ----------
+    moments : GridField
+        The ``(N+1, n_points)`` matrix of f_0 .. f_N at one time, row n
+        holding f_n, as :meth:`~hydrec.reconstruction.MomentPyramid.central_slice`
+        returns it.
+    y : array
+        Off-diagonal lattice: odd, ascending, uniform and symmetric about 0.
+    hbar : float
+        Sets the off-diagonal length scale; positive and finite.
+    rows : slice, optional
+        Consecutive grid rows to fill, every row by default.  Each row is
+        bitwise the whole lattice's row, and the window carries the whole
+        lattice's centre column as its ``diagonal``; ``term_peaks`` and
+        ``trust_radius`` are those of the whole lattice.
+
+    Returns
+    -------
+    TaylorReconstruction
+        With ``values[x, y=0]`` equal to f_0 exactly (only the n = 0 term
+        survives on the diagonal).  ``values`` is the order-by-order sum of
+        the outer products ``f_n z_n`` bit for bit, filled one block of rows
+        at a time; a block where f_1 .. f_N are all 0 is written as f_0
+        plus the zero row, without running the sum.
+    """
+    rows = _row_window(rows, moments.grid.n_points)  # refused before any work
+    taylor = _taylor_fill(moments, y, hbar, stacklevel=3)  # warns from the caller's line
+    f = moments.values
     return TaylorReconstruction(
-        order_max=len(f) - 1,
+        order_max=taylor.order_max,
         moments=tuple(MomentField(n, GridField(moments.grid, f_n)) for n, f_n in enumerate(f)),
-        hbar=float(hbar),
-        values=lattice,
-        term_peaks=term_peaks,
-        trust_radius=float(trusted.max()) if trusted.size else 0.0,
+        hbar=taylor.hbar,
+        values=taylor.lattice(rows),
+        term_peaks=taylor.term_peaks,
+        trust_radius=taylor.trust_radius,
     )
 
 
@@ -245,47 +299,48 @@ def compare(
 ) -> ComparisonReport:
     """Error metrics of ``a`` against reference ``b`` over ``|x|, |y|`` bounds.
 
-    ``a`` holds every row of its x grid.  ``b`` must lie on that grid and
-    hold the region's rows: all rows, or a row window (``b.rows``) that
-    covers them.  It is interpolated linearly in y onto ``a``'s y lattice
-    when the two differ (recorded in the report).  Traces come from
-    trapezoidal quadrature along the diagonals, ``b``'s being its
-    ``diagonal`` (the y = 0 column of its whole lattice); the diagonal
-    mismatch is measured against ``f0``, one field on ``a``'s x grid.
+    Both lattices lie on one x grid and hold the region's rows: all rows, or
+    a row window (``rows``) that covers them.  ``b`` is interpolated
+    linearly in y onto ``a``'s y lattice when the two differ (recorded in
+    the report).  Traces come from trapezoidal quadrature along each
+    lattice's ``diagonal`` (the y = 0 column of its whole lattice); the
+    diagonal mismatch is that of ``a``'s diagonal against ``f0``, one field
+    on ``a``'s x grid.
 
     Both lattices are read only inside the region, one block of rows at a
     time, and ``b`` is resampled there block by block: the one region-sized
     array is ``|a - b|``, so the report is bitwise the one from
-    whole-lattice copies of the region, and the same for a window of ``b``
-    as for its whole lattice.  The same sweep takes ``a``'s Hermiticity
-    defect over the region, column j against column M-1-j.  Errors that are
-    not finite, or whose L2 sum is not, raise ``ValueError`` naming the region.
+    whole-lattice copies of the region, and the same for a window of either
+    lattice as for its whole lattice.  The same sweep takes ``a``'s
+    Hermiticity defect over the region, column j against column M-1-j.
+    Errors that are not finite, or whose L2 sum is not, raise ``ValueError``
+    naming the region.
     """
     if f0.values.ndim != 1 or f0.grid != a.x_grid:
         raise ValueError(f"f0 must be one field on {a.x_grid}, not {f0.values.shape} on {f0.grid}")
     if b.x_grid != a.x_grid:
         raise ValueError(f"the reference must lie on the compared x grid {a.x_grid}, not {b.x_grid}")
-    if a.rows != slice(0, a.x_grid.n_points):
-        raise ValueError(f"the compared lattice holds only rows {a.rows.start}..{a.rows.stop - 1}")
     rows, cols = _region_slices(a.x_grid, a.y, region)
-    if not b.rows.start <= rows.start < rows.stop <= b.rows.stop:
-        raise ValueError(
-            f"the reference holds rows {b.rows.start}..{b.rows.stop - 1}, which miss rows of the "
-            f"region |x| <= {region[0]}, |y| <= {region[1]} (rows {rows.start}..{rows.stop - 1})"
-        )
+    for name, lattice in (("compared lattice", a), ("reference", b)):
+        if not lattice.rows.start <= rows.start < rows.stop <= lattice.rows.stop:
+            raise ValueError(
+                f"the {name} holds rows {lattice.rows.start}..{lattice.rows.stop - 1}, which miss "
+                f"rows of the region |x| <= {region[0]}, |y| <= {region[1]} "
+                f"(rows {rows.start}..{rows.stop - 1})"
+            )
     resampled = not np.array_equal(a.y, b.y)
-    diag_a = a.values[:, a.y.size // 2]
-    trace_a = float(np.trapezoid(diag_a.real, dx=a.x_grid.dx))
+    trace_a = float(np.trapezoid(a.diagonal.real, dx=a.x_grid.dx))
     trace_b = float(np.trapezoid(b.diagonal.real, dx=a.x_grid.dx))
 
-    start = rows.start - b.rows.start  # the region's first row in b
-    a_in, y_in = a.values[rows, cols], a.y[cols]
-    a_mirror = a.values[rows, ::-1][:, cols]  # column M-1-j of each region column j
-    b_in = b.values[start : start + rows.stop - rows.start]
+    a_rows, b_rows = (  # the region's rows of each lattice
+        v.values[rows.start - v.rows.start : rows.stop - v.rows.start] for v in (a, b)
+    )
+    a_in, y_in = a_rows[:, cols], a.y[cols]
+    a_mirror = a_rows[:, ::-1][:, cols]  # column M-1-j of each region column j
     err = np.empty(a_in.shape)
     defects = []
     for blk in _row_blocks(len(err), a_in.itemsize * y_in.size):
-        b_blk = _resample_onto(b_in[blk], b.y, y_in) if resampled else b_in[blk, cols]
+        b_blk = _resample_onto(b_rows[blk], b.y, y_in) if resampled else b_rows[blk, cols]
         np.abs(a_in[blk] - b_blk, out=err[blk])
         with np.errstate(over="ignore", invalid="ignore"):  # a defect not finite is refused
             defects.append(np.max(np.abs(a_in[blk] - np.conj(a_mirror[blk]))))
@@ -303,7 +358,7 @@ def compare(
         region=tuple(region),
         trace_a=trace_a,
         trace_b=trace_b,
-        diagonal_mismatch=float(np.max(np.abs(diag_a - f0.values))),
+        diagonal_mismatch=float(np.max(np.abs(a.diagonal - f0.values))),
         hermiticity_defect=float(np.max(defects)),
         resampled=resampled,
     )

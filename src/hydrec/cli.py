@@ -16,7 +16,10 @@ written as ``rho_<tag>.dat``, one ``x y re im`` line per lattice point
 (x-major) in shortest round-trip decimal, after a ``# x y re im`` header.  The
 table is formatted from the y >= 0 half of each row, whose y < 0 mirror
 ``assemble`` guarantees, so only half of the values go through ``repr``; its
-bytes are those of formatting every value.
+bytes are those of formatting every value.  A density grid is never held
+whole: its payload and table are written one block of rows at a time, with
+the payload's digest taken as it is written, the same bytes as the whole
+lattice's.  ``compare`` assembles only the rows of its region.
 
 Exit codes: 0 success, 2 simulation-quality failure (a non-finite state too),
 3 insufficient time samples, 4 missing reference, 1 anything else.
@@ -35,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import TaylorReconstruction, _region_slices, assemble, compare
+from .assembly import _region_slices, _TaylorFill, _taylor_fill, compare
 from .numerics import GridField, PhysicalConstants, SpatialGrid, TimeNodes, _is_number, _row_blocks
 from .potentials import PARAMETERS, PotentialModel, check_parameters, model_from_dict, model_to_dict
 from .reconstruction import InsufficientTimeSamplesError, build_pyramid
@@ -50,6 +53,7 @@ from .simulator import (
     make_cat_state,
     offdiagonal_lattice,
     sample_densities,
+    _hermiticity_defect,
     _walk_steps,
 )
 
@@ -128,11 +132,18 @@ def _bytes_of(array: np.ndarray) -> memoryview:
     return memoryview(array.reshape(-1)).cast("B")
 
 
-def _write_payload(path: Path, array: np.ndarray) -> str:
-    """Write ``array`` as little-endian C-ordered bytes; a copy is made only to get that layout."""
-    data = _bytes_of(np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<"), copy=False))
-    path.write_bytes(data)
-    return payload_checksum(data)
+def _write_payload(path: Path, blocks) -> str:
+    """Write each array of ``blocks`` in turn as little-endian C-ordered bytes, and return the
+    checksum of the file: a whole array is one block.  A copy is made only to get that layout;
+    the digest is taken as the blocks are written, so it is the digest of the whole file."""
+    digest = blake2b(digest_size=8)
+    with path.open("wb") as stream:
+        for block in blocks:
+            layout = block.dtype.newbyteorder("<")
+            data = _bytes_of(np.ascontiguousarray(block).astype(layout, copy=False))
+            stream.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def _read_payload(manifest_path: Path, name, checksum, dtype, shape) -> np.ndarray:
@@ -163,9 +174,10 @@ def _read_payload(manifest_path: Path, name, checksum, dtype, shape) -> np.ndarr
 def _write_artifact(path: Path, kind: str, layout: str, payloads: dict, **entries) -> Path:
     """Write each payload beside the manifest ``path``, then the manifest.
 
-    ``payloads`` maps ``"data"`` (and ``"psi"``) to a file name and an array
-    of the stored dtype; a dataclass entry (grid, times, constants) is written
-    as its fields.
+    ``payloads`` maps ``"data"`` (and ``"psi"``) to a file name and the
+    blocks of the payload, arrays of the stored dtype written in turn (a whole
+    array is one block); a dataclass entry (grid, times, constants) is
+    written as its fields.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     manifest = {"format_version": FORMAT_VERSION, "kind": kind, "layout": layout}
@@ -246,10 +258,10 @@ def write_dataset(
 ) -> Path:
     """Write f0 records (and optionally wavefunctions) plus their manifest."""
     shape = (nodes.m_plus_1, grid.n_points)
-    payloads = {"data": ("f0.bin", _stored("records", records, "<f8", *shape, "(m+1, n_points)"))}
+    payloads = {"data": ("f0.bin", [_stored("records", records, "<f8", *shape, "(m+1, n_points)")])}
     if psis is not None:
         form = "(m+1, n_points), as records"
-        payloads["psi"] = ("psi.bin", _stored("psis", psis, "<c16", *shape, form))
+        payloads["psi"] = ("psi.bin", [_stored("psis", psis, "<c16", *shape, form)])
     return _write_artifact(
         out_dir / "dataset.json", "hydrec-dataset", "time_major_rows", payloads,
         constants=constants, grid=grid, times=nodes, potential=model_to_dict(model),
@@ -291,7 +303,7 @@ def write_moment_set(
     state = {"state": dataset_manifest["state"]} if "state" in dataset_manifest else {}
     return _write_artifact(
         out_dir / "moments.json", "hydrec-moments", "order_major_rows",
-        {"data": ("moments.bin", array)},
+        {"data": ("moments.bin", [array])},
         constants=dataset_manifest["constants"],
         grid=dataset_manifest["grid"],
         potential=dataset_manifest["potential"],
@@ -442,28 +454,29 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> None:
-    grid = rec.values.x_grid
-    y = rec.values.y
-    vals = rec.values.values.astype("<c16", copy=False)
-    _write_artifact(
-        out_dir / f"rho_{tag}.json", "hydrec-density-grid", "x_major_rows_complex128",
-        {"data": (f"rho_{tag}.bin", vals)},
-        grid=grid,
-        y={"y_max": float(np.max(np.abs(y))), "n_points": int(y.size)},
-        order_max=rec.order_max,
-        hbar=rec.hbar,
-        trust_radius=rec.trust_radius,
-    )
-    # shortest round-trip decimal of every value, x-major like the payload, formatted from
-    # the y >= 0 half: assemble writes column M-1-j as (re, 0.0 - im) of column j
+def _emit_density_grid(out_dir: Path, tag: str, taylor: _TaylorFill) -> float:
+    """Write the lattice of ``taylor`` as ``rho_<tag>`` payload, manifest and table, one row
+    block at a time, and return its Hermiticity defect, the largest of the blocks'."""
+    grid, y = taylor.grid, taylor.y
     c = y.size // 2
     ys = list(map(repr, y.tolist()))
     points = grid.points
-    with (out_dir / f"rho_{tag}.dat").open("w") as table:
-        table.write("# x y re im\n")
-        for blk in _row_blocks(grid.n_points, vals.itemsize * y.size):
-            half = vals[blk, c:]
+    defects = []
+
+    def blocks(table):
+        # one buffer, filled block by block: the payload, the table and the defect of a block
+        # are taken before the next block is filled
+        buffer = None
+        for blk in _row_blocks(grid.n_points, 16 * y.size):
+            if buffer is None:  # the first block is the longest
+                buffer = np.empty((blk.stop - blk.start, y.size), dtype=complex)
+            vals = buffer[: blk.stop - blk.start]
+            taylor.fill(vals, blk, slice(None))
+            with np.errstate(invalid="ignore"):  # inf - inf of an overflowed order, reported
+                defects.append(_hermiticity_defect(vals))
+            # shortest round-trip decimal of every value, x-major like the payload, formatted
+            # from the y >= 0 half: the fill writes column M-1-j as (re, 0.0 - im) of column j
+            half = vals[:, c:]
             xs = map(repr, points[blk].tolist())
             for x, re, im in zip(xs, half.real.tolist(), half.imag.tolist()):
                 re, im = list(map(repr, re)), list(map(repr, im))
@@ -471,6 +484,20 @@ def _emit_density_grid(out_dir: Path, tag: str, rec: TaylorReconstruction) -> No
                 flip = [t[1:] if t[0] == "-" else t if t in ("0.0", "nan") else "-" + t for t in im]
                 lines = zip(repeat(x), ys, re[:0:-1] + re, flip[:0:-1] + im)
                 table.write("\n".join(map(" ".join, lines)) + "\n")
+            yield vals
+
+    with (out_dir / f"rho_{tag}.dat").open("w") as table:
+        table.write("# x y re im\n")
+        _write_artifact(
+            out_dir / f"rho_{tag}.json", "hydrec-density-grid", "x_major_rows_complex128",
+            {"data": (f"rho_{tag}.bin", blocks(table))},
+            grid=grid,
+            y={"y_max": float(np.max(np.abs(y))), "n_points": int(y.size)},
+            order_max=taylor.order_max,
+            hbar=taylor.hbar,
+            trust_radius=taylor.trust_radius,
+        )
+    return float(np.max(defects))
 
 
 def _resolve_reference(args, mset: dict, y: np.ndarray, rows: slice):
@@ -517,33 +544,32 @@ def _stored_psi(args, manifest: dict) -> WaveFunction:
 
 def cmd_assemble_compare(args, with_reference: bool) -> int:
     mset = read_moment_set(Path(args.moments))
-    y = offdiagonal_lattice(args.y_max, args.n_y)
+    grid, y = mset["grid"], offdiagonal_lattice(args.y_max, args.n_y)
+    out_dir = Path(args.out)
     if with_reference:  # an empty region is refused before any work
         region = (args.region_x, args.region_y)
-        rows = _region_slices(mset["grid"], y, region)[0]
-    rec = assemble(GridField(mset["grid"], mset["moments"]), y, mset["constants"].hbar)
-    report = None
-    if with_reference:  # before any file is written; the reference holds the region's rows
-        reference = _resolve_reference(args, mset, rec.values.y, rows)
-        report = compare(rec.values, reference, region, GridField(mset["grid"], mset["moments"][0]))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tag = f"N{rec.order_max}"
-    if report is None:  # assemble writes the density grid, compare its report
-        _emit_density_grid(out_dir, tag, rec)
-    else:
+        rows = _region_slices(grid, y, region)[0]
+    taylor = _taylor_fill(GridField(grid, mset["moments"]), y, mset["constants"].hbar)
+    tag = f"N{taylor.order_max}"
+    if with_reference:  # before any file is written; both lattices hold the region's rows only
+        rho = taylor.lattice(rows)
+        reference = _resolve_reference(args, mset, rho.y, rows)
+        report = compare(rho, reference, region, GridField(grid, mset["moments"][0]))
+        out_dir.mkdir(parents=True, exist_ok=True)
         _dump_json(out_dir / f"report_{tag}.json", report.as_dict())
+        hermiticity = report.hermiticity_defect
+    else:  # the density grid, written one row block at a time
+        out_dir.mkdir(parents=True, exist_ok=True)
+        hermiticity = _emit_density_grid(out_dir, tag, taylor)
 
-    hermiticity = rec.values.hermiticity_defect() if report is None else report.hermiticity_defect
     lines = [
-        f"order_max        {rec.order_max}",
-        f"x grid           [{rec.values.x_grid.x_min}, {rec.values.x_grid.x_max}] "
-        f"x {rec.values.x_grid.n_points}",
+        f"order_max        {taylor.order_max}",
+        f"x grid           [{grid.x_min}, {grid.x_max}] x {grid.n_points}",
         f"y lattice        [-{args.y_max}, {args.y_max}] x {args.n_y}",
-        f"trust radius     {rec.trust_radius:.6g}",
+        f"trust radius     {taylor.trust_radius:.6g}",
         f"hermiticity      {hermiticity:.3e}",
     ]
-    if report is not None:
+    if with_reference:
         lines += [
             f"reference        {args.reference}",
             f"region           |x| <= {args.region_x}, |y| <= {args.region_y}",
@@ -589,12 +615,12 @@ def cmd_demo_cat(args) -> int:
 
     results = []
     for order in orders:
-        rec = assemble(GridField(grid, moments[: order + 1]), y, constants.hbar)
-        # the cat's rho and moments are real, so |rho_N - rho| is |Re rho_N - Re rho|
-        err = compare(rec.values, exact, region, GridField(grid, moments[0])).sup_error
-        _emit_density_grid(out_dir, f"N{order}", rec)
-        results.append((order, err, rec.trust_radius))
-        del rec  # not held while the next order is assembled
+        taylor = _taylor_fill(GridField(grid, moments[: order + 1]), y, constants.hbar)
+        # the cat's rho and moments are real, so |rho_N - rho| is |Re rho_N - Re rho|; rho_N is
+        # compared on the region's rows, and written one row block at a time
+        err = compare(taylor.lattice(in_x), exact, region, GridField(grid, moments[0])).sup_error
+        _emit_density_grid(out_dir, f"N{order}", taylor)
+        results.append((order, err, taylor.trust_radius))
 
     summary = {
         "state": {"kind": "cat", "sigma": params.sigma, "k0": params.k0},

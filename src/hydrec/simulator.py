@@ -160,12 +160,15 @@ class DensityMatrixGrid:
         Columns j and M-1-j differ by an exact sign flip, so only the columns
         j <= M//2 are read, in blocks of rows.  ``np.max`` keeps a NaN.
         """
-        half = self.y.size // 2 + 1
-        peaks = []
-        for blk in _row_blocks(len(self.values), self.values.itemsize * self.y.size):
-            block = self.values[blk]
-            peaks.append(np.max(np.abs(block[:, :half] - np.conj(block[:, ::-1][:, :half]))))
-        return float(np.max(peaks))
+        blocks = _row_blocks(len(self.values), self.values.itemsize * self.y.size)
+        return float(np.max([_hermiticity_defect(self.values[blk]) for blk in blocks]))
+
+
+def _hermiticity_defect(block: np.ndarray) -> float:
+    """sup |rho(x, y) - conj(rho(x, -y))| over ``block``, rows of a whole y lattice; only the
+    columns j <= M//2 are read.  ``np.max`` keeps a NaN."""
+    half = block.shape[1] // 2 + 1
+    return np.max(np.abs(block[:, :half] - np.conj(block[:, ::-1][:, :half])))
 
 
 def _filled_lattice(grid: SpatialGrid, y: np.ndarray, window: slice, fill) -> DensityMatrixGrid:
@@ -419,14 +422,16 @@ def propagate(
     t = t_start
     _half_kinetic_step(amp, half_kinetic)
     for step in range(steps):
-        v = potential_value(model, x, t + 0.5 * dt)
-        if v_kick is None or not np.array_equal(v, v_kick):
-            # numpy divides a complex by hbar as a product with 1 / hbar; the same
-            # rounding keeps the kick bitwise equal to exp(-1j * v * dt / hbar)
-            phase = -v * dt * (1.0 / constants.hbar)
-            np.cos(phase, out=kick.real)
-            np.sin(phase, out=kick.imag)
-            v_kick = v
+        # a V or a kick that is not finite makes the state so: refused by _checked_norm below
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = potential_value(model, x, t + 0.5 * dt)
+            if v_kick is None or not np.array_equal(v, v_kick):
+                # numpy divides a complex by hbar as a product with 1 / hbar; the same
+                # rounding keeps the kick bitwise equal to exp(-1j * v * dt / hbar)
+                phase = -v * dt * (1.0 / constants.hbar)
+                np.cos(phase, out=kick.real)
+                np.sin(phase, out=kick.imag)
+                v_kick = v
         amp *= kick
         t += dt
         norm_ref = _checked_norm(amp, magnitude, norm_ref)

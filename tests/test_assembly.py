@@ -163,8 +163,9 @@ def test_moment_roundtrip_through_offdiagonal_derivatives(grid):
 
 def test_term_overflow_is_flagged(grid):
     huge_y = offdiagonal_lattice(1e160, 11)
-    with pytest.warns(UserWarning, match="floating-point range"):
+    with pytest.warns(UserWarning, match="floating-point range") as record:
         assemble(boosted_moments(grid, 2), huge_y, HBAR)
+    assert {w.filename for w in record} == {__file__}  # the caller's line
 
 
 def test_a_lattice_where_2y_over_hbar_overflows_warns_only_per_order(grid):
@@ -600,9 +601,81 @@ def test_compare_refuses_errors_whose_l2_sum_is_not_finite(grid, y_lattice, peak
         compare(a, b, (3.0, 1.0), GridField(grid, f[0]))
 
 
-def test_compare_refuses_a_row_window_as_the_compared_lattice():
+WINDOW_CASES = {
+    # name: (moments, order, y_max); the margins are rows 0..149 and 415..834
+    "zero margins": (margin_moments, 12, 1.5),
+    "zero margins on an overflowing y lattice": (margin_moments, 36, 1e10),  # NaN there
+    "a margin wider than a row block": (wide_margin_moments, 12, 1.5),
+}
+WINDOWS = {
+    "inside the support": slice(200, 400),
+    "past the support": slice(3, 140),  # the f_0-plus-zero-row path only
+    "across a margin": slice(100, 700),
+    "one row": slice(834, 835),
+    "every row": slice(0, 835),
+}
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_assemble_on_a_row_window_holds_the_whole_lattice_rows_bitwise(case, window):
+    make, order, y_max = WINDOW_CASES[case]
+    n_x = 2 * (LATTICE_BLOCK_BYTES // (16 * 41)) + 37  # 835: three row blocks, the last short
+    grid, y = SpatialGrid(-3.0, 3.0, n_x), offdiagonal_lattice(y_max, 41)
+    moments = GridField(grid, make(np.random.default_rng(order), n_x, order))
+    rows = WINDOWS[window]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an overflowing order, reported
+        whole, part = assemble(moments, y, 0.7), assemble(moments, y, 0.7, rows)
+    assert part.values.rows == rows
+    assert_bytes_equal(part.values.values, whole.values.values[rows])
+    assert_bytes_equal(part.values.diagonal, whole.values.diagonal)
+    assert_bytes_equal(part.term_peaks, whole.term_peaks)
+    assert part.trust_radius == whole.trust_radius
+    if y_max > 1.5:
+        assert np.isnan(whole.values.values).any()
+
+
+def test_assemble_refuses_a_row_window_that_is_not_a_run_of_grid_rows():
+    grid = SpatialGrid(-3.0, 3.0, 101)
+    for rows in (slice(200, 300), slice(0, 10, 2), slice(5, 5), 3):
+        with pytest.raises(ValueError, match=r"^rows must be a non-empty slice"):
+            assemble(cat_moments(grid, 2), offdiagonal_lattice(0.6, 21), HBAR, rows)
+
+
+@pytest.mark.parametrize("resampled", [False, True], ids=["same y", "resampled"])
+def test_compare_with_a_row_window_of_the_compared_lattice_reports_what_the_whole_does(
+    resampled,
+):
+    grid = SpatialGrid(-6.0, 6.0, 1001)
+    y_a = offdiagonal_lattice(0.6, 41)
+    y_b = grid.dx * np.arange(-60, 61) if resampled else y_a
+    region = (2.0, 0.5)
+    rows = _region_slices(grid, y_a, region)[0]
+    moments = cat_moments(grid, 12)
+    whole = assemble(moments, y_a, HBAR).values
+    f0 = GridField(grid, moments.values[0])
+    references = [cat_state_density_matrix(CAT, grid, y_b, r) for r in (None, rows)]
+    for b in references:
+        expected = compare(whole, b, region, f0)
+        assert expected.resampled == resampled
+        for window in (rows, slice(rows.start - 3, rows.stop + 5), slice(0, rows.stop)):
+            report = compare(assemble(moments, y_a, HBAR, window).values, b, region, f0)
+            assert report == expected
+            assert repr(report) == repr(expected)
+
+
+@pytest.mark.parametrize("miss", ["first", "last"])
+def test_compare_refuses_a_compared_row_window_that_misses_a_region_row(miss):
     grid = SpatialGrid(-6.0, 6.0, 1001)
     y = offdiagonal_lattice(0.6, 41)
-    a = cat_state_density_matrix(CAT, grid, y, slice(300, 700))
-    with pytest.raises(ValueError, match=r"^the compared lattice holds only rows 300\.\.699$"):
-        compare(a, a, (2.0, 0.5), GridField(grid, cat_moments(grid, 0).values[0]))
+    rows = _region_slices(grid, y, (2.0, 0.5))[0]  # rows 334..666
+    window = slice(rows.start + 1, rows.stop) if miss == "first" else slice(rows.start, rows.stop - 1)
+    a = assemble(cat_moments(grid, 2), y, HBAR, window).values
+    b = cat_state_density_matrix(CAT, grid, y)
+    message = (
+        rf"^the compared lattice holds rows {window.start}\.\.{window.stop - 1}, which miss rows "
+        rf"of the region \|x\| <= 2\.0, \|y\| <= 0\.5 \(rows 334\.\.666\)$"
+    )
+    with pytest.raises(ValueError, match=message):
+        compare(a, b, (2.0, 0.5), GridField(grid, cat_moments(grid, 0).values[0]))

@@ -30,7 +30,7 @@ from hydrec.assembly import assemble
 from hydrec.numerics import LATTICE_BLOCK_BYTES, DecayAssumptionWarning, GridField, SpatialGrid
 from hydrec.potentials import x_coefficients
 from hydrec.reconstruction import build_pyramid
-from hydrec.simulator import DensityMatrixGrid, GridCoverageWarning
+from hydrec.simulator import DensityMatrixGrid, GridCoverageWarning, offdiagonal_lattice
 
 
 def run(*argv):
@@ -67,7 +67,7 @@ def read_only(array):
 def test_a_payload_is_written_as_its_little_endian_c_ordered_bytes(tmp_path, make):
     array = make()
     expected = np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<")).tobytes()
-    checksum = _write_payload(tmp_path / "p.bin", array)
+    checksum = _write_payload(tmp_path / "p.bin", [array])
     assert (tmp_path / "p.bin").read_bytes() == expected
     assert checksum == payload_checksum(expected)
     dtype = array.dtype.str[1:]
@@ -77,9 +77,18 @@ def test_a_payload_is_written_as_its_little_endian_c_ordered_bytes(tmp_path, mak
     assert np.array_equal(back, array)
 
 
+@pytest.mark.parametrize("rows", [1, 5, 64], ids=["row by row", "uneven blocks", "one block"])
+def test_a_payload_written_in_blocks_is_the_whole_array_bytes_and_digest(tmp_path, rows):
+    array = np.random.default_rng(5).normal(size=(64, 9)) + 1j  # complex, as density grids
+    blocks = (array[first : first + rows] for first in range(0, len(array), rows))
+    checksum = _write_payload(tmp_path / "p.bin", blocks)
+    assert (tmp_path / "p.bin").read_bytes() == array.astype("<c16").tobytes()
+    assert checksum == payload_checksum(array.astype("<c16").tobytes())
+
+
 def test_payload_io_holds_no_copy_of_the_payload(tmp_path):
     array = np.random.default_rng(3).normal(size=(64, 8192))  # 4 MiB
-    checksum, write_peak = traced_peak(lambda: _write_payload(tmp_path / "p.bin", array))
+    checksum, write_peak = traced_peak(lambda: _write_payload(tmp_path / "p.bin", [array]))
     assert write_peak <= 0.05 * array.nbytes
     back, read_peak = traced_peak(
         lambda: _read_payload(tmp_path / "manifest.json", "p.bin", checksum, "f8", array.shape)
@@ -378,6 +387,21 @@ def test_simulate_refuses_noise_that_overflows_the_records_before_writing(tmp_pa
     assert not out.exists()
 
 
+def test_simulate_whose_potential_overflows_writes_its_one_line_error_only(tmp_path):
+    # V = 1e307 x^2 overflows on the grid; the non-finite state is refused after the first
+    # kick, with no numpy warning before the message
+    src = str(Path(hydrec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = small_dataset_args(tmp_path / "ds", potential="polynomial:coeffs=0;0;1e307")
+    proc = subprocess.run([sys.executable, "-m", "hydrec.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "hydrec: simulation quality failure: the state is not finite after a step (norm nan)\n"
+    )
+    assert not (tmp_path / "ds").exists()
+
+
 def test_reconstruct_writes_moment_set(tmp_path):
     ds = tmp_path / "ds"
     run(*small_dataset_args(ds))
@@ -520,33 +544,44 @@ def test_dat_table_is_the_one_shot_join_of_the_payload(tmp_path):
     assert (out / "rho_N7.dat").read_bytes() == table.encode()
 
 
-def overflowing_assembly(grid, y):
+def overflowing_assembly(grid):
+    """The moments and hbar of an assembly whose lattice holds inf, -inf and nan."""
     f = np.random.default_rng(4).normal(size=(9, grid.n_points))
     # terms of opposite signs overflow to inf and -inf in both parts, which sum to nan
     f[1:5, ::3] = np.finfo(float).max
-    with pytest.warns(UserWarning, match="left the floating-point range"):
-        return assemble(GridField(grid, f), y, 0.7)
+    return GridField(grid, f), 0.7
 
 
-def cat_assembly(grid, y):
+def cat_assembly(grid):
+    """The moments and hbar of the default cat's order-6 assembly."""
     from hydrec.simulator import CatStateParams, cat_state_moment
 
     f = [cat_state_moment(CatStateParams(), n, grid.points) for n in range(7)]
-    return assemble(GridField(grid, f), y, 1.0)  # odd cat moments vanish: every im is 0.0
+    return GridField(grid, f), 1.0  # odd cat moments vanish: every im is 0.0
 
 
 @pytest.mark.parametrize("make", [cat_assembly, overflowing_assembly])
 def test_dat_table_of_zero_and_non_finite_values_is_the_one_shot_join(tmp_path, make):
+    from hydrec.assembly import _taylor_fill
     from hydrec.cli import _emit_density_grid
     from hydrec.numerics import LATTICE_BLOCK_BYTES, SpatialGrid
     from hydrec.simulator import offdiagonal_lattice
 
     n_x = LATTICE_BLOCK_BYTES // (16 * 21) + 5  # two blocks of rows
     grid, y = SpatialGrid(-6, 6, n_x), offdiagonal_lattice(1.5, 21)
-    rec = make(grid, y)
-    _emit_density_grid(tmp_path, "N", rec)
+    moments, hbar = make(grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = assemble(moments, y, hbar)
+        warned = [str(w.message) for w in caught]
+        defect = _emit_density_grid(tmp_path, "N", _taylor_fill(moments, y, hbar))
+    # the overflowed orders, reported once by each fill, and nothing else
+    assert [str(w.message) for w in caught] == 2 * warned
+    assert bool(warned) == (make is overflowing_assembly)
     values = np.frombuffer((tmp_path / "rho_N.bin").read_bytes(), dtype="<c16").reshape(n_x, 21)
     assert values.tobytes() == rec.values.values.tobytes()
+    with np.errstate(invalid="ignore"):  # inf - inf where an overflowed order is real
+        assert np.array_equal(defect, rec.values.hermiticity_defect(), equal_nan=True)
     xs = [t for t in map(repr, grid.points.tolist()) for _ in range(21)]
     ys = list(map(repr, y.tolist())) * n_x
     real = map(repr, values.real.ravel().tolist())
@@ -576,9 +611,7 @@ def test_compare_stored_psi_reference(tmp_path):
     assert report["hermiticity_defect"] < 1e-12
 
 
-def test_only_assemble_sweeps_the_whole_lattice_for_its_hermiticity_defect(
-    tmp_path, monkeypatch
-):
+def test_no_verb_sweeps_a_whole_lattice_for_its_hermiticity_defect(tmp_path, monkeypatch):
     ds = tmp_path / "ds"
     assert run(*small_dataset_args(ds), "--store-psi") == 0
     mdir = tmp_path / "m"
@@ -601,9 +634,13 @@ def test_only_assemble_sweeps_the_whole_lattice_for_its_hermiticity_defect(
     report = json.loads((out / "report_N2.json").read_text())
     summary = (out / "summary_N2.txt").read_text().splitlines()
     assert f"hermiticity      {report['hermiticity_defect']:.3e}" in summary
-    calls.clear()
-    assert run("assemble", mdir / "moments.json", "--n-y", "21", "--out", tmp_path / "rho") == 0
-    assert len(calls) == 1
+    # assemble takes it block by block as it writes the grid: the whole lattice's defect
+    rho = tmp_path / "rho"
+    assert run("assemble", mdir / "moments.json", "--n-y", "21", "--out", rho) == 0
+    assert not calls
+    values = np.frombuffer((rho / "rho_N2.bin").read_bytes(), dtype="<c16").reshape(256, 21)
+    whole = float(np.max(np.abs(values - np.conj(values[:, ::-1]))))
+    assert f"hermiticity      {whole:.3e}" in (rho / "summary_N2.txt").read_text().splitlines()
 
 
 def test_compare_reads_the_hermiticity_defect_inside_its_region_only(tmp_path):
@@ -820,6 +857,38 @@ def lattice_bytes(grid, n_y, x_max=np.inf):
     return np.count_nonzero(np.abs(grid.points) <= x_max) * n_y * 16
 
 
+@pytest.fixture(scope="module")
+def benchmark_assembly(benchmark_moments, tmp_path_factory):
+    """The benchmark pipeline's density grid as ``assemble`` writes it, and the verb's
+    traced peak."""
+    out = tmp_path_factory.mktemp("benchmark-rho")
+    argv = ["assemble", benchmark_moments[1], "--y-max", "1.5", "--n-y", "201", "--out", out]
+    status, peak = traced_peak(lambda: run(*argv))
+    assert status == 0
+    return out, peak
+
+
+def test_the_benchmark_assemble_holds_a_few_row_blocks_and_the_moments(benchmark_assembly):
+    # the 1024 x 201 lattice is 12.6 row blocks: it is written one block at a time, and the
+    # block's fill, its table lines and the (13, 1024) moment matrix are all that is held
+    bound = 13 * 1024 * 8 + 5 * LATTICE_BLOCK_BYTES
+    assert benchmark_assembly[1] <= bound < lattice_bytes(SpatialGrid(-10, 10, 1024), 201)
+
+
+def test_the_benchmark_density_grid_holds_the_assembled_lattice_and_its_digest(
+    benchmark_moments, benchmark_assembly
+):
+    out = benchmark_assembly[0]
+    mset = read_moment_set(benchmark_moments[1])
+    y = offdiagonal_lattice(1.5, 201)
+    rec = assemble(GridField(mset["grid"], mset["moments"]), y, mset["constants"].hbar)
+    raw = (out / "rho_N12.bin").read_bytes()
+    assert raw == rec.values.values.astype("<c16").tobytes()  # 12.6 row blocks, written in turn
+    manifest = json.loads((out / "rho_N12.json").read_text())
+    assert manifest["checksum"] == payload_checksum(raw)
+    assert manifest["trust_radius"] == rec.trust_radius
+
+
 def test_the_benchmark_compare_holds_one_lattice_and_the_region_reference(
     benchmark_moments, tmp_path
 ):
@@ -829,19 +898,19 @@ def test_the_benchmark_compare_holds_one_lattice_and_the_region_reference(
     with pytest.warns(GridCoverageWarning, match="not commensurate"):  # dy = 0.015
         status, peak = traced_peak(lambda: run(*argv))
     assert status == 0
-    # rho_N on the whole lattice and the reference on the region's rows, |x| <= 3, only
+    # rho_N and the reference on the region's rows, |x| <= 3, only; the dataset's payloads
+    # (1.2 row blocks) and the reference fill's temporaries come on top
     grid = SpatialGrid(-10.0, 10.0, 1024)
-    assert peak <= lattice_bytes(grid, 201) + lattice_bytes(grid, 201, 3.0) + 2**20
+    assert peak <= 2 * lattice_bytes(grid, 201, 3.0) + 5 * LATTICE_BLOCK_BYTES
 
 
 def test_demo_cat_holds_one_order_and_the_region_reference(tmp_path):
     status, peak = traced_peak(lambda: run("demo-cat", "--out", tmp_path))
     assert status == 0
     # one order's rho_N and the closed form on the region's rows, |x| <= 3, only; the
-    # assembly's two block buffers come on top of the 1 MiB
+    # region's errors (0.4 MiB), the moments and the block temporaries come on top
     grid = SpatialGrid(-6.0, 6.0, 481)
-    region = lattice_bytes(grid, 201, 3.0)
-    assert peak <= lattice_bytes(grid, 201) + region + 2 * LATTICE_BLOCK_BYTES + 2**20
+    assert peak <= 2 * lattice_bytes(grid, 201, 3.0) + 6 * LATTICE_BLOCK_BYTES
 
 
 def test_demo_cat_on_a_grid_without_the_region_exits_1(tmp_path, capsys):

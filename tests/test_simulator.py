@@ -235,6 +235,15 @@ def test_propagate_refuses_a_state_that_is_not_finite_after_the_first_kick(monke
     assert len(calls) == 1
 
 
+def test_propagate_refuses_an_overflowing_potential_without_a_runtime_warning():
+    # every RuntimeWarning is an error under the test configuration: V and the kick overflow
+    # without one, and the state they leave is refused
+    grid = SpatialGrid(-10.0, 10.0, 256)
+    model = polynomial_potential([[0.0], [0.0], [1e307]])
+    with pytest.raises(SimulationQualityError, match=r"^the state is not finite after a step"):
+        propagate(gaussian_packet(grid, 1.0), model, CONSTANTS, dt=1e-3, steps=10)
+
+
 def assert_walk_equals(records, psis, expected_psis):
     assert len(records) == len(psis) == len(expected_psis)
     for record, psi, expected in zip(records, psis, expected_psis):
