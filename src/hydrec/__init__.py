@@ -8,20 +8,20 @@ Taylor coefficients of the position-representation density matrix in the
 off-diagonal variable, so truncated reconstructions converge outward from the
 diagonal as more observation times are added.
 
-Each public name is declared once, in its module's ``__all__``, and re-exported here.
+Each public name is declared once, in its module's ``__all__``, and re-exported here;
+the modules load on the first use of a name (PEP 562), so ``import hydrec`` loads no numpy.
 """
 
-from . import assembly, numerics, potentials, reconstruction, simulator
-from .assembly import *  # noqa: F403
-from .numerics import *  # noqa: F403
-from .potentials import *  # noqa: F403
-from .reconstruction import *  # noqa: F403
-from .simulator import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"] + [
-    name
-    for module in (numerics, potentials, simulator, reconstruction, assembly)
-    for name in module.__all__
-]
+
+def __getattr__(name):
+    library = ("numerics", "potentials", "simulator", "reconstruction", "assembly")
+    modules = [importlib.import_module(f"{__name__}.{module}") for module in library]
+    names = {attr: getattr(module, attr) for module in modules for attr in module.__all__}
+    globals().update(names, __all__=["__version__", *names])
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]

@@ -15,11 +15,12 @@ payload path that leaves the manifest's directory.  Density grids are also
 written as ``rho_<tag>.dat``, one ``x y re im`` line per lattice point
 (x-major) in shortest round-trip decimal, after a ``# x y re im`` header.  The
 table is formatted from the y >= 0 half of each row, whose y < 0 mirror
-``assemble`` guarantees, so only half of the values go through ``repr``; its
-bytes are those of formatting every value.  A density grid is never held
-whole: its payload and table are written one block of rows at a time, with
-the payload's digest taken as it is written, the same bytes as the whole
-lattice's.  ``compare`` assembles only the rows of its region.
+``assemble`` guarantees, so only half of the values go through ``repr`` (a row
+of one value once); its bytes are those of formatting every value.  A density
+grid is never held whole: its payload and table are written one block of rows
+at a time, with the payload's digest taken as it is written, the same bytes as
+the whole lattice's.  ``compare`` assembles only the rows of its region.  OpenBLAS
+runs on one thread unless numpy was loaded first or a thread count is set.
 
 Exit codes: 0 success, 2 simulation-quality failure (a non-finite state too),
 3 insufficient time samples, 4 missing reference, 1 anything else.
@@ -36,6 +37,8 @@ from dataclasses import asdict, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
 
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read by numpy as it loads
 import numpy as np
 
 from .assembly import _region_slices, _TaylorFill, _taylor_fill, compare
@@ -478,10 +481,14 @@ def _emit_density_grid(out_dir: Path, tag: str, taylor: _TaylorFill) -> float:
             # from the y >= 0 half: the fill writes column M-1-j as (re, 0.0 - im) of column j
             half = vals[:, c:]
             xs = map(repr, points[blk].tolist())
-            for x, re, im in zip(xs, half.real.tolist(), half.imag.tolist()):
-                re, im = list(map(repr, re)), list(map(repr, im))
+            # a row of one value by its bits (-0.0, +0.0 and each nan apart) formats it once
+            single = (half.view("V16") == half[:, :1].view("V16")).all(axis=1).tolist()
+            for x, one, re, im in zip(xs, single, half.real.tolist(), half.imag.tolist()):
+                n, copies = (1, c + 1) if one else (c + 1, 1)
+                re, im = list(map(repr, re[:n])), list(map(repr, im[:n]))
                 # the text of 0.0 - v: +0.0 and nan stay, any other sign flips
                 flip = [t[1:] if t[0] == "-" else t if t in ("0.0", "nan") else "-" + t for t in im]
+                re, im, flip = re * copies, im * copies, flip * copies
                 lines = zip(repeat(x), ys, re[:0:-1] + re, flip[:0:-1] + im)
                 table.write("\n".join(map(" ".join, lines)) + "\n")
             yield vals

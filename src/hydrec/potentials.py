@@ -111,6 +111,13 @@ class PotentialModel:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def _time_independent(self) -> bool:
+        """True when V(x, t) is bitwise the same at every t: each 0 * t**j or 0 * cos adds ±0.0."""
+        if self.kind == "paul_trap":
+            return self.params["b"] == 0 or self.params["big_omega"] == 0
+        return not any(any(row[1:]) for row in self.coeffs)
+
 
 def x_coefficients(model: PotentialModel, t) -> np.ndarray:
     """Coefficients c_k(t) of x^k, lowest power first; row k holds c_k at each time in ``t``."""

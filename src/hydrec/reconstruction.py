@@ -50,6 +50,7 @@ from .numerics import (
     TimeNodes,
     _is_number,
     _read_only_array,
+    _row_blocks,
     _support_window,
     cumulative_integral,
     differentiation_matrix,
@@ -161,6 +162,9 @@ def build_pyramid(
         probability current, does not depend on the potential: f_1 is
         ``-mass`` times the time derivative of the cumulative probability.
 
+    d/dt runs on one cache block of columns per product, too small for OpenBLAS
+    to thread: the pyramid is bitwise the same for any BLAS thread count.
+
     Returns
     -------
     MomentPyramid
@@ -189,8 +193,10 @@ def build_pyramid(
             )
         diff = differentiation_matrix(nodes)
         forces = _force_table(model, grid.points[window], nodes, order_max - 1)
+        integrand = np.empty(levels.shape[1:])  # d/dt and the running integral commute
         for n in range(order_max):
-            integrand = diff @ levels[n]  # d/dt and the running integral commute
+            for blk in _row_blocks(integrand.shape[1], 8 * nodes.m_plus_1):
+                np.matmul(diff, levels[n][:, blk], out=integrand[:, blk])
             for k, dv in enumerate(forces[: (n + 1) // 2]):
                 coef = (-1.0) ** k * (constants.hbar / 2.0) ** (2 * k) * comb(n, 2 * k + 1)
                 integrand += coef * dv * levels[n - 2 * k - 1]

@@ -105,7 +105,8 @@ def _row_window(rows, n_points: int) -> slice:
     None is every row."""
     if rows is None:
         return slice(0, n_points)
-    run = range(n_points)[rows] if isinstance(rows, slice) else None
+    inside = isinstance(rows, slice) and max(abs(rows.start or 0), abs(rows.stop or 0)) <= n_points
+    run = range(n_points)[rows] if inside else None
     if run is None or run.step != 1 or not run:
         raise ValueError(
             f"rows must be a non-empty slice of consecutive rows of 0..{n_points - 1}, got {rows!r}"
@@ -377,8 +378,9 @@ def propagate(
     step closes with a half step, so ``steps`` steps cost ``steps + 1`` FFT
     pairs.  Negative ``dt`` propagates backward in time.  The steps work in
     place on one set of buffers; the potential factor ``exp(-i V dt / hbar)``
-    is built from ``cos`` and ``sin`` of the phase and recomputed only when V
-    differs from the previous step's, so a static potential costs one per call.
+    is built from ``cos`` and ``sin`` of the phase, once per call when the
+    model's coefficients do not depend on t (its V is then the same at every
+    step, bit for bit), and at every step otherwise.
 
     The norm and edge guards run after each kick, where the state equals the
     end of that step up to unitary factors, and once more on the returned state.
@@ -416,22 +418,21 @@ def propagate(
     kinetic = np.exp(-1j * constants.hbar * k**2 * dt / (2.0 * constants.mass))
     amp = np.array(psi.amplitudes, dtype=complex)
     kick = np.empty_like(amp)
-    v_kick = None  # the V that ``kick`` was computed from
+    static = model._time_independent
     magnitude = np.empty(grid.n_points)  # shared by the norm and wrap-around checks
     norm_ref = float(np.sum(np.abs(amp) ** 2))
     t = t_start
     _half_kinetic_step(amp, half_kinetic)
     for step in range(steps):
         # a V or a kick that is not finite makes the state so: refused by _checked_norm below
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = potential_value(model, x, t + 0.5 * dt)
-            if v_kick is None or not np.array_equal(v, v_kick):
+        if step == 0 or not static:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = potential_value(model, x, t + 0.5 * dt)
                 # numpy divides a complex by hbar as a product with 1 / hbar; the same
                 # rounding keeps the kick bitwise equal to exp(-1j * v * dt / hbar)
                 phase = -v * dt * (1.0 / constants.hbar)
                 np.cos(phase, out=kick.real)
                 np.sin(phase, out=kick.imag)
-                v_kick = v
         amp *= kick
         t += dt
         norm_ref = _checked_norm(amp, magnitude, norm_ref)
@@ -600,9 +601,8 @@ def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> Wi
     out = np.empty(vals.shape)
     peaks, anti_peaks = [], []
     for blk in _row_blocks(vals.shape[0], vals.itemsize * m):
-        upper, lower = vals[blk, c:], vals[blk, c::-1]  # y >= 0 and its mirror -y
-        mirrored = np.conj(lower)
-        peaks.append(np.maximum(np.max(np.abs(upper)), np.max(np.abs(lower))))
+        upper, mirrored = vals[blk, c:], np.conj(vals[blk, c::-1])  # y >= 0 and conj at -y
+        peaks.append(np.max(np.abs(vals[blk])))
         anti_peaks.append(np.max(np.abs(upper - mirrored)))
         hermitian = np.add(upper, mirrored, out=mirrored)
         hermitian *= 0.5
@@ -626,14 +626,6 @@ def wigner_transform(rho: DensityMatrixGrid, constants: PhysicalConstants) -> Wi
     return WignerGrid(rho.x_grid, p, out)
 
 
-def _decayed_p_window(w: WignerGrid, threshold: float) -> slice:
-    # max |W| per column without an |W| lattice; a NaN still propagates
-    colmax = np.maximum(np.max(w.values, axis=0), -np.min(w.values, axis=0))
-    if not np.isfinite(colmax.max()):
-        raise ValueError("quasi-probability distribution holds non-finite values")
-    return _support_window(colmax, threshold)
-
-
 def _as_wigner(state, constants: PhysicalConstants) -> WignerGrid:
     if isinstance(state, WignerGrid):
         return state
@@ -651,20 +643,23 @@ def oracle_moment_set(state, orders, constants: PhysicalConstants) -> list[GridF
     decayed to ``1e-12`` of its peak; outside that window the numerical
     distribution is float noise, which the ``p^n`` weight would otherwise
     amplify into the result.  A warning reports when the weighted integrand
-    has not decayed at the window edge.
+    has not decayed at the window edge, read from max |W| per p column: for a finite
+    weight, ``|p^n| max |W|`` is the column's largest ``|p^n W|`` bit for bit.
     """
     w = _as_wigner(state, constants)
-    window = _decayed_p_window(w, P_DECAY_THRESHOLD)
-    p_win = w.p[window]
-    vals_win = w.values[:, window]
-    dp = w.dp
+    colmax = np.maximum(np.max(w.values, axis=0), -np.min(w.values, axis=0))  # NaN propagates
+    if not np.isfinite(colmax.max()):
+        raise ValueError("quasi-probability distribution holds non-finite values")
+    window = _support_window(colmax, P_DECAY_THRESHOLD)
+    p_win, colmax, vals_win = w.p[window], colmax[window], w.values[:, window]
     out = []
     for order in orders:
         if order < 0:
             raise ValueError("moment order must be >= 0")
-        integrand = p_win[None, :] ** order * vals_win
-        peak = float(np.max(np.abs(integrand)))
-        edge = float(max(np.max(np.abs(integrand[:, 0])), np.max(np.abs(integrand[:, -1]))))
+        weight = p_win[None, :] ** order
+        column_peaks = np.abs(weight[0]) * colmax
+        peak = float(np.max(column_peaks))
+        edge = float(max(column_peaks[0], column_peaks[-1]))
         if peak > 0 and edge > 1e-10 * peak:
             warnings.warn(
                 f"p^{order}-weighted integrand has edge amplitude {edge:.3e} "
@@ -672,5 +667,5 @@ def oracle_moment_set(state, orders, constants: PhysicalConstants) -> list[GridF
                 GridCoverageWarning,
                 stacklevel=2,
             )
-        out.append(GridField(w.x_grid, np.trapezoid(integrand, dx=dp, axis=1)))
+        out.append(GridField(w.x_grid, np.trapezoid(weight * vals_win, dx=w.dp, axis=1)))
     return out

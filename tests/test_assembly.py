@@ -638,7 +638,7 @@ def test_assemble_on_a_row_window_holds_the_whole_lattice_rows_bitwise(case, win
 
 def test_assemble_refuses_a_row_window_that_is_not_a_run_of_grid_rows():
     grid = SpatialGrid(-3.0, 3.0, 101)
-    for rows in (slice(200, 300), slice(0, 10, 2), slice(5, 5), 3):
+    for rows in (slice(200, 300), slice(90, 120), slice(0, 10, 2), slice(5, 5), 3):
         with pytest.raises(ValueError, match=r"^rows must be a non-empty slice"):
             assemble(cat_moments(grid, 2), offdiagonal_lattice(0.6, 21), HBAR, rows)
 

@@ -111,6 +111,43 @@ def test_import_loads_neither_openssl_nor_the_cli_with_the_package():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_import_of_the_package_loads_no_numpy():
+    # the library modules load on first use, so the CLI module runs before numpy loads
+    src = str(Path(hydrec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = """if True:
+        import sys
+        import hydrec
+        assert "numpy" not in sys.modules, "import hydrec loads numpy"
+        assert hydrec.__version__ and "numpy" not in sys.modules
+        hydrec.build_pyramid
+        assert "numpy" in sys.modules and "hydrec.assembly" in sys.modules
+    """
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "given, seen",
+    [
+        ({}, ("1", None)),
+        ({"OPENBLAS_NUM_THREADS": "3"}, ("3", None)),
+        ({"OMP_NUM_THREADS": "2"}, (None, "2")),
+        ({"numpy first": ""}, (None, None)),
+    ],
+    ids=["by default", "user's OpenBLAS count", "user's OpenMP count", "numpy loaded first"],
+)
+def test_the_cli_runs_openblas_on_one_thread_unless_a_count_is_set(given, seen):
+    src = str(Path(hydrec.__file__).parents[1])
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    first = "import numpy; " if given.pop("numpy first", None) is not None else ""
+    code = first + "import os, hydrec.cli; print(*(os.environ.get(k) for k in %r))" % (unset,)
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, **given}, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == [str(v) for v in seen]
+
+
 def test_import_loads_no_numpy_polynomial():
     # potentials evaluates V and its x-derivatives with its own Horner loop
     src = str(Path(hydrec.__file__).parents[1])
@@ -560,7 +597,17 @@ def cat_assembly(grid):
     return GridField(grid, f), 1.0  # odd cat moments vanish: every im is 0.0
 
 
-@pytest.mark.parametrize("make", [cat_assembly, overflowing_assembly])
+def unsupported_assembly(grid):
+    """The moments and hbar of an order-8 assembly whose f_1 .. f_8 vanish past the middle
+    third of the grid, where f_0 is -0.0, +0.0 or one value: each such row holds one value."""
+    f = np.random.default_rng(5).normal(size=(9, grid.n_points))
+    outside = np.r_[: grid.n_points // 3, 2 * grid.n_points // 3 : grid.n_points]
+    f[1:, outside] = 0.0
+    f[0, outside] = np.resize([-0.0, 0.0, 0.25, f[0, 0]], outside.size)
+    return GridField(grid, f), 0.7
+
+
+@pytest.mark.parametrize("make", [cat_assembly, overflowing_assembly, unsupported_assembly])
 def test_dat_table_of_zero_and_non_finite_values_is_the_one_shot_join(tmp_path, make):
     from hydrec.assembly import _taylor_fill
     from hydrec.cli import _emit_density_grid
@@ -588,8 +635,45 @@ def test_dat_table_of_zero_and_non_finite_values_is_the_one_shot_join(tmp_path, 
     imag = list(map(repr, values.imag.ravel().tolist()))
     table = "# x y re im\n" + "".join(map("{} {} {} {}\n".format, xs, ys, real, imag))
     assert (tmp_path / "rho_N.dat").read_text() == table
-    kinds = {"0.0"} if make is cat_assembly else {"0.0", "inf", "-inf", "nan"}
+    kinds = {"0.0", "inf", "-inf", "nan"} if make is overflowing_assembly else {"0.0"}
     assert kinds <= set(imag)
+
+
+def test_dat_table_of_one_value_rows_is_the_one_shot_join(tmp_path):
+    # rows of one value by bits (each signed zero, each nan) and rows of values equal but
+    # for their bits, written through a fill that mirrors the y >= 0 half as assemble does
+    from hydrec.assembly import _TaylorFill
+    from hydrec.cli import _emit_density_grid
+
+    nan, z = np.nan, 0.0
+    half = np.array([
+        [complex(-z, -z)] * 4, [complex(z, z)] * 4, [complex(nan, nan)] * 4,
+        [complex(-nan, nan)] * 4, [complex(0.25, -1.5)] * 4,
+        [complex(-z, z), complex(z, z), complex(-z, z), complex(-z, z)],
+        [complex(nan, z), complex(-nan, z), complex(nan, z), complex(nan, z)],
+        [complex(0.25, -1.5)] * 3 + [complex(0.25, 1.5)],
+        [1.0, 2.0 - 1j, -3.0 + 0.5j, -z],
+    ])
+    grid, y = SpatialGrid(-1.0, 1.0, len(half)), offdiagonal_lattice(1.0, 7)
+
+    def fill(out, blk, cols):
+        out[:, 3:] = half[blk]
+        mirror, upper = out[:, :3], half[blk][:, :0:-1]
+        mirror.real = upper.real
+        np.subtract(0.0, upper.imag, out=mirror.imag)
+
+    with np.errstate(invalid="ignore"):
+        _emit_density_grid(tmp_path, "N", _TaylorFill(grid, y, 8, 1.0, None, 0.5, fill))
+    values = np.frombuffer((tmp_path / "rho_N.bin").read_bytes(), dtype="<c16").reshape(-1, 7)
+    # the signs written: -0.0 and -nan in y >= 0, and each mirrored through 0.0 - im
+    assert np.signbit(values[0, 3:].view(float)).all() and np.signbit(values[0].real).all()
+    assert np.signbit(values[3].real).all() and not np.signbit(values[1].view(float)).any()
+    xs = [t for t in map(repr, grid.points.tolist()) for _ in range(7)]
+    ys = list(map(repr, y.tolist())) * len(half)
+    real = map(repr, values.real.ravel().tolist())
+    imag = map(repr, values.imag.ravel().tolist())
+    table = "# x y re im\n" + "".join(map("{} {} {} {}\n".format, xs, ys, real, imag))
+    assert (tmp_path / "rho_N.dat").read_text() == table
 
 
 def test_compare_stored_psi_reference(tmp_path):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,3 +472,35 @@ def test_high_orders_hold_no_plateau_past_the_support():
         error = np.max(np.abs(pyramid.levels[n][c] - exact)) / np.max(np.abs(exact))
         assert error < bound, f"order {n}: {error:.2e}"
     assert pyramid.window == slice(536, 1581)  # 1045 of 2048 columns
+
+
+PYRAMID_DIGEST = """if True:
+    import hashlib, warnings
+    import numpy as np
+    from hydrec.numerics import PhysicalConstants, SpatialGrid, TimeNodes
+    from hydrec.potentials import quartic_potential
+    from hydrec.reconstruction import build_pyramid
+
+    grid, nodes = SpatialGrid(-20.0, 20.0, 20001), TimeNodes(0.0, 5e-3, 13)
+    records = np.random.default_rng(3).uniform(0.5, 1.0, size=(13, grid.n_points))
+    warnings.simplefilter("ignore")  # records that never decay
+    pyramid = build_pyramid(records, grid, nodes, quartic_potential(0.5, 0.1), PhysicalConstants(), 12)
+    assert pyramid.window_levels.shape == (13, 13, 20001)
+    print(hashlib.blake2b(pyramid.window_levels.tobytes(), digest_size=8).hexdigest())
+"""
+
+
+def test_the_pyramid_does_not_depend_on_the_blas_thread_count():
+    # 13 nodes by 20001 columns: wide enough for OpenBLAS to split one whole-window product
+    # between two threads, which changes its bits at this width (not at 16384)
+    src = str(Path(reconstruction_module.__file__).parents[1])
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in unset}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = {}
+    for threads in ("1", None, "2"):
+        env = base if threads is None else {**base, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", PYRAMID_DIGEST], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        digests[threads] = proc.stdout.strip()
+    assert digests[None] == digests["1"] == digests["2"], digests

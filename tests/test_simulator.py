@@ -16,6 +16,7 @@ from conftest import (
     traced_peak,
 )
 from hydrec.numerics import LATTICE_BLOCK_BYTES, PhysicalConstants, SpatialGrid, TimeNodes
+from hydrec.numerics import _support_window
 from hydrec.potentials import (
     free_potential,
     harmonic_potential,
@@ -25,6 +26,7 @@ from hydrec.potentials import (
     quartic_potential,
 )
 from hydrec.simulator import (
+    P_DECAY_THRESHOLD,
     CatStateParams,
     DensityMatrixGrid,
     GridCoverageWarning,
@@ -372,6 +374,43 @@ def test_propagate_kick_equals_the_complex_exponential_bitwise(hbar):
     psi = gaussian_packet(SpatialGrid(-12.0, 12.0, 4096), 0.8, center=0.5, hbar=hbar)
     out = propagate(psi, model, constants, 2e-3, 40, t_start=0.1)
     expected = merged_split_operator_reference(psi, model, 2e-3, 40, 0.1, constants)
+    assert_bytes_equal(out.amplitudes, expected)
+
+
+@pytest.mark.parametrize(
+    "model, static",
+    [
+        (free_potential(), True),
+        (harmonic_potential(0.5), True),
+        (quartic_potential(c2=0.1, c4=0.05), True),
+        # t < 0 below, so each zero coefficient of an odd power of t adds -0.0
+        (polynomial_potential([[-0.0, 0.0, -0.0], [0.0], [0.5, 0.0, 0.0, 0.0]]), True),
+        (paul_trap_potential(a=1.0, b=0.0, big_omega=40.0), True),
+        (paul_trap_potential(a=-0.0, b=0.0, big_omega=40.0), True),  # a + 0 cos is ±0.0
+        (paul_trap_potential(a=1.0, b=0.3, big_omega=0.0), True),
+        (paul_trap_potential(a=1.0, b=0.3, big_omega=40.0), False),
+        (polynomial_potential([[0.0], [0.0], [0.5, 0.0, 0.2]]), False),
+    ],
+    ids=["free", "harmonic", "quartic", "polynomial zero in t", "paul b=0", "paul a=-0 b=0",
+         "paul omega=0", "paul driven", "polynomial in t"],
+)
+def test_propagate_evaluates_a_time_independent_potential_once_per_call(
+    monkeypatch, model, static
+):
+    import hydrec.potentials as potentials
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return potential_value(*args)
+
+    monkeypatch.setattr(potentials, "potential_value", counted)
+    psi = gaussian_packet(SpatialGrid(-12.0, 12.0, 512), 0.8, center=0.5, momentum=0.7)
+    out = propagate(psi, model, CONSTANTS, 1e-3, 50, t_start=-0.3)
+    assert len(calls) == (1 if static else 50)
+    monkeypatch.undo()
+    expected = merged_split_operator_reference(psi, model, 1e-3, 50, -0.3)
     assert_bytes_equal(out.amplitudes, expected)
 
 
@@ -864,6 +903,62 @@ def test_a_nan_on_either_side_of_y_zero_gives_a_nan_row(column):
         oracle_moment_set(w, range(3), CONSTANTS)
 
 
+def swept_oracle_moment_set(w, orders):
+    """The momentum moments of ``w`` with each order's peak and edges swept from its
+    ``p^n``-weighted integrand, and the same warnings."""
+    window = _support_window(np.max(np.abs(w.values), axis=0), P_DECAY_THRESHOLD)
+    out = []
+    for order in orders:
+        integrand = w.p[window][None, :] ** order * w.values[:, window]
+        peak = float(np.max(np.abs(integrand)))
+        edge = float(max(np.max(np.abs(integrand[:, 0])), np.max(np.abs(integrand[:, -1]))))
+        if peak > 0 and edge > 1e-10 * peak:
+            warnings.warn(
+                f"p^{order}-weighted integrand has edge amplitude {edge:.3e} "
+                f"({edge / peak:.1e} of peak); extend the momentum lattice",
+                GridCoverageWarning,
+            )
+        out.append(np.trapezoid(integrand, dx=w.dp, axis=1))
+    return out
+
+
+def random_distribution():
+    """Signed values of every magnitude on a momentum lattice that has not decayed at all."""
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(48, 33)) * 10.0 ** rng.integers(-20, 5, size=(48, 33))
+    return WignerGrid(SpatialGrid(-2.0, 2.0, 48), np.linspace(-3.0, 3.0, 33), values)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: wigner_transform(
+            exact_density_matrix(gaussian_packet(SpatialGrid(-16.0, 16.0, 512), 1.0, 1.0, 1.5)),
+            CONSTANTS,
+        ),
+        lambda: wigner_transform(
+            exact_density_matrix(make_cat_state(CAT, SpatialGrid(-8.0, 8.0, 400))), CONSTANTS
+        ),
+        random_distribution,
+    ],
+    ids=["coherent", "cat", "random"],
+)
+def test_oracle_moment_set_equals_the_swept_integrands_bitwise(make):
+    w = make()
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        fields = oracle_moment_set(w, range(13), CONSTANTS)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        expected = swept_oracle_moment_set(w, range(13))
+    assert want, "no order warns: the case does not reach the edge test"
+    assert [(x.category, str(x.message)) for x in got] == [
+        (x.category, str(x.message)) for x in want
+    ]
+    for field, values in zip(fields, expected, strict=True):
+        assert_bytes_equal(field.values, values)
+
+
 def nan_lattice():
     values = np.ones((64, 21), dtype=complex)
     values[17, 4] = np.nan
@@ -948,8 +1043,10 @@ def test_a_row_window_of_cat_state_density_matrix_is_those_rows_bitwise(rows):
 
 
 @pytest.mark.parametrize(
-    "rows", [slice(5, 5), slice(0, 9, 2), slice(9, 0, -1), slice(20, 30), 3, [1, 2]],
-    ids=["empty", "strided", "reversed", "past the grid", "an index", "a list"],
+    "rows",
+    [slice(5, 5), slice(0, 9, 2), slice(9, 0, -1), slice(20, 30), slice(10, 30), 3, [1, 2]],
+    ids=["empty", "strided", "reversed", "past the grid", "running past the grid", "an index",
+         "a list"],
 )
 def test_a_row_window_must_be_a_run_of_grid_rows(rows):
     grid, y = SpatialGrid(-8.0, 8.0, 16), offdiagonal_lattice(2.1, 7)
